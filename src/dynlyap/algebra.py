@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf
 from typing import Iterable, Union
 
@@ -149,33 +150,40 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
         return out
     bits_a = max(abs(c).bit_length() for c in a)
     bits_b = max(abs(c).bit_length() for c in b)
-    slot = bits_a + bits_b + min(na, nb).bit_length() + 2
-    return _unpack_signed(_pack(a, slot) * _pack(b, slot), na + nb - 1, slot)
+    width = (bits_a + bits_b + min(na, nb).bit_length() + 9) // 8
+    return _unpack_signed(_pack(a, width) * _pack(b, width), na + nb - 1, width)
 
 
-def _pack(coeffs: list[int], slot: int) -> int:
-    total = 0
-    shift = 0
-    for c in coeffs:
-        if c:
-            total += c << shift
-        shift += slot
-    return total
+# Kronecker slots are whole bytes, so packing and unpacking go through
+# int.to_bytes / int.from_bytes in linear time instead of one big shift per
+# coefficient.
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum c_i 2^(8 width i) for integers |c_i| < 2^(8 width - 1)."""
+    try:
+        return int.from_bytes(
+            b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little"))), "little")
+    except OverflowError:  # a negative coefficient: pack both signs apart
+        pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+        neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack_signed(packed: int, n: int, slot: int) -> list[int]:
-    mask = (1 << slot) - 1
-    half = 1 << (slot - 1)
-    out = []
-    for _ in range(n):
-        r = packed & mask
-        if r >= half:
-            r -= 1 << slot
-        out.append(r)
-        packed = (packed - r) >> slot
-    if packed != 0:
-        raise AssertionError("Kronecker unpack overflow")
-    return out
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n non-negative width-byte digits of packed."""
+    try:
+        buf = packed.to_bytes(n * width, "little")
+    except OverflowError:
+        raise AssertionError("Kronecker unpack overflow") from None
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)]
+
+
+def _unpack_signed(packed: int, n: int, width: int) -> list[int]:
+    """Inverse of _pack: adding 2^(8 width - 1) to every slot makes all
+    digits non-negative without carries."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    return [c - half for c in _unpack(packed + offset, n, width)]
 
 
 def _int_content(coeffs: Iterable[int]) -> int:

@@ -13,10 +13,6 @@ from .errors import ResourceLimit
 
 ENV_BUDGET_BITS = "DYNLYAP_BUDGET_BITS"
 
-# Default caps on the period n, by degree d.  Chosen so that every
-# acceptance computation fits comfortably; callers may raise them.
-_DEFAULT_N_CAP = {2: 10, 3: 6}
-
 
 @dataclass(frozen=True)
 class Budget:

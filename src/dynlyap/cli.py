@@ -277,10 +277,21 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _attach_point_value(argv) -> list:
+    """Rewrite ``--point <v>`` as ``--point=<v>``, so that a negative value
+    such as -3/2 is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--point" else None
+        out.append(tok if value is None else f"--point={value}")
+    return out
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_value(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = {

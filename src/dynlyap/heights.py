@@ -225,10 +225,6 @@ def _arch_green(lift: HomLift, pt, tol: float) -> LocalLogValue:
 
 def _eval_form(coeffs, x, y, d):
     acc = 0j
-    for c in coeffs:  # Horner in x; coeffs descending in x
-        acc = acc * x + c * 1
-    # The simple Horner above assumed y=1; redo with powers (d small).
-    acc = 0j
     yp = 1.0 + 0j
     xs = [1.0 + 0j]
     for _ in range(d):

@@ -14,16 +14,17 @@ iterated to a certified tolerance.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import period_count, sigma2
+from .algebra import _clear_fractions, period_count, sigma2
 from .errors import ArchimedeanPlace, ResourceLimit
-from .heights import _arch_green, _to_complex
-from .maps import RationalMap, abs_resultant, critical_divisor
-from .multipliers import multiplier_polynomial
+from .heights import _arch_green, _bezout_cofactors, _to_complex
+from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
+from .multipliers import cycle_polynomial, fixstar_multiplier_charpoly
 from .places import Place, LocalLogValue, local_abs, log_max
 from .roots import aberth_roots
 
@@ -66,14 +67,14 @@ def epsilon_radius(v: Place, d: int, n: int) -> TruncationRadius:
 
 def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> LyapunovEstimate:
     """Truncated multiplier average L_n(f, r) at the place v."""
-    spectrum = multiplier_polynomial(fmap, n)
-    d_n = spectrum.d_n
+    q_n = fixstar_multiplier_charpoly(fmap, n)  # prod over Fix*(f^n) of (T - lambda)
+    d_n = q_n.degree
     if v.is_archimedean():
         r_val, _ = log_r.to_float()
         r = math.exp(r_val)
         if r > 1.0 + 1e-12:
             raise ValueError("archimedean truncation radius must satisfy r <= 1")
-        roots, errs = aberth_roots(list(spectrum.p_dn.coeffs))
+        roots, errs = aberth_roots(list(cycle_polynomial(fmap, n).coeffs))
         total = 0.0
         err = 0.0
         for root, rerr in zip(roots, errs):
@@ -81,7 +82,8 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
             err += rerr / max(r, abs(root)) + 1e-15
         return LyapunovEstimate(v, n, log_r, LocalLogValue.from_float(total / d_n, err / d_n + 1e-14))
     terms = []
-    for j, s in enumerate(spectrum.sigma_star):
+    for j in range(d_n + 1):
+        s = q_n[d_n - j]  # sigma*_j up to sign, which |.|_v does not see
         if s:
             terms.append(local_abs(s, v) + log_r.scaled(d_n - j))
     value = log_max(terms).scaled(Fraction(1, n * d_n))
@@ -183,6 +185,140 @@ def _sup_chordal_derivative(fmap: RationalMap, grid: int = 384):
                 break
     err = best * (2.0 * math.pi / grid) * (d + 1)  # heuristic mesh allowance
     return best, err
+
+
+# ---------------------------------------------------------------------------
+# certified sup of the chordal derivative
+# ---------------------------------------------------------------------------
+
+# The branch and bound stops within _LIP_RTOL of the sup.  Over Q the bound
+# feeds the multiplier engine, where this slack costs at most
+# n k log2(1 + _LIP_RTOL) bits of CRT modulus: less time than more boxes.
+_LIP_RTOL = 1 / 4
+_LIP_MAX_BOXES = 4000        # past this many boxes the bound reached so far is returned
+_LIP_ROUND = 2.0**-40        # relative allowance for every float rounding below
+_LIP_RANGE_BITS = 400        # wider coefficient ranges are left to the Bezout bound
+_SQRT2_UP = 1.4142135623731  # > sqrt(2): half-diagonal over half-width of a box
+
+
+def chordal_lipschitz_bound(lift: HomLift, res) -> Fraction:
+    """Certified upper bound on sup over P^1(C) of the chordal derivative
+    f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms); ``res``
+    is Res(F) of this lift.
+
+    The exact ``_bezout_lipschitz_bound`` is capped by a branch and bound
+    over boxes covering the two charts (z, 1) and (1, w), |z|, |w| <= 1,
+    that stops when the largest box bound is within _LIP_RTOL of the
+    largest value seen at a box centre.  On a box, |g| for g = det DF / d,
+    F0, F1 is enclosed by the Taylor expansion at the centre c over the
+    disc of radius r through the corners: |g(c)| +- sum_k |g_k(c)| r^k.  Each float step is covered by
+    _LIP_ROUND times the same sums taken over |coefficients|, which bound
+    every rounding error in the Taylor coefficients with a wide margin.
+    Coefficients are converted from the primitive integer lift scaled by a
+    power of 2; when their range does not fit floats the Bezout bound
+    stands alone.
+    """
+    d = lift.d
+    bezout = _bezout_lipschitz_bound(lift, res)
+    ints, _ = _clear_fractions(list(lift.a) + list(lift.b))
+    f0, f1 = ints[d::-1], ints[: d : -1]  # F0(z, 1), F1(z, 1), ascending in z
+    prim = HomLift(d, tuple(ints[: d + 1]), tuple(ints[d + 1 :]))
+    jac = [int(c) for c in critical_divisor(prim).affine_poly.coeffs]  # det DF(z, 1)
+    jac += [0] * (2 * d - 1 - len(jac))  # a form of degree 2d - 2
+    e = max(abs(c).bit_length() for c in ints)
+    if any(c and abs(c).bit_length() < e - _LIP_RANGE_BITS for c in ints) or any(
+        c and abs(c).bit_length() < 2 * e - _LIP_RANGE_BITS for c in jac
+    ):
+        return bezout
+    s1, s2 = 1 << e, d << (2 * e)
+    fz = ([c / s2 for c in jac], [c / s1 for c in f0], [c / s1 for c in f1])
+    charts = (fz, tuple(g[::-1] for g in fz))  # (z, 1) and (1, w) = (1/z, 1) * w^deg
+    sup = _branch_and_bound_sup(charts)
+    return min(Fraction(sup), bezout) if math.isfinite(sup) else bezout
+
+
+def _bezout_lipschitz_bound(lift: HomLift, res) -> Fraction:
+    """2 ||det DF||_1 row^2 / (d Res^2) >= sup f^#, exactly.
+
+    From F0 G1 + F1 G2 = Res X^(2d-1) and F0 H1 + F1 H2 = Res Y^(2d-1)
+    (``_bezout_cofactors``), |Res| ||P||_inf^(2d-1) <= row ||P||_inf^(d-1)
+    ||F(P)||_inf, where row is the larger l1 norm of (G1, G2) and (H1, H2).
+    With |det DF(P)| <= ||det DF||_1 ||P||_inf^(2d-2) and
+    ||P||^2 <= 2 ||P||_inf^2 the bound follows.
+    """
+    jac = critical_divisor(lift).affine_poly  # det DF(z, 1)
+    g1, g2, h1, h2 = _bezout_cofactors(lift)
+    row = max(sum(abs(c) for c in g1 + g2), sum(abs(c) for c in h1 + h2))
+    return 2 * sum(abs(c) for c in jac.coeffs) * row**2 / (lift.d * Fraction(res) ** 2)
+
+
+def _branch_and_bound_sup(charts) -> float:
+    """Upper bound on the sup of f^# over the charts' unit discs.
+
+    A box whose bound is already within _LIP_RTOL of the best centre value
+    is settled: only its bound is kept, since the best value never falls.
+    """
+    heap = []
+    tick = 0
+    best = settled = 0.0
+    todo = [(ci, cx, cy, 0.25) for ci in (0, 1) for cx in (-0.75, -0.25, 0.25, 0.75)
+            for cy in (-0.75, -0.25, 0.25, 0.75)]
+    boxes = 0
+    while True:
+        for ci, cx, cy, h in todo:
+            c = complex(cx, cy)
+            r = h * _SQRT2_UP
+            if abs(c) - r > 1.0 + 1e-9:
+                continue  # every point has |z| > 1, so lies in the other chart's disc
+            ub, val = _box_bound(charts[ci], c, r)
+            best = max(best, val)
+            if ub <= best * (1 + _LIP_RTOL):
+                settled = max(settled, ub)
+            else:
+                tick += 1
+                heapq.heappush(heap, (-ub, tick, ci, cx, cy, h))
+        boxes += len(todo)
+        if not heap:
+            return settled
+        top = -heap[0][0]
+        if top <= best * (1 + _LIP_RTOL) or boxes >= _LIP_MAX_BOXES:
+            return max(top, settled)
+        _, _, ci, cx, cy, h = heapq.heappop(heap)
+        h /= 2
+        todo = [(ci, cx + sx, cy + sy, h) for sx in (-h, h) for sy in (-h, h)]
+
+
+def _box_bound(polys, c: complex, r: float):
+    """(upper bound of f^# on the disc |z - c| <= r, f^#(c) in floats)."""
+    jac, f0, f1 = (_disc_bounds(g, c, r) for g in polys)
+    ac = abs(c)
+    lo0, lo1 = max(f0[1], 0.0), max(f1[1], 0.0)
+    den = lo0 * lo0 + lo1 * lo1
+    ub = math.inf if den <= 0.0 else jac[0] * (1.0 + (ac + r) ** 2) / den * (1 + _LIP_ROUND)
+    at_c = f0[2] ** 2 + f1[2] ** 2
+    return ub, (jac[2] * (1.0 + ac * ac) / at_c if at_c > 0.0 else 0.0)
+
+
+def _disc_bounds(coeffs, c: complex, r: float):
+    """(upper, lower) bounds of |g| on |z - c| <= r and |g(c)|, g ascending."""
+    n = len(coeffs)
+    t = list(coeffs)
+    m = [abs(x) for x in coeffs]
+    ac = abs(c)
+    for i in range(n - 1):  # Taylor shift: t[k] becomes g^(k)(c) / k!
+        for j in range(n - 2, i - 1, -1):
+            t[j] += c * t[j + 1]
+            m[j] += ac * m[j + 1]
+    g0 = abs(t[0])
+    tail = 0.0
+    slack = m[0]
+    rk = 1.0
+    for k in range(1, n):
+        rk *= r
+        tail += abs(t[k]) * rk
+        slack += m[k] * rk
+    slack *= _LIP_ROUND
+    return g0 + tail + slack, g0 - tail - slack, g0
 
 
 def lyapunov_arch(fmap: RationalMap, tol: float = 1e-8) -> LyapunovEstimate:

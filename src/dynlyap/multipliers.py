@@ -8,6 +8,20 @@ of powers of (f^n)' in the quotient ring k[z]/(Phi*_n), Newton's identities
 convert them into the monic cycle polynomial p_{d,n}, and its n-th power
 recovers the full symmetric functions sigma*_{j,n}.  Everything is exact
 over the base field.
+
+Over Q the power sums S_k come from a multi-modular engine
+(``_modular_power_sums``).  For each prime p below 2^127 it reduces Phi*_n
+and the integer lift of f^n mod p, forms lambda = (f^n)' = a / b in
+F_p[z]/(Phi*_n) and takes the traces Tr(lambda^k) by baby and giant steps;
+products are Kronecker-packed and reduced by Barrett's method.  The
+per-place Lipschitz bound of the paper fixes how many primes are needed:
+with R = |Res| of the primitive integer lift, |lambda|_p <= |R|_p^(-n) at
+every prime and |lambda| <= Lip^n at infinity for a certified
+Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``), so R^(nk) S_k is an
+integer of absolute value at most deg Phi*_n (Lip R)^(nk).  The CRT over
+primes whose product exceeds twice that bound returns it exactly, with no
+rational reconstruction and no verification.  Over Q(t) the same sums are
+taken by exact arithmetic in k[z]/(Phi*_n) (``_field_power_sums``).
 """
 
 from __future__ import annotations
@@ -15,22 +29,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd, isqrt as _isqrt
+from operator import mul as _mul
 
 from .algebra import (
     Poly,
     RatFunc,
-    _int_mul,
+    _clear_fractions,
+    _int_content,
+    _pack,
+    _unpack,
     divisors,
     field_one,
+    is_prime,
     mobius,
-    next_prime,
     period_count,
     poly_exact_div,
     poly_gcd,
-    poly_nth_root,
 )
-from .errors import NonExactDivision, ResourceLimit
+from .errors import NonExactDivision
 from .maps import (
+    BASE_Q,
     RationalMap,
     cycle_multiplier,
     fixed_point_divisor,
@@ -149,152 +167,291 @@ def power_roots_poly(p: Poly, s: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# trace engine over k[z]/(Phi*_n)
+# multi-modular trace engine over Q
 # ---------------------------------------------------------------------------
 
-def _rat_reconstruct(residue: int, modulus: int):
-    """Fraction n/d = residue mod modulus with |n|, d <= sqrt(modulus/2)."""
-    bound = _isqrt(modulus // 2)
-    r0, r1 = modulus, residue % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or _gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(-r1, -s1) if s1 < 0 else Fraction(r1, s1)
+_PRIME_TOP = 1 << 127
+_PRIMES: list = []        # primes below _PRIME_TOP, descending; filled on demand
+_MAX_BAD_PRIMES = 32      # primes at which Den^2 is no unit before giving up
 
 
-def _fp_poly_inv(b: list, phi: list, p: int):
-    """Inverse of b modulo (phi, p) in F_p[z]; None if not coprime."""
-    r0, r1 = phi[:], b[:]
-    s0, s1 = [0], [1]
-
-    def strip(c):
-        while c and c[-1] % p == 0:
-            c.pop()
-        return c
-
-    strip(r0)
-    strip(r1)
-    while r1:
-        inv_lc = pow(r1[-1], p - 2, p)
-        q = [0] * (len(r0) - len(r1) + 1)
-        r = r0[:]
-        for k in range(len(r0) - len(r1), -1, -1):
-            c = r[k + len(r1) - 1] * inv_lc % p
-            q[k] = c
-            if c:
-                for j, bc in enumerate(r1):
-                    r[k + j] = (r[k + j] - c * bc) % p
-        r = strip(r[: len(r1) - 1])
-        # s_new = s0 - q*s1 mod p
-        qs = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % p
-        new_s = [( (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0) ) % p
-                 for i in range(max(len(s0), len(qs)))]
-        r0, r1 = (r1, r)
-        s0, s1 = s1, strip(new_s)
-    if len(r0) != 1:
-        return None
-    inv_lc = pow(r0[0], p - 2, p)
-    return [c * inv_lc % p for c in s0]
+def _engine_prime(i: int) -> int:
+    """The i-th prime below 2^127, counting down."""
+    while len(_PRIMES) <= i:
+        p = _PRIMES[-1] if _PRIMES else _PRIME_TOP + 1
+        p -= 2
+        while not is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
 
 
-def _coeffs_mod(poly: Poly, modulus: int) -> list:
-    out = []
-    for c in poly.coeffs:
-        out.append(c.numerator * pow(c.denominator, -1, modulus) % modulus)
-    return out
+class _FpQuotient:
+    """F_p[z]/(phi) for a monic phi of degree >= 1, on lists of residues.
+
+    Products are Kronecker-packed into whole-byte slots (``_pack``) and
+    remainders come from Barrett's method: for c of length deg + m, the
+    reversed quotient is rev(c)_(<m) * rev(phi)^(-1) mod z^m, with the
+    inverse series computed once by Newton iteration.  ``traces`` holds
+    Tr(z^i), i < 2 deg - 1, read off rev(phi') / rev(phi).
+    """
+
+    def __init__(self, phi: list, p: int, max_len: int):
+        self.p = p
+        self.phi = phi
+        self.deg = deg = len(phi) - 1
+        # a sum of two products of length <= max_len has digits < 2 max_len p^2
+        self.width = (2 * p.bit_length() + (2 * max_len).bit_length() + 7) // 8
+        self.phi_low = self.pack(phi[:deg])
+        self.inv = self._series_inverse(phi[::-1], max(max_len - deg, 2 * deg - 1))
+        self._inv_packed = {}
+        dphi = [i * c % p for i, c in enumerate(phi)][1:]
+        self.traces = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv), 2 * deg - 1)
+        self._traces_packed = self.pack(self.traces)
+
+    def pack(self, coeffs: list) -> int:
+        return _pack(coeffs, self.width)
+
+    def digits(self, packed: int, keep: int) -> list:
+        """The first ``keep`` coefficients of a packed product, mod p."""
+        p = self.p
+        low = packed & ((1 << (8 * self.width * keep)) - 1)
+        return [c % p for c in _unpack(low, keep, self.width)]
+
+    def _series_inverse(self, h: list, n: int) -> list:
+        """1/h mod z^n for h[0] = 1, by Newton's iteration g <- g (2 - h g)."""
+        p = self.p
+        g = [1]
+        prec = 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            e = [(-x) % p for x in self.digits(self.pack(h[:prec]) * self.pack(g), prec)]
+            e[0] = (e[0] + 2) % p
+            g = self.digits(self.pack(g) * self.pack(e), prec)
+        return g
+
+    def reduce(self, c: list) -> list:
+        """c mod phi, for a residue list c of length at most max_len."""
+        deg = self.deg
+        m = len(c) - deg
+        if m <= 0:
+            return c
+        inv = self._inv_packed.get(m)
+        if inv is None:
+            inv = self._inv_packed[m] = self.pack(self.inv[:m])
+        rev_q = self.digits(self.pack(c[: deg - 1 : -1]) * inv, m)
+        qphi = self.digits(self.pack(rev_q[::-1]) * self.phi_low, deg)
+        p = self.p
+        return [(x - y) % p for x, y in zip(c, qphi)]
+
+    def mul(self, a: list, b_packed: int, b_len: int) -> list:
+        """a * b mod phi, with b given packed."""
+        if not a or not b_len:
+            return []
+        return self.reduce(self.digits(self.pack(a) * b_packed, len(a) + b_len - 1))
+
+    def trace_form(self, u: list) -> list:
+        """[Tr(u z^a) for a < deg] = [sum_b u_b Tr(z^(a+b))], the middle
+        product of rev(u) and the traces; Tr(u v) is then its dot product with v."""
+        deg = self.deg
+        rev_u = (u + [0] * (deg - len(u)))[::-1]
+        prod = self.pack(rev_u) * self._traces_packed
+        return self.digits(prod >> (8 * self.width * (deg - 1)), deg)
 
 
-def _reduce_mod(c: list, phi: list, modulus: int) -> list:
-    """c mod (phi, modulus); phi monic modulo ``modulus``."""
-    c = [x % modulus for x in c]
-    deg = len(phi) - 1
-    for k in range(len(c) - 1, deg - 1, -1):
-        top = c[k]
-        if top:
-            off = k - deg
-            for j in range(deg):
-                c[off + j] = (c[off + j] - top * phi[j]) % modulus
-        c.pop()
+def _fp_trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def _mod_div(a: Poly, b: Poly, phi: Poly, budget_bits: int = 1 << 22) -> Poly:
-    """lambda with b*lambda = a mod phi, exactly over Q.
+def _fp_poly_inv(b: list, phi: list, p: int):
+    """Inverse of b modulo (phi, p) by extended Euclid; None if not coprime."""
+    r0, r1 = _fp_trim(list(phi)), _fp_trim(list(b))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv_lc = pow(r1[-1], -1, p)
+        n1 = len(r1)
+        r = r0[:]
+        q = [0] * (len(r0) - n1 + 1)
+        for k in range(len(r0) - n1, -1, -1):
+            c = r[k + n1 - 1] * inv_lc % p
+            if c:
+                q[k] = c
+                r[k : k + n1] = [(x - c * y) % p for x, y in zip(r[k : k + n1], r1)]
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+        n_s = len(s1)
+        for k, c in enumerate(q):
+            if c:
+                s[k : k + n_s] = [(x - c * y) % p for x, y in zip(s[k : k + n_s], s1)]
+        r0, r1 = r1, _fp_trim(r[: n1 - 1])
+        s0, s1 = s1, _fp_trim(s)
+    if not r1:
+        return None
+    inv_lc = pow(r1[0], -1, p)
+    return [c * inv_lc % p for c in s1]
 
-    Solved modulo a machine prime, Hensel-lifted, rationally reconstructed
-    and then verified exactly; the verification step makes the randomness
-    harmless.  Far cheaper than any fraction-field elimination because the
-    true answer has small height.
-    """
-    dens = {c.denominator for c in phi.coeffs}
-    dens |= {c.denominator for c in a.coeffs}
-    dens |= {c.denominator for c in b.coeffs}
-    p = 1 << 30
-    u0 = None
-    for _ in range(32):
-        p = next_prime(p)
-        if any(d % p == 0 for d in dens):
-            continue
-        phi_p = _coeffs_mod(phi, p)
-        if len(phi_p) != len(phi.coeffs) or phi_p[-1] % p == 0:
-            continue
-        inv_lc = pow(phi_p[-1], p - 2, p)
-        phi_p = [c * inv_lc % p for c in phi_p]
-        b_p = _reduce_mod(_coeffs_mod(b, p), phi_p, p)
-        u0 = _fp_poly_inv(b_p, phi_p, p)
-        if u0 is not None:
-            break
-    if u0 is None:
-        raise NonExactDivision(
-            "derivative denominator shares a root with the dynatomic polynomial"
-        )
-    e = 1
-    u = [c % p for c in u0]
-    while e * p.bit_length() <= budget_bits:
-        e *= 2
-        modulus = p**e
-        phi_m = _coeffs_mod(phi, modulus)
-        inv_lc = pow(phi_m[-1], -1, modulus)
-        phi_m = [c * inv_lc % modulus for c in phi_m]
-        b_m = _reduce_mod(_coeffs_mod(b, modulus), phi_m, modulus)
-        # Newton step u <- u(2 - b u) lifts the inverse to the new modulus
-        bu = _reduce_mod(_int_mul_lists(b_m, u, modulus), phi_m, modulus)
-        two_minus = [(-x) % modulus for x in bu]
-        if two_minus:
-            two_minus[0] = (two_minus[0] + 2) % modulus
+
+def _mod_div(a: list, b: list, ring: _FpQuotient):
+    """lambda = a / b in F_p[z]/(phi); None if b is not a unit there."""
+    inv = _fp_poly_inv(b, ring.phi, ring.p)
+    if inv is None:
+        return None
+    return ring.mul(a, ring.pack(inv), len(inv))
+
+
+def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: int, p: int):
+    """Tr(lambda^k) mod p for k = 1..count, lambda = (num' den - num den') / den^2
+    in F_p[z]/(phi_int / phi_lc); None if den^2 is not a unit there."""
+    inv_lc = pow(phi_lc, -1, p)
+    ring = _FpQuotient([c * inv_lc % p for c in phi_int], p, 2 * max(len(num), len(den)))
+    num = [c % p for c in num]
+    den = [c % p for c in den]
+    dnum = [i * c % p for i, c in enumerate(num)][1:]
+    neg_dden = [(-i * c) % p for i, c in enumerate(den)][1:]
+    pack = ring.pack
+    a_len = max(len(num) + len(den) - 2, 0)
+    a = ring.reduce(ring.digits(pack(dnum) * pack(den) + pack(num) * pack(neg_dden), a_len))
+    b = ring.reduce(ring.digits(pack(den) * pack(den), 2 * len(den) - 1))
+    lam = _mod_div(a, b, ring)
+    if lam is None:
+        return None
+    # baby steps lambda^i, i < m, and giant steps G^j, G = lambda^m:
+    # Tr(lambda^(jm+i)) = Tr(G^j lambda^i), about 2 sqrt(count) products
+    m = _isqrt(count) + 1
+    lam_packed = pack(lam)
+    powers = [[1], lam]
+    while len(powers) < m:
+        powers.append(ring.mul(powers[-1], lam_packed, len(lam)))
+    out = []
+    for j in range(count // m + 1):
+        if j == 0:
+            form = ring.traces[: ring.deg]
         else:
-            two_minus = [2 % modulus]
-        u = _reduce_mod(_int_mul_lists(u, two_minus, modulus), phi_m, modulus)
-        a_m = _reduce_mod(_coeffs_mod(a, modulus), phi_m, modulus)
-        lam_m = _reduce_mod(_int_mul_lists(a_m, u, modulus), phi_m, modulus)
-        coeffs = []
-        for r in lam_m:
-            f = _rat_reconstruct(r, modulus)
-            if f is None:
-                coeffs = None
-                break
-            coeffs.append(f)
-        if coeffs is not None:
-            lam = Poly(coeffs)
-            if ((b * lam - a) % phi).is_zero():
-                return lam
-    raise ResourceLimit("Hensel lifting exceeded the coefficient budget")
+            if j == 1:
+                step = ring.mul(powers[-1], lam_packed, len(lam))
+                giant, step_packed = step, pack(step)
+            else:
+                giant = ring.mul(giant, step_packed, len(step))
+            form = ring.trace_form(giant)
+        for i, power in enumerate(powers):
+            if 1 <= j * m + i <= count:
+                out.append(sum(map(_mul, form, power)) % p)
+    return out
 
 
-def _int_mul_lists(a: list, b: list, modulus: int) -> list:
-    if not a or not b:
-        return []
-    return [c % modulus for c in _int_mul(a, b)]
+def _primitive_resultant(fmap: RationalMap) -> int:
+    """|Res| of the primitive integer lift of f."""
+    ints, den = _clear_fractions(fmap.lift.a + fmap.lift.b)
+    scale = Fraction(den, _int_content(ints))
+    res = abs(fmap.resultant * scale ** (2 * fmap.d))
+    if res.denominator != 1:
+        raise NonExactDivision("resultant of the primitive lift is not an integer")
+    return res.numerator
+
+
+def _arch_lipschitz(fmap: RationalMap) -> Fraction:
+    """Certified sup of f^# over P^1(C), cached on the map."""
+    from .lyapunov import chordal_lipschitz_bound  # lyapunov imports this module
+
+    key = ("arch_lipschitz", 1)
+    lip = fmap._iterates.get(key)
+    if lip is None:
+        lip = fmap._iterates[key] = chordal_lipschitz_bound(fmap.lift, fmap.resultant)
+    return lip
+
+
+def _modular_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> list:
+    """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k, k = 1..count,
+    for a map over Q, by CRT over primes below 2^127.
+
+    Bound.  Let R = |Res| of the primitive integer lift F of f.
+      * Finite places: for ||P||_p = 1, Euler's identity gives
+        det DF(P) / d = F1(P) dF0/dx(P) - F0(P) dF1/dx(P) after a GL_2(Z_p)
+        change of coordinates moving P to (0, 1), so |det DF(P) / d|_p
+        <= ||F(P)||_p and f^#(P) = |det DF(P) / d|_p / ||F(P)||_p^2
+        <= 1 / ||F(P)||_p <= |R|_p^(-1), the last step by the Bezout
+        identity with integral cofactors.  By the chain rule along the
+        cycle, |lambda(beta)|_p = (f^n)^#(beta) <= |R|_p^(-n) at every p,
+        so R^n lambda(beta) is an algebraic integer and T_k = R^(nk) S_k
+        is a rational integer.
+      * Archimedean place: likewise |lambda(beta)| <= Lip^n for any
+        Lip >= sup f^# (``chordal_lipschitz_bound``), hence
+        |T_k| <= deg Phi*_n (Lip R)^(nk).
+    Residues of T_k modulo primes p that divide neither R nor the leading
+    coefficient of the integer Phi*_n are combined until their product M
+    exceeds twice that bound; the symmetric residue mod M is then T_k
+    itself, and S_k = T_k / R^(nk) is exact by construction.
+    """
+    phi_int, phi_lc = _clear_fractions(phi.coeffs)
+    lift_n = fmap.iterate_lift_cached(n)
+    num_coeffs = lift_n.poly0().coeffs
+    ints, _ = _clear_fractions(num_coeffs + lift_n.poly1().coeffs)
+    num, den = ints[: len(num_coeffs)], ints[len(num_coeffs) :]
+    res = _primitive_resultant(fmap)
+    growth = _arch_lipschitz(fmap) * res
+    bound = phi.degree * max(growth**n, growth ** (n * count))
+    modulus = 1
+    residues = [0] * count
+    i = bad = 0
+    while modulus <= 2 * bound:
+        p = _engine_prime(i)
+        i += 1
+        if phi_lc % p == 0 or res % p == 0:
+            continue
+        sums = _power_sums_mod_p(phi_int, phi_lc, num, den, count, p)
+        if sums is None:
+            bad += 1
+            if bad > _MAX_BAD_PRIMES:
+                raise NonExactDivision(
+                    "derivative denominator shares a root with the dynatomic polynomial"
+                )
+            continue
+        res_n = pow(res, n, p)
+        scale = 1
+        inv_m = pow(modulus, -1, p)
+        for k, s in enumerate(sums):
+            scale = scale * res_n % p
+            x = residues[k]
+            residues[k] = x + modulus * ((s * scale - x) * inv_m % p)
+        modulus *= p
+    out = []
+    half = modulus // 2
+    res_n = res**n
+    scale = 1
+    for x in residues:
+        scale *= res_n
+        out.append(Fraction(x - modulus if x > half else x, scale))
+    return out
+
+
+def _field_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int, one) -> list:
+    """The same power sums by exact arithmetic in k[z]/(phi) over any base
+    field; the path for Q(t), and the reference the Q engine is tested on."""
+    deg = len(phi.coeffs) - 1
+    lift_n = fmap.iterate_lift_cached(n)
+    num = lift_n.poly0()
+    den = lift_n.poly1()
+    a = (num.derivative() * den - num * den.derivative()) % phi
+    b = (den * den) % phi
+    if b.is_zero():
+        raise NonExactDivision("vanishing denominator in multiplier computation")
+    if b.degree <= 0:
+        lam = a.scale(1 / b.coeffs[0])
+    else:
+        lam = _field_mod_div(a, b, phi)
+    traces = [one * deg] + power_sums_from_monic(phi, deg - 1)  # trace of z^i
+    out = []
+    cur = lam
+    for k in range(1, count + 1):
+        s = one * 0
+        for i, ci in enumerate(cur.coeffs):
+            if ci:
+                s = s + ci * traces[i]
+        out.append(s)
+        if k < count:
+            cur = (cur * lam) % phi
+    return out
 
 
 def _field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
@@ -320,33 +477,9 @@ def _multiplier_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int, one
         return []
     if phi.degree <= 0:
         return [one * 0] * count
-    phi = phi.monic()
-    deg = len(phi.coeffs) - 1
-    lift_n = fmap.iterate_lift_cached(n)
-    num = lift_n.poly0()
-    den = lift_n.poly1()
-    a = (num.derivative() * den - num * den.derivative()) % phi
-    b = (den * den) % phi
-    if b.is_zero():
-        raise NonExactDivision("vanishing denominator in multiplier computation")
-    if b.degree <= 0:
-        lam = a.scale(1 / b.coeffs[0])
-    elif all(type(c) is Fraction for c in phi.coeffs + a.coeffs + b.coeffs):
-        lam = _mod_div(a, b, phi)
-    else:
-        lam = _field_mod_div(a, b, phi)
-    traces = [one * deg] + power_sums_from_monic(phi, deg - 1)  # trace of z^i
-    out = []
-    cur = lam
-    for k in range(1, count + 1):
-        s = one * 0
-        for i, ci in enumerate(cur.coeffs):
-            if ci:
-                s = s + ci * traces[i]
-        out.append(s)
-        if k < count:
-            cur = (cur * lam) % phi
-    return out
+    if fmap.base == BASE_Q:
+        return _modular_power_sums(fmap, n, phi.monic(), count)
+    return _field_power_sums(fmap, n, phi.monic(), count, one)
 
 
 def _infinity_cycle_data(fmap: RationalMap, n: int):
@@ -387,6 +520,7 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
     q_n = p_dn**n
     if len(q_n.coeffs) - 1 != d_n:
         raise NonExactDivision("multiplier charpoly has wrong degree")
+    fmap._iterates[("p_dn", n)] = p_dn
     fmap._iterates[key] = q_n
     return q_n
 
@@ -398,15 +532,26 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
 def multiplier_polynomial(fmap: RationalMap, n: int) -> MultiplierSpectrum:
     """Exact multiplier spectrum at period n: p_{d,n}, sigma*, chi_n."""
     q_n = fixstar_multiplier_charpoly(fmap, n)
-    d_n = period_count(fmap.d, n)
-    p_dn = poly_nth_root(q_n, n)
-    one = field_one(fmap.resultant)
-    sigma = []
-    for j in range(d_n + 1):
-        c = q_n[d_n - j] * one
-        sigma.append(c if j % 2 == 0 else -c)
     chi = charpoly_multipliers_full(fmap, n)
-    return MultiplierSpectrum(n, d_n, chi, p_dn, tuple(sigma))
+    sigma = tuple(_elementary_symmetric(q_n))
+    return MultiplierSpectrum(n, q_n.degree, chi, cycle_polynomial(fmap, n), sigma)
+
+
+def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
+    """Monic p_{d,n}, the n-th root of fixstar_multiplier_charpoly; cached."""
+    fixstar_multiplier_charpoly(fmap, n)
+    return fmap._iterates[("p_dn", n)]
+
+
+def _elementary_symmetric(charpoly: Poly) -> list:
+    """[sigma_0 = 1, ..., sigma_deg] of the roots of a monic polynomial."""
+    deg = charpoly.degree
+    one = field_one(charpoly.lc())
+    sigma = []
+    for j in range(deg + 1):
+        c = charpoly[deg - j] * one
+        sigma.append(c if j % 2 == 0 else -c)
+    return sigma
 
 
 def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
@@ -415,13 +560,17 @@ def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
     Assembled from the formal-period charpolys: a point of exact formal
     period m contributes its f^m-multiplier raised to the n/m power.
     """
-    chi = None
+    key = ("chi_full", n)
+    chi = fmap._iterates.get(key)
+    if chi is not None:
+        return chi
     for m in divisors(n):
         q_m = fixstar_multiplier_charpoly(fmap, m)
         factor = power_roots_poly(q_m, n // m)
         chi = factor if chi is None else chi * factor
     if len(chi.coeffs) - 1 != fmap.d**n + 1:
         raise NonExactDivision("full multiplier charpoly has wrong degree")
+    fmap._iterates[key] = chi
     return chi
 
 
@@ -486,18 +635,11 @@ def _normalize_proj(coords) -> tuple:
 
 def lambda_tilde_point(fmap: RationalMap, n: int) -> ProjPoint:
     """[sigma*_{d_n} : ... : sigma*_1 : 1], normalized coordinates."""
-    spectrum = multiplier_polynomial(fmap, n)
-    coords = list(reversed(spectrum.sigma_star))
-    return ProjPoint(_normalize_proj(coords))
+    sigma = _elementary_symmetric(fixstar_multiplier_charpoly(fmap, n))
+    return ProjPoint(_normalize_proj(sigma[::-1]))
 
 
 def lambda_point(fmap: RationalMap, n: int) -> ProjPoint:
     """[sigma_{d^n+1} : ... : sigma_1 : 1] over the full Fix(f^n)."""
-    chi = charpoly_multipliers_full(fmap, n)
-    deg = len(chi.coeffs) - 1
-    one = field_one(fmap.resultant)
-    sigma = []
-    for j in range(deg + 1):
-        c = chi[deg - j] * one
-        sigma.append(c if j % 2 == 0 else -c)
-    return ProjPoint(_normalize_proj(list(reversed(sigma))))
+    sigma = _elementary_symmetric(charpoly_multipliers_full(fmap, n))
+    return ProjPoint(_normalize_proj(sigma[::-1]))

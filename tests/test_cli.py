@@ -95,6 +95,15 @@ class TestSubcommands:
         rep0 = run_json(["canonical-height", "--map", BASILICA, "--point", "0"])
         assert rep0["result"]["height"]["exact"] == "0"
 
+    def test_canonical_height_point_forms(self):
+        # a negative value after --point is a value, not an option
+        rep = run_json(["canonical-height", "--map", SQUARE, "--point", "-3/2"])
+        assert rep["result"]["point"] == "-3/2"
+        assert abs(rep["result"]["height"]["value"] - math.log(3)) < 1e-8
+        assert run_json(["canonical-height", "--map", SQUARE, "--point=-3/2"]) == rep
+        inf = run_json(["canonical-height", "--map", SQUARE, "--point", "inf"])
+        assert inf["result"]["height"]["exact"] == "0"
+
     def test_crit_height(self):
         rep = run_json(["crit-height", "--map", BASILICA, "--n-max", "2"])
         assert rep["result"]["direct"]["exact"] == "0"
