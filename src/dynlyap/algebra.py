@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, inf
+from operator import add
 from typing import Iterable, Union
 
 from .errors import NonExactDivision, NotAPerfectPower
@@ -44,11 +45,18 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster, 2015)
+PRIME_PROOF_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond 64-bit inputs)."""
+    """Miller-Rabin to the 13 prime bases 2..41.  A proof of primality for
+    n < PRIME_PROOF_BOUND (about 3.3e24); above it a strong probable-prime
+    test only."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -56,7 +64,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -163,10 +171,16 @@ def _pack(coeffs: list[int], width: int) -> int:
     try:
         return int.from_bytes(
             b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little"))), "little")
-    except OverflowError:  # a negative coefficient: pack both signs apart
-        pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-        neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    except OverflowError:  # a negative coefficient: shift every digit by 2^(8 width - 1)
+        half = repeat(1 << (8 * width - 1))
+        shifted = b"".join(map(int.to_bytes, map(add, coeffs, half), repeat(width),
+                               repeat("little")))
+        return int.from_bytes(shifted, "little") - _half_offset(len(coeffs), width)
+
+
+def _half_offset(n: int, width: int) -> int:
+    """sum over i < n of 2^(8 width - 1) 2^(8 width i)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _unpack(packed: int, n: int, width: int) -> list[int]:
@@ -182,8 +196,7 @@ def _unpack_signed(packed: int, n: int, width: int) -> list[int]:
     """Inverse of _pack: adding 2^(8 width - 1) to every slot makes all
     digits non-negative without carries."""
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    return [c - half for c in _unpack(packed + offset, n, width)]
+    return [c - half for c in _unpack(packed + _half_offset(n, width), n, width)]
 
 
 def _int_content(coeffs: Iterable[int]) -> int:

@@ -18,7 +18,7 @@ from .errors import IrrationalCriticalPoint, PoleOutsideCenter, ResourceLimit
 from .heights import HeightValue, critical_height_direct, map_height, naive_height
 from .lyapunov import L_n_local
 from .maps import RationalMap
-from .multipliers import lambda_point, lambda_tilde_point, multiplier_polynomial
+from .multipliers import lambda_point, lambda_tilde_point, sigma_star
 from .places import Place, LocalLogValue
 
 CERTIFIED_NON_ISOTRIVIAL = "CertifiedNonIsotrivial"
@@ -96,11 +96,11 @@ def crit_height_truncated_estimate(fmap: RationalMap, n: int) -> HeightValue:
     from .algebra import is_prime
     from .lyapunov import epsilon_radius
 
-    spectrum = multiplier_polynomial(fmap, n)
+    sigma = sigma_star(fmap, n)
     arch = L_n_local(fmap, n, LocalLogValue.exact(0), Place.arch())
     value, err = arch.value.to_float()
     den_lcm = 1
-    for s in spectrum.sigma_star:
+    for s in sigma:
         if s:
             den_lcm = den_lcm * s.denominator // math.gcd(den_lcm, s.denominator)
     support = set(factor_int(den_lcm)) if den_lcm > 1 else set()
@@ -156,14 +156,12 @@ def ff_degree_sequence(fmap: RationalMap, n_max: int) -> FFGrowthReport:
         h_crit = None
     entries = []
     for n in range(1, n_max + 1):
-        spectrum = multiplier_polynomial(fmap, n)
+        sigma = sigma_star(fmap, n)
         point = lambda_tilde_point(fmap, n)
         deg = naive_height(point.coords).exact
-        d_n = spectrum.d_n
+        d_n = len(sigma) - 1
         normalized = Fraction(deg, n * d_n)
-        constant = all(
-            (s.is_constant() if isinstance(s, RatFunc) else True) for s in spectrum.sigma_star
-        )
+        constant = all((s.is_constant() if isinstance(s, RatFunc) else True) for s in sigma)
         holds = None
         if h_crit is not None and h_crit.exact is not None:
             radius = Fraction(8 * d * (12 * d * d - 8 * d - 3)) * Fraction(sigma2(n), d**n) * h_d
@@ -205,14 +203,14 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
     _check_poles_only_at(fmap, center)
     alphas = []
     for n in range(1, n_max + 1):
-        spectrum = multiplier_polynomial(fmap, n)
+        sigma = sigma_star(fmap, n)
         best = Fraction(0)
-        for s in spectrum.sigma_star:
+        for s in sigma:
             if s:
                 ordv = center.valuation(s)
                 if -ordv > best:
                     best = Fraction(-ordv)
-        alphas.append((n, best / (n * spectrum.d_n)))
+        alphas.append((n, best / (n * (len(sigma) - 1))))
     return DegenerationReport(center, tuple(alphas), alphas[-1][1])
 
 
@@ -241,10 +239,10 @@ def global_consistency(fmap: RationalMap, n: int) -> float:
     """
     if fmap.base != "Q":
         raise ValueError("the consistency identity is implemented over Q")
-    spectrum = multiplier_polynomial(fmap, n)
+    sigma = sigma_star(fmap, n)
     lhs = crit_height_multiplier_estimate(fmap, n).value
     den_lcm = 1
-    for s in spectrum.sigma_star:
+    for s in sigma:
         if s:
             den_lcm = den_lcm * s.denominator // math.gcd(den_lcm, s.denominator)
     rhs = 0.0
@@ -253,7 +251,7 @@ def global_consistency(fmap: RationalMap, n: int) -> float:
         est = L_n_local(fmap, n, one_log, Place.prime(p))
         rhs += est.value.to_float()[0]
     # archimedean part of the height of [sigma*_0 : ... : sigma*_{d_n}]
-    top = max(abs(s) for s in spectrum.sigma_star)
-    arch = (math.log(top.numerator) - math.log(top.denominator)) / (n * spectrum.d_n)
+    top = max(abs(s) for s in sigma)
+    arch = (math.log(top.numerator) - math.log(top.denominator)) / (n * (len(sigma) - 1))
     rhs += arch
     return abs(lhs - rhs)

@@ -1,0 +1,365 @@
+"""Exact arithmetic in Q(t)[z] and Q(t)[z]/(phi) on integer rows.
+
+An element is held as U(t, z) / (c L(t)^e): U in Z[t][z] as a list of
+integer t-coefficient rows, one per power of z; c a positive integer; and L
+a primitive polynomial of Z[t] whose powers, times integers, clear every
+denominator met.  A product of two elements is one big-integer product of
+nested Kronecker packings (t-slots inside z-slots, ``_pack_rows``),
+and each result sheds the integer content and the power of L it shares
+with its denominator.  ``_ZtQuotient`` is the quotient ring that the
+multiplier engine over Q(t) (``_ratfunc_power_sums``) takes its traces in.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+from math import gcd as _gcd
+
+from . import multipliers
+from .algebra import (
+    Poly,
+    RatFunc,
+    _clear_fractions,
+    _int_content,
+    _half_offset,
+    _int_mul,
+    _pack,
+    _unpack,
+    poly_exact_div,
+    poly_gcd,
+)
+from .errors import NonExactDivision
+from .maps import RationalMap
+
+
+def _signed_digits(packed: int, start: int, n: int, width: int) -> list[int]:
+    """Digits start..start+n-1 of a packed signed sequence; the others are
+    dropped, so unlike algebra._unpack_signed this does not check the length."""
+    half = 1 << (8 * width - 1)
+    packed = (packed + _half_offset(start + n, width)) >> (8 * width * start)
+    return [c - half for c in _unpack(packed & ((1 << (8 * width * n)) - 1), n, width)]
+
+
+def _pack_rows(rows: list, stride: int, width: int) -> int:
+    """Nested Kronecker packing of an element of Z[t][z]: rows[i][j], the
+    coefficient of z^i t^j, goes to slot i * stride + j."""
+    flat = []
+    pad = [0] * stride
+    for r in rows:
+        flat += r
+        flat += pad[len(r):]
+    return _pack(flat, width)
+
+
+def _unpack_rows(packed: int, start: int, n: int, stride: int, width: int) -> list:
+    """Rows start..start+n-1 of a packed sum of _pack_rows products, each
+    with its trailing zeros trimmed."""
+    flat = _signed_digits(packed, start * stride, n * stride, width)
+    rows = []
+    for i in range(0, n * stride, stride):
+        r = flat[i : i + stride]
+        while r and not r[-1]:
+            r.pop()
+        rows.append(r)
+    return rows
+
+
+def _row_bits(rows: list) -> int:
+    return max((max(max(r), -min(r)) for r in rows if r), default=0).bit_length()
+
+
+def _bi_dot(pairs, start: int, keep: int) -> list:
+    """Rows start..start+keep-1 of sum a b over pairs of elements of Z[t][z]
+    (lists of t-coefficient rows, z ascending): one packed product per pair."""
+    stride = bits = terms = 0
+    live = []
+    for a, b in pairs:
+        ta = max(map(len, a), default=0)
+        tb = max(map(len, b), default=0)
+        if ta and tb:
+            live.append((a, b))
+            stride = max(stride, ta + tb - 1)
+            bits = max(bits, _row_bits(a) + _row_bits(b))
+            terms += min(len(a), len(b)) * min(ta, tb)
+    if not live:
+        return [[] for _ in range(keep)]
+    width = (bits + terms.bit_length() + 8) // 8
+    total = sum(_pack_rows(a, stride, width) * _pack_rows(b, stride, width) for a, b in live)
+    return _unpack_rows(total, start, keep, stride, width)
+
+
+def _exact_div_int(r: list, div: list):
+    """r / div in Z[t] when div divides the nonzero r, else None."""
+    dl = len(div) - 1
+    r = r[:]
+    q = [0] * (len(r) - dl)
+    lead = div[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dl], lead)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            for j in range(dl):
+                r[k + j] -= c * div[j]
+    return None if not q or any(r[:dl]) else q
+
+
+class _ZtQuotient:
+    """Q(t)[z]/(phi) for a monic phi over Q(t), on integer rows.
+
+    An element (rows, c, e) stands for sum_i rows[i](t) z^i / (c L^e), with
+    rows in Z[t][z], c a positive integer and L a primitive polynomial of
+    Z[t] whose powers, times integers, clear every denominator met.  A
+    product is one packed integer product (``_bi_dot``).  Remainders come
+    from Barrett's method as in ``_FpQuotient``: with phi = Phi / (c_phi L^E)
+    and the inverse series of rev(phi), to the precision that products and
+    inputs of up to max_len rows need, written as H / (c_h L^A), the
+    quotient of P by phi is Q' / (c_h L^A) for Q' read off rev(P) H, and
+    c_h c_phi L^(A+E) (P mod phi) = c_h c_phi L^(A+E) P_low - (Q' Phi)_low.
+    Every result is normalized: the integer content and the
+    power of L that the rows share with the denominator are cancelled.
+    ``unit_form`` holds Tr(z^i), i < deg, read off rev(phi') / rev(phi).
+    """
+
+    def __init__(self, phi, L: list, max_len: int):
+        self.L = L
+        self._lpows = [[1]]
+        self.phi_rev = phi[0][::-1]
+        rows, c_phi, e_phi = phi
+        self.deg = deg = len(rows) - 1
+        self.one = ([[1]], 1, 0)
+        self.neg_phi_low = [[-x for x in r] for r in rows[:deg]]
+        # remainders of products, and of inputs of up to max_len rows
+        prec = max(deg, max_len - deg + 1)
+        inv_rows, inv_c, inv_e = self._series_inverse((self.phi_rev, c_phi, e_phi), prec)
+        dphi = [[i * x for x in r] for i, r in enumerate(rows)][1:]
+        self.unit_form = self.normal(_bi_dot([(dphi[::-1], inv_rows[:deg])], 0, deg),
+                                     c_phi * inv_c, e_phi + inv_e)
+        self.h_rows, h_c, h_e = self.normal(inv_rows[: prec - 1], inv_c, inv_e)
+        self.red_c, self.red_e = h_c * c_phi, h_e + e_phi
+        self.red_kappa = [[self.red_c * x for x in self.lpow(self.red_e)]]
+        self._traces = None
+
+    def traces(self):
+        """Tr(z^i) for i < 2 deg - 1.  rev(phi) times their series is
+        rev(phi'), of degree < deg, so the traces of z^deg .. z^(2 deg - 2)
+        are -1 / rev(phi) times rows deg .. 2 deg - 2 of rev(phi) unit_form."""
+        if self._traces is None:
+            deg = self.deg
+            low, c_low, e_low = self.unit_form
+            mid = _bi_dot([(self.phi_rev, low)], deg, deg - 1)
+            high = _bi_dot([(self.h_rows, mid)], 0, deg - 1)
+            low = _bi_dot([(low, self.red_kappa)], 0, deg)
+            self._traces = self.normal(low + [[-x for x in r] for r in high],
+                                       self.red_c * c_low, self.red_e + e_low)
+        return self._traces
+
+    def lpow(self, k: int) -> list:
+        pows = self._lpows
+        while len(pows) <= k:
+            pows.append(_int_mul(pows[-1], self.L))
+        return pows[k]
+
+    def normal(self, rows: list, c: int, e: int):
+        """(rows, c, e) with the common integer and L-power factors cancelled."""
+        top = len(rows)
+        while top and not rows[top - 1]:
+            top -= 1
+        if not top:
+            return [], 1, 0
+        rows = rows[:top]
+        if c != 1:
+            g = _gcd(c, *chain.from_iterable(rows))
+            if g != 1:
+                rows = [[x // g for x in r] for r in rows]
+                c //= g
+        while e:
+            out = []
+            for r in rows:
+                q = _exact_div_int(r, self.L) if r else r
+                if q is None:
+                    return rows, c, e
+                out.append(q)
+            rows, e = out, e - 1
+        return rows, c, e
+
+    def _series_inverse(self, h, n: int):
+        """1/h mod z^n for h with constant term 1, by Newton's iteration g <- g (2 - h g)."""
+        h_rows, hc, he = h
+        g = self.one
+        prec = 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            g_rows, gc, ge = g
+            hg = _bi_dot([(h_rows[:prec], g_rows)], 0, prec)
+            c, e = hc * gc, he + ge
+            two = [2 * c * x for x in self.lpow(e)]
+            low = two + [0] * (len(hg[0]) - len(two))
+            for i, x in enumerate(hg[0]):
+                low[i] -= x
+            err = [low] + [[-x for x in r] for r in hg[1:]]
+            g = self.normal(_bi_dot([(g_rows, err)], 0, prec), gc * c, ge + e)
+        return g
+
+    def mul(self, x, y):
+        """x * y mod phi."""
+        if not x[0] or not y[0]:
+            return [], 1, 0
+        rows = _bi_dot([(x[0], y[0])], 0, len(x[0]) + len(y[0]) - 1)
+        return self.reduce(rows, x[1] * y[1], x[2] + y[2])
+
+    def reduce(self, rows: list, c: int, e: int):
+        """(rows, c, e) mod phi, for at most max_len rows."""
+        deg = self.deg
+        m = len(rows) - deg
+        if m <= 0:
+            return self.normal(rows, c, e)
+        quot = _bi_dot([(rows[: deg - 1 : -1], self.h_rows[:m])], 0, m)[::-1]
+        low = _bi_dot([(rows[:deg], self.red_kappa), (quot, self.neg_phi_low)], 0, deg)
+        return self.normal(low, c * self.red_c, e + self.red_e)
+
+    def trace_form(self, u):
+        """[Tr(u z^a) for a < deg], the middle product of rev(u) and the traces."""
+        rows, c, e = u
+        deg = self.deg
+        rev_u = [[]] * (deg - len(rows)) + rows[::-1]
+        t_rows, t_c, t_e = self.traces()
+        return self.normal(_bi_dot([(rev_u, t_rows)], deg - 1, deg), c * t_c, e + t_e)
+
+    def dot(self, form, u):
+        """Tr(w u) = sum_a form_a u_a from form = trace_form(w), as
+        (numerator in Z[t], c, e): with every row packed on its own, the
+        sum of the products of packed rows is the numerator packed."""
+        pairs = [(a, b) for a, b in zip(form[0], u[0]) if a and b]
+        num = []
+        if pairs:
+            bits = _row_bits([a for a, _ in pairs]) + _row_bits([b for _, b in pairs])
+            size = max(len(a) + len(b) for a, b in pairs) - 1
+            width = (bits + (len(pairs) * size).bit_length() + 8) // 8
+            total = sum(_pack(a, width) * _pack(b, width) for a, b in pairs)
+            num = _unpack_rows(total, 0, 1, size, width)[0]
+        return num, form[1] * u[1], form[2] + u[2]
+
+
+def _ratfuncs(coeffs) -> list:
+    return [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
+
+
+def _denominator_base(coeffs) -> list:
+    """The primitive L in Z[t], positive leading coefficient, whose roots
+    are the poles of the given elements of Q(t), each once."""
+    rad = Poly((Fraction(1),))
+    for den in {r.den for r in _ratfuncs(coeffs)}:
+        if den.degree > 0:
+            sq = poly_exact_div(den, poly_gcd(den, den.derivative()))
+            rad = rad * poly_exact_div(sq, poly_gcd(rad, sq))
+    ints, _ = _clear_fractions(rad.coeffs)
+    g = _int_content(ints)
+    return [x // g for x in ints]
+
+
+def _to_rows(coeffs, L: list):
+    """(rows, c, e) with sum_i rows[i] z^i / (c L^e) = sum_i coeffs[i] z^i."""
+    coeffs = _ratfuncs(coeffs)
+    base = Poly.from_ints(L)
+    need = {}
+    for den in {r.den for r in coeffs}:
+        e = -(-den.degree // base.degree) if den.degree > 0 else 0
+        while den.degree > 0 and (base**e) % den:
+            e += 1
+        need[den] = e
+    top = max(need.values(), default=0)
+    power = base**top
+    # L^top / den as (integers, denominator)
+    cofactor = {den: _clear_fractions(poly_exact_div(power, den).coeffs) for den in need}
+    rows, dens = [], []
+    for r in coeffs:
+        ints, d = _clear_fractions(r.num.coeffs)
+        cof, cof_d = cofactor[r.den]
+        rows.append(_int_mul(ints, cof))
+        dens.append(d * cof_d)
+    c = 1
+    for d in dens:
+        c = c * d // _gcd(c, d)
+    return [[(c // d) * x for x in row] for row, d in zip(rows, dens)], c, top
+
+
+def _int_power(L: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        out = _int_mul(out, L)
+    return out
+
+
+def _from_rows(rows: list, c: int, power: list) -> list:
+    """The elements rows[i] / (c L^e) of Q(t), for power = L^e; one
+    normalization each."""
+    den = Poly.from_ints([c * x for x in power])
+    return [RatFunc(Poly.from_ints(r), den) for r in rows]
+
+
+def _ratfunc_poly_power(p: Poly, n: int) -> Poly:
+    """p^n for p over Q(t), by packed integer products on _to_rows form."""
+    L = _denominator_base(p.coeffs)
+    rows, c, e = _to_rows(p.coeffs, L)
+    out, out_c, out_e = [[1]], 1, 0
+    while True:
+        if n & 1:
+            out = _bi_dot([(out, rows)], 0, len(out) + len(rows) - 1)
+            out_c, out_e = out_c * c, out_e + e
+        n >>= 1
+        if not n:
+            return Poly(_from_rows(out, out_c, _int_power(L, out_e)))
+        rows = _bi_dot([(rows, rows)], 0, 2 * len(rows) - 1)
+        c, e = c * c, 2 * e
+
+
+def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> list:
+    """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
+    k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
+
+    With f^n = num / den, lambda = a / b for a = num' den - num den' and
+    b = den^2, both reduced mod phi in a ring whose L is the base of the
+    denominators of phi and of the lift.  When b is constant in z, b is
+    divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
+    lambda = a / b is formed once in Q(t)[z]/(phi) by ``multipliers._field_mod_div``
+    and the sums are taken in a ring whose L also covers the poles of
+    lambda.  Each S_k becomes an element of Q(t), with one normalization,
+    only at the end.
+    """
+    lift_n = fmap.iterate_lift_cached(n)
+    phi_c, num_c, den_c = (list(p.coeffs) for p in (phi, lift_n.poly0(), lift_n.poly1()))
+    L = _denominator_base(phi_c + num_c + den_c)
+    num, nc, ne = _to_rows(num_c, L)
+    den, dc, de = _to_rows(den_c, L)
+    dnum = [[i * x for x in r] for i, r in enumerate(num)][1:]
+    neg_dden = [[-i * x for x in r] for i, r in enumerate(den)][1:]
+    a_len = max(len(num) + len(den) - 2, 1)
+    ring = _ZtQuotient(_to_rows(phi_c, L), L, max(a_len, 2 * len(den) - 1))
+    lam = ring.reduce(_bi_dot([(dnum, den), (num, neg_dden)], 0, a_len), nc * dc, ne + de)
+    b = ring.reduce(_bi_dot([(den, den)], 0, 2 * len(den) - 1), dc * dc, 2 * de)
+    if not b[0]:
+        raise NonExactDivision("vanishing denominator in multiplier computation")
+    norm = [1], 1, 0
+    if len(b[0]) == 1:
+        norm = b[0][0], b[1], b[2]
+    else:
+        lam_c = list(multipliers._field_mod_div(
+            Poly(_from_rows(lam[0], lam[1], ring.lpow(lam[2]))),
+            Poly(_from_rows(b[0], b[1], ring.lpow(b[2]))), phi).coeffs)
+        L = _denominator_base(phi_c + lam_c)
+        ring = _ZtQuotient(_to_rows(phi_c, L), L, 0)
+        lam = ring.normal(*_to_rows(lam_c, L))
+    out = []
+    norm_num, norm_c, norm_e = [1], 1, 0  # norm^k = norm_num / (norm_c L^norm_e)
+    for num, c, e in multipliers._trace_powers(ring, lam, count):
+        # S_k = num / (c L^e) / norm^k, with norm = b when b is constant
+        norm_num = _int_mul(norm_num, norm[0])
+        norm_c, norm_e = norm_c * norm[1], norm_e + norm[2]
+        e -= norm_e
+        num = _int_mul([norm_c * x for x in num], ring.lpow(max(-e, 0)))
+        den = _int_mul([c * x for x in norm_num], ring.lpow(max(e, 0)))
+        out.append(RatFunc(Poly.from_ints(num), Poly.from_ints(den)))
+    return out

@@ -119,23 +119,30 @@ def map_height(fmap: RationalMap) -> HeightValue:
 # ---------------------------------------------------------------------------
 
 def local_green(lift: HomLift, point, v: Place, tol: float = 1e-9,
-                budget: Optional[Budget] = None) -> LocalLogValue:
-    """g_{F,v} at a base-field point of P^1; exact when provably so."""
+                budget: Optional[Budget] = None, resultant=None) -> LocalLogValue:
+    """g_{F,v} at a base-field point of P^1; exact when provably so.
+
+    ``resultant``, when given, is Res(F) and spares recomputing it.
+    """
     budget = budget or default_budget()
     pt = normalize_point(*point) if isinstance(point, tuple) else normalize_point(point, field_one(lift.one()))
+    if resultant is None:
+        resultant = resultant_of_lift(lift)
     if v.is_archimedean():
-        return _arch_green(lift, pt, tol)
-    return _nonarch_green(lift, pt, v, tol, budget)
+        return _arch_green(lift, pt, tol, _arch_sup_t_bound(lift, resultant))
+    return _nonarch_green(lift, pt, v, tol, budget, resultant)
 
 
-def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget) -> LocalLogValue:
+def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
+                   resultant) -> LocalLogValue:
     d = lift.d
     one = lift.one()
     mcoef = min(v.valuation(c) for c in list(lift.a) + list(lift.b) if c)
     fmin = minimal_lift(lift, v)
     # g_F = g_Fmin - mcoef * log(pi^-1) / (d-1)
     corr = Fraction(-mcoef, d - 1)
-    res_val = v.valuation(resultant_of_lift(fmin))
+    # Fmin = pi^(-mcoef) F and Res is homogeneous of degree 2d in the coefficients
+    res_val = v.valuation(resultant) - 2 * d * mcoef
     base = v.p if v.kind == "prime" else None
     if res_val == 0:
         return LocalLogValue.exact(corr, base if corr else None)
@@ -198,9 +205,18 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
     return LocalLogValue.from_float(x, err + tail_float)
 
 
-def _arch_green(lift: HomLift, pt, tol: float) -> LocalLogValue:
+def _map_sup_t_bound(fmap: RationalMap) -> float:
+    """_arch_sup_t_bound of the map's lift, computed once per map."""
+    key = ("arch_sup_t",)
+    sup_t = fmap._iterates.get(key)
+    if sup_t is None:
+        sup_t = fmap._iterates[key] = _arch_sup_t_bound(fmap.lift, fmap.resultant)
+    return sup_t
+
+
+def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
+    """g_F at the archimedean place; sup_t bounds sup |T_F| (``_arch_sup_t_bound``)."""
     d = lift.d
-    sup_t = _arch_sup_t_bound(lift)
     n_steps = 1
     while sup_t / (d**n_steps * (d - 1)) > tol:
         n_steps += 1
@@ -247,27 +263,27 @@ def _to_complex(c):
     return complex(c)
 
 
-def _arch_sup_t_bound(lift: HomLift) -> float:
-    """Rigorous bound on sup over P^1 of |T_F| at the archimedean place."""
+def _arch_sup_t_bound(lift: HomLift, res) -> float:
+    """Rigorous bound on sup over P^1 of |T_F| at the archimedean place;
+    ``res`` is Res(F)."""
     d = lift.d
     coeffs = [abs(_to_complex(c)) for c in list(lift.a) + list(lift.b)]
     sup_coeff = max(coeffs)
     upper = math.log(math.sqrt(2.0) * (d + 1) * sup_coeff)
-    g1, g2, h1, h2 = _bezout_cofactors(lift)
+    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
     row1 = sum(abs(_to_complex(c)) for c in g1 + g2)
     row2 = sum(abs(_to_complex(c)) for c in h1 + h2)
-    res = abs(_to_complex(resultant_of_lift(lift)))
-    lower = math.log(res) - (2 * d - 1) / 2 * math.log(2.0) - math.log(max(row1, row2))
+    lower = math.log(abs(_to_complex(res))) - (2 * d - 1) / 2 * math.log(2.0) - math.log(max(row1, row2))
     return max(abs(upper), abs(lower)) + 1e-9
 
 
-def _bezout_cofactors(lift: HomLift):
+def _bezout_cofactors(lift: HomLift, res):
     """G1, G2 and H1, H2 with F0 G1 + F1 G2 = Res(F) X^(2d-1), resp. Y^(2d-1).
 
-    Coefficient rows are returned descending in X, like the lift itself.
+    Coefficient rows are returned descending in X, like the lift itself;
+    ``res`` is Res(F).
     """
     d = lift.d
-    res = resultant_of_lift(lift)
     one = field_one(lift.one())
     size = 2 * d
     # unknowns: g1_0..g1_{d-1}, g2_0..g2_{d-1} (descending); equations:
@@ -582,11 +598,11 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
         value = 0.0
         err = 0.0
         for v in places:
-            g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget)
+            g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
             gv, ge = g.to_float()
             value += gv
             err += ge
-        g_arch = _arch_green(fmap.lift, xpt, per_tol)
+        g_arch = _arch_green(fmap.lift, xpt, per_tol, _map_sup_t_bound(fmap))
         gv, ge = g_arch.to_float()
         norm = 0.5 * math.log(float(x0) ** 2 + float(x1) ** 2)
         value += gv + norm
@@ -605,7 +621,7 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     err = 0.0
     all_exact = True
     for v in places:
-        g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget)
+        g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
         if g.is_exact():
             exact_total += g.q
         else:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebra import _clear_fractions, period_count, sigma2
 from .errors import ArchimedeanPlace, ResourceLimit
-from .heights import _arch_green, _bezout_cofactors, _to_complex
+from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
 from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
 from .multipliers import cycle_polynomial, fixstar_multiplier_charpoly
 from .places import Place, LocalLogValue, local_abs, log_max
@@ -247,7 +247,7 @@ def _bezout_lipschitz_bound(lift: HomLift, res) -> Fraction:
     ||P||^2 <= 2 ||P||_inf^2 the bound follows.
     """
     jac = critical_divisor(lift).affine_poly  # det DF(z, 1)
-    g1, g2, h1, h2 = _bezout_cofactors(lift)
+    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
     row = max(sum(abs(c) for c in g1 + g2), sum(abs(c) for c in h1 + h2))
     return 2 * sum(abs(c) for c in jac.coeffs) * row**2 / (lift.d * Fraction(res) ** 2)
 
@@ -334,15 +334,16 @@ def lyapunov_arch(fmap: RationalMap, tol: float = 1e-8) -> LyapunovEstimate:
     cd = critical_divisor(fmap.lift)
     roots, rerrs = aberth_roots(list(cd.affine_poly.coeffs))
     per_tol = tol / (2 * d - 2 + 1)
+    sup_t = _map_sup_t_bound(fmap)
     total = -math.log(d)
     err = 0.0
     for root, rerr in zip(roots, rerrs):
-        g = _arch_green(fmap.lift, (root, 1.0 + 0j), per_tol)
+        g = _arch_green(fmap.lift, (root, 1.0 + 0j), per_tol, sup_t)
         gv, ge = g.to_float()
         total += gv + 0.5 * math.log(1.0 + abs(root) ** 2)
         err += ge + 4.0 * rerr  # local sensitivity allowance
     if cd.mult_infinity:
-        g = _arch_green(fmap.lift, (1.0 + 0j, 0j), per_tol)
+        g = _arch_green(fmap.lift, (1.0 + 0j, 0j), per_tol, sup_t)
         gv, ge = g.to_float()
         total += cd.mult_infinity * gv
         err += cd.mult_infinity * ge

@@ -20,15 +20,27 @@ every prime and |lambda| <= Lip^n at infinity for a certified
 Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``), so R^(nk) S_k is an
 integer of absolute value at most deg Phi*_n (Lip R)^(nk).  The CRT over
 primes whose product exceeds twice that bound returns it exactly, with no
-rational reconstruction and no verification.  Over Q(t) the same sums are
-taken by exact arithmetic in k[z]/(Phi*_n) (``_field_power_sums``).
+rational reconstruction and no verification.
+
+Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
+(``bivariate._ratfunc_power_sums``, ``bivariate._ZtQuotient``).  An element is kept as
+U(t, z) / (c L(t)^e) with U in Z[t][z], c an integer and L the primitive
+polynomial whose roots are the poles of Phi*_n and of the lift of f^n; for
+the Laurent families L = t.  A product is one integer product of nested
+Kronecker packings (t-slots inside z-slots), remainders come from Barrett's
+method with the inverse series of rev(Phi*_n), and each result sheds the
+integer content and the power of L it shares with its denominator.  The
+traces Tr(lambda^k) use the same baby and giant steps as the modular
+engine (``_trace_powers``), and only the final S_k become elements of Q(t).
+Both engines are tested against the trace loop in k[z]/(Phi*_n) over the
+base field, which lives in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd, isqrt as _isqrt
+from math import gcd as _gcd
 from operator import mul as _mul
 
 from .algebra import (
@@ -208,6 +220,8 @@ class _FpQuotient:
         dphi = [i * c % p for i, c in enumerate(phi)][1:]
         self.traces = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv), 2 * deg - 1)
         self._traces_packed = self.pack(self.traces)
+        self.one = [1]
+        self.unit_form = self.traces[:deg]
 
     def pack(self, coeffs: list) -> int:
         return _pack(coeffs, self.width)
@@ -244,11 +258,11 @@ class _FpQuotient:
         p = self.p
         return [(x - y) % p for x, y in zip(c, qphi)]
 
-    def mul(self, a: list, b_packed: int, b_len: int) -> list:
-        """a * b mod phi, with b given packed."""
-        if not a or not b_len:
+    def mul(self, a: list, b: list) -> list:
+        """a * b mod phi."""
+        if not a or not b:
             return []
-        return self.reduce(self.digits(self.pack(a) * b_packed, len(a) + b_len - 1))
+        return self.reduce(self.digits(self.pack(a) * self.pack(b), len(a) + len(b) - 1))
 
     def trace_form(self, u: list) -> list:
         """[Tr(u z^a) for a < deg] = [sum_b u_b Tr(z^(a+b))], the middle
@@ -257,6 +271,10 @@ class _FpQuotient:
         rev_u = (u + [0] * (deg - len(u)))[::-1]
         prod = self.pack(rev_u) * self._traces_packed
         return self.digits(prod >> (8 * self.width * (deg - 1)), deg)
+
+    def dot(self, form: list, u: list) -> int:
+        """Tr(w u) from form = trace_form(w)."""
+        return sum(map(_mul, form, u)) % self.p
 
 
 def _fp_trim(c: list) -> list:
@@ -297,7 +315,7 @@ def _mod_div(a: list, b: list, ring: _FpQuotient):
     inv = _fp_poly_inv(b, ring.phi, ring.p)
     if inv is None:
         return None
-    return ring.mul(a, ring.pack(inv), len(inv))
+    return ring.mul(a, inv)
 
 
 def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: int, p: int):
@@ -316,27 +334,31 @@ def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: i
     lam = _mod_div(a, b, ring)
     if lam is None:
         return None
-    # baby steps lambda^i, i < m, and giant steps G^j, G = lambda^m:
-    # Tr(lambda^(jm+i)) = Tr(G^j lambda^i), about 2 sqrt(count) products
-    m = _isqrt(count) + 1
-    lam_packed = pack(lam)
-    powers = [[1], lam]
-    while len(powers) < m:
-        powers.append(ring.mul(powers[-1], lam_packed, len(lam)))
+    return _trace_powers(ring, lam, count)
+
+
+def _trace_powers(ring, lam, count: int) -> list:
+    """[Tr(lambda^k) for k = 1..count] in a quotient ring (_FpQuotient or
+    _ZtQuotient), by baby steps lambda^i, i <= m, and giant steps G^j,
+    j <= J, with G = lambda^m: Tr(lambda^(jm+i)) is the trace form of G^j
+    against lambda^i.  m and J minimize the cost of the m - 1 + max(J - 1, 0)
+    ring products (three packed products each) and J trace forms (one
+    each) subject to (J + 1) m >= count: about 2 sqrt(count) products."""
+    m, jmax = min(((m, -(-count // m) - 1) for m in range(1, count + 1)),
+                  key=lambda mj: 3 * (mj[0] - 1 + max(mj[1] - 1, 0)) + mj[1])
+    powers = [ring.one, lam]
+    while len(powers) <= m:
+        powers.append(ring.mul(powers[-1], lam))
+    forms = [ring.unit_form]
+    giant = powers[m]
+    for j in range(1, jmax + 1):
+        if j > 1:
+            giant = ring.mul(giant, powers[m])
+        forms.append(ring.trace_form(giant))
     out = []
-    for j in range(count // m + 1):
-        if j == 0:
-            form = ring.traces[: ring.deg]
-        else:
-            if j == 1:
-                step = ring.mul(powers[-1], lam_packed, len(lam))
-                giant, step_packed = step, pack(step)
-            else:
-                giant = ring.mul(giant, step_packed, len(step))
-            form = ring.trace_form(giant)
-        for i, power in enumerate(powers):
-            if 1 <= j * m + i <= count:
-                out.append(sum(map(_mul, form, power)) % p)
+    for k in range(1, count + 1):
+        j = min(k // m, jmax)
+        out.append(ring.dot(forms[j], powers[k - j * m]))
     return out
 
 
@@ -425,41 +447,16 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> lis
     return out
 
 
-def _field_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int, one) -> list:
-    """The same power sums by exact arithmetic in k[z]/(phi) over any base
-    field; the path for Q(t), and the reference the Q engine is tested on."""
-    deg = len(phi.coeffs) - 1
-    lift_n = fmap.iterate_lift_cached(n)
-    num = lift_n.poly0()
-    den = lift_n.poly1()
-    a = (num.derivative() * den - num * den.derivative()) % phi
-    b = (den * den) % phi
-    if b.is_zero():
-        raise NonExactDivision("vanishing denominator in multiplier computation")
-    if b.degree <= 0:
-        lam = a.scale(1 / b.coeffs[0])
-    else:
-        lam = _field_mod_div(a, b, phi)
-    traces = [one * deg] + power_sums_from_monic(phi, deg - 1)  # trace of z^i
-    out = []
-    cur = lam
-    for k in range(1, count + 1):
-        s = one * 0
-        for i, ci in enumerate(cur.coeffs):
-            if ci:
-                s = s + ci * traces[i]
-        out.append(s)
-        if k < count:
-            cur = (cur * lam) % phi
-    return out
-
-
 def _field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
-    """Generic extended-Euclid division in k[z]/(phi); small inputs only."""
+    """Generic extended-Euclid division in k[z]/(phi); small inputs only.
+    Each remainder is made monic, which over Q(t) keeps the degrees of the
+    coefficients from compounding (8x faster for (z+t)/z^2 at n = 3)."""
     one = field_one(phi.lc())
     r0, r1 = phi, b % phi
     u0, u1 = Poly(), Poly.const(one)
     while not r1.is_zero() and r1.degree > 0:
+        inv_lc = 1 / r1.lc()
+        r1, u1 = r1.scale(inv_lc), u1.scale(inv_lc)
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
@@ -479,7 +476,10 @@ def _multiplier_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int, one
         return [one * 0] * count
     if fmap.base == BASE_Q:
         return _modular_power_sums(fmap, n, phi.monic(), count)
-    return _field_power_sums(fmap, n, phi.monic(), count, one)
+    # loaded on first use: a process that meets no map over Q(t) never compiles it
+    from .bivariate import _ratfunc_power_sums
+
+    return _ratfunc_power_sums(fmap, n, phi.monic(), count)
 
 
 def _infinity_cycle_data(fmap: RationalMap, n: int):
@@ -517,7 +517,12 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
             power = power * lam_inf
     cycle_sums = [s / n for s in sums]
     p_dn = monic_from_power_sums(cycle_sums, k_cycles, one)
-    q_n = p_dn**n
+    if fmap.base == BASE_Q:
+        q_n = p_dn**n
+    else:
+        from .bivariate import _ratfunc_poly_power
+
+        q_n = _ratfunc_poly_power(p_dn, n)
     if len(q_n.coeffs) - 1 != d_n:
         raise NonExactDivision("multiplier charpoly has wrong degree")
     fmap._iterates[("p_dn", n)] = p_dn
@@ -531,10 +536,15 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
 
 def multiplier_polynomial(fmap: RationalMap, n: int) -> MultiplierSpectrum:
     """Exact multiplier spectrum at period n: p_{d,n}, sigma*, chi_n."""
-    q_n = fixstar_multiplier_charpoly(fmap, n)
+    sigma = sigma_star(fmap, n)
     chi = charpoly_multipliers_full(fmap, n)
-    sigma = tuple(_elementary_symmetric(q_n))
-    return MultiplierSpectrum(n, q_n.degree, chi, cycle_polynomial(fmap, n), sigma)
+    return MultiplierSpectrum(n, len(sigma) - 1, chi, cycle_polynomial(fmap, n), sigma)
+
+
+def sigma_star(fmap: RationalMap, n: int) -> tuple:
+    """(sigma*_{0,n} = 1, ..., sigma*_{d_n,n}), the symmetric functions of
+    the formal period-n multipliers, without building chi_n."""
+    return tuple(_elementary_symmetric(fixstar_multiplier_charpoly(fmap, n)))
 
 
 def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import RatFunc
+from .algebra import PRIME_PROOF_BOUND, RatFunc, is_prime
 from .errors import FFPlaceOnRationalBase
 
 ARCH = "arch"
@@ -54,7 +54,9 @@ class Place:
 
     @staticmethod
     def prime(p: int) -> "Place":
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_PROOF_BOUND:
+            raise ValueError(f"primality of {p} cannot be proven (limit {PRIME_PROOF_BOUND})")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return Place(PRIME, p=p)
 

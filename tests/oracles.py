@@ -1,0 +1,35 @@
+"""Slow exact reference paths that the fast engines are tested against."""
+
+from dynlyap.algebra import Poly
+from dynlyap.errors import NonExactDivision
+from dynlyap.multipliers import _field_mod_div, power_sums_from_monic
+
+
+def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:
+    """S_k = sum over the roots beta of the monic phi of lambda(beta)^k,
+    k = 1..count, lambda = (f^n)', by the trace loop cur = cur * lambda mod phi
+    in k[z]/(phi) over the base field (Fraction or RatFunc coefficients)."""
+    deg = len(phi.coeffs) - 1
+    lift_n = fmap.iterate_lift_cached(n)
+    num = lift_n.poly0()
+    den = lift_n.poly1()
+    a = (num.derivative() * den - num * den.derivative()) % phi
+    b = (den * den) % phi
+    if b.is_zero():
+        raise NonExactDivision("vanishing denominator in multiplier computation")
+    if b.degree <= 0:
+        lam = a.scale(1 / b.coeffs[0])
+    else:
+        lam = _field_mod_div(a, b, phi)
+    traces = [one * deg] + power_sums_from_monic(phi, deg - 1)  # trace of z^i
+    out = []
+    cur = lam
+    for k in range(1, count + 1):
+        s = one * 0
+        for i, ci in enumerate(cur.coeffs):
+            if ci:
+                s = s + ci * traces[i]
+        out.append(s)
+        if k < count:
+            cur = (cur * lam) % phi
+    return out

@@ -142,6 +142,16 @@ class TestExitCodes:
     def test_missing_file(self):
         assert run(["multipliers", "--map", "/nonexistent/map.json", "--n", "1"]) == 2
 
+    def test_large_prime_place(self):
+        # 2^61 - 1: proven prime by Miller-Rabin, far out of reach of trial division
+        rep = run_json(["lyapunov", "--map", SQUARE, "--place", "p:2305843009213693951",
+                        "--n-max", "2"])
+        assert rep["result"]["place"] == "p:2305843009213693951"
+        assert [e["value"]["q"] for e in rep["result"]["sequence"]] == ["0", "0"]
+        # a composite, and a number past the bound where Miller-Rabin proves primality
+        for bad in ("2305843009213693953", "3317044064679887385961981"):
+            assert run(["lyapunov", "--map", SQUARE, "--place", f"p:{bad}", "--n-max", "2"]) == 2
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):

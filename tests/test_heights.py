@@ -7,6 +7,8 @@ import pytest
 from dynlyap.algebra import Poly, RatFunc
 from dynlyap.errors import DegenerateMap, IrrationalCriticalPoint
 from dynlyap.heights import (
+    _arch_sup_t_bound,
+    _map_sup_t_bound,
     bad_places,
     canonical_height,
     critical_height_direct,
@@ -90,6 +92,16 @@ class TestLocalGreen:
         v, err = g.to_float()
         assert abs(v - (math.log(2) - 0.5 * math.log(5))) < 1e-9
         assert err < 1e-9
+
+    def test_cached_inputs_change_no_value(self):
+        # Res(F) handed in, and the archimedean bound kept on the map object
+        fm = new_map(2, (F(9, 2), 3, 6), (0, 9, 12))
+        for v in (Place.prime(2), Place.prime(3)):
+            for pt in ((F(0), F(1)), (F(2), F(5)), (F(1), F(0))):
+                assert (local_green(fm.lift, pt, v, resultant=fm.resultant).to_float()
+                        == local_green(fm.lift, pt, v).to_float())
+        bound = _map_sup_t_bound(fm)
+        assert bound == _arch_sup_t_bound(fm.lift, fm.resultant) == fm._iterates[("arch_sup_t",)]
 
     def test_ff_place_exact(self):
         t = RatFunc.t()

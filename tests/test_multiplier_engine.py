@@ -1,4 +1,5 @@
-"""The multi-modular multiplier engine over Q against the exact field path."""
+"""The multi-modular multiplier engine over Q against the exact field path
+(the trace loop in ``oracles``)."""
 
 import random
 from fractions import Fraction as F
@@ -17,11 +18,11 @@ from dynlyap.maps import new_map
 from dynlyap.multipliers import (
     _arch_lipschitz,
     _engine_prime,
-    _field_power_sums,
     _modular_power_sums,
     _primitive_resultant,
     dynatomic_divisor,
 )
+from oracles import field_power_sums
 
 
 def poly_map(*coeffs_desc):
@@ -67,7 +68,7 @@ def engine_sums(fmap, n, field_path=False):
     count = period_count(fmap.d, n) // n
     phi = phi.monic()
     if field_path:
-        return phi, _field_power_sums(fmap, n, phi, count, F(1))
+        return phi, field_power_sums(fmap, n, phi, count, F(1))
     return phi, _modular_power_sums(fmap, n, phi, count)
 
 
