@@ -20,8 +20,10 @@ from typing import Optional
 from .algebra import (
     Poly,
     RatFunc,
+    _clear_fractions,
     factor_int,
     field_one,
+    poly_gcd,
     rational_roots,
 )
 from .budget import Budget, default_budget
@@ -72,14 +74,8 @@ _ZERO_HEIGHT = HeightValue(0.0, 0.0, Fraction(0))
 
 def _coprime_int_pair(coords):
     """Scale rational projective coordinates to coprime integers."""
-    fracs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coords]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in fracs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    ints, _ = _clear_fractions([Fraction(c) for c in coords])
+    g = math.gcd(*ints)
     return [c // g for c in ints]
 
 
@@ -135,8 +131,7 @@ def local_green(lift: HomLift, point, v: Place, tol: float = 1e-9,
 
 def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
                    resultant) -> LocalLogValue:
-    d = lift.d
-    one = lift.one()
+    d, one = lift.d, lift.one()
     mcoef = min(v.valuation(c) for c in list(lift.a) + list(lift.b) if c)
     fmin = minimal_lift(lift, v)
     # g_F = g_Fmin - mcoef * log(pi^-1) / (d-1)
@@ -146,27 +141,35 @@ def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
     base = v.p if v.kind == "prime" else None
     if res_val == 0:
         return LocalLogValue.exact(corr, base if corr else None)
-    sup_t = Fraction(res_val)  # sup |T_Fmin| <= |log|Res||_v in log-pi units
+    sup_t = float(res_val)  # sup |T_Fmin| <= |log|Res||_v in log-pi units
     # iterations for the telescoping bound sup_t/(d^N (d-1)) <= tol
     unit_log = math.log(v.p) if v.kind == "prime" else 1.0
     n_steps = 1
-    while float(sup_t) * unit_log / (d**n_steps * (d - 1)) > tol:
+    while sup_t * unit_log / (d**n_steps * (d - 1)) > tol:
         n_steps += 1
         if n_steps > 4000:
             raise ResourceLimit("green tolerance unreachable")
     va = [v.valuation(c) if c else None for c in fmin.a]
     vb = [v.valuation(c) if c else None for c in fmin.b]
     x, y = pt
-    vals = [v.valuation(c) for c in (x, y) if c]
-    shift = min(vals)
+    shift = min(v.valuation(c) for c in (x, y) if c)
     if shift:
         scale = v.uniformizer_power(-shift, one)
         x, y = x * scale, y * scale
-    tail_float = float(sup_t) * unit_log / (d**n_steps * (d - 1))
-    prec = (int(res_val) + 1) * (n_steps + 2) + 48
+    tail_float = sup_t * unit_log / (d**n_steps * (d - 1))
+    args = (fmin, (x, y), v, d, n_steps)
+    full = (int(res_val) + 1) * (n_steps + 2) + 48
+    # precision ladder: a rung below ``full`` returns only values that no
+    # missing digit could change, hence the value at ``full``
+    prec = 2 * (int(res_val) + 1) + 48
+    while prec < full:
+        out = _nonarch_iterate(*args, prec, va, vb, corr, base, tail_float, False)
+        if out is not None:
+            return out
+        prec *= 2
+    prec = full
     for _ in range(8):
-        out = _nonarch_iterate(fmin, (x, y), v, d, n_steps, prec, va, vb, corr,
-                               base, tail_float)
+        out = _nonarch_iterate(*args, prec, va, vb, corr, base, tail_float)
         if out is not None:
             return out
         prec *= 2
@@ -174,10 +177,15 @@ def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
     raise ResourceLimit("local green precision did not stabilize")
 
 
-def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_float):
-    ring = _LocalRing.make(v, prec)
+def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_float,
+                     final=True):
+    """The ledger of valuations along the orbit, or None when ``prec`` digits
+    do not settle it.  Every m_j is an exact valuation; with ``final`` off a
+    failed escape test on a residue whose valuation is unknown also returns
+    None, since the test only gets easier as that valuation grows."""
+    ring = _LocalRing.make(v, prec, fmin)
     r0, r1 = ring.convert(pt[0]), ring.convert(pt[1])
-    ledger = corr
+    num = 0  # the ledger is corr + num / d^j
     poly_like = not fmin.b[0]
     for j in range(n_steps):
         # exact escape: orbit captured by a superattracting infinity
@@ -188,20 +196,22 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
                 ok1 = all(va[0] < va[i] + i * e for i in range(1, len(va)) if va[i] is not None)
                 ok2 = all(vb[i] + i * e >= va[0] + e + 1 for i in range(1, len(vb)) if vb[i] is not None)
                 if ok1 and ok2:
-                    total = ledger + Fraction(-va[0], d**j * (d - 1))
+                    total = corr + Fraction(num * (d - 1) - va[0], d**j * (d - 1))
                     return LocalLogValue.exact(total, base if total else None)
-        s0, s1 = ring.eval_pair(fmin, r0, r1)
+                if v1 is None and not final:
+                    return None
+        s0, s1 = ring.eval_pair(r0, r1)
         m0, m1 = ring.val(s0), ring.val(s1)
         if m0 is None and m1 is None:
             return None  # precision exhausted
         m = min(x for x in (m0, m1) if x is not None)
-        ledger += Fraction(-m, d ** (j + 1))
+        num = num * d - m
         r0, r1 = ring.shift_down(s0, m), ring.shift_down(s1, m)
         ring.consume(m)
         if ring.eff_prec < 24:
             return None
-    approx = LocalLogValue.exact(ledger, base if ledger else None)
-    x, err = approx.to_float()
+    ledger = corr + Fraction(num, d**n_steps)
+    x, err = LocalLogValue.exact(ledger, base if ledger else None).to_float()
     return LocalLogValue.from_float(x, err + tail_float)
 
 
@@ -228,7 +238,6 @@ def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
     norm = math.hypot(abs(x), abs(y))
     x, y = x / norm, y / norm
     total = 0.0
-    scale = 1.0
     for j in range(n_steps):
         fx = _eval_form(a, x, y, d)
         fy = _eval_form(b, x, y, d)
@@ -267,8 +276,7 @@ def _arch_sup_t_bound(lift: HomLift, res) -> float:
     """Rigorous bound on sup over P^1 of |T_F| at the archimedean place;
     ``res`` is Res(F)."""
     d = lift.d
-    coeffs = [abs(_to_complex(c)) for c in list(lift.a) + list(lift.b)]
-    sup_coeff = max(coeffs)
+    sup_coeff = max(abs(_to_complex(c)) for c in list(lift.a) + list(lift.b))
     upper = math.log(math.sqrt(2.0) * (d + 1) * sup_coeff)
     g1, g2, h1, h2 = _bezout_cofactors(lift, res)
     row1 = sum(abs(_to_complex(c)) for c in g1 + g2)
@@ -288,15 +296,8 @@ def _bezout_cofactors(lift: HomLift, res):
     size = 2 * d
     # unknowns: g1_0..g1_{d-1}, g2_0..g2_{d-1} (descending); equations:
     # coefficient of X^(2d-1-j) Y^j for j = 0..2d-1
-    rows = []
-    for j in range(size):
-        row = [one * 0] * size
-        for i in range(d + 1):
-            for k in range(d):
-                if i + k == j:
-                    row[k] = row[k] + lift.a[i]
-                    row[d + k] = row[d + k] + lift.b[i]
-        rows.append(row)
+    rows = [[f[j - k] if 0 <= j - k <= d else one * 0 for f in (lift.a, lift.b) for k in range(d)]
+            for j in range(size)]
     sol_g = _solve_field(rows, [res if j == 0 else res * 0 for j in range(size)])
     sol_h = _solve_field(rows, [res if j == size - 1 else res * 0 for j in range(size)])
     return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
@@ -324,21 +325,32 @@ def _solve_field(rows, rhs):
 # ---------------------------------------------------------------------------
 
 class _LocalRing:
-    """Residue arithmetic at a non-archimedean place with precision cap."""
+    """Residue arithmetic at a non-archimedean place with precision cap.
+
+    ``ca`` and ``cb`` hold the coefficients of F_min, converted once;
+    ``eff_prec`` counts the digits still known.
+    """
+
+    def __init__(self, fmin: HomLift, prec: int):
+        self.eff_prec = prec
+        self.ca = [self.convert(c) for c in fmin.a]
+        self.cb = [self.convert(c) for c in fmin.b]
 
     @staticmethod
-    def make(v: Place, prec: int) -> "_LocalRing":
+    def make(v: Place, prec: int, fmin: HomLift) -> "_LocalRing":
         if v.kind == "prime":
-            return _PadicRing(v.p, prec)
-        return _SeriesRing(v, prec)
+            return _PadicRing(v.p, prec, fmin)
+        return _SeriesRing(v, prec, fmin)
+
+    def consume(self, m: int):
+        self.eff_prec -= m
 
 
 class _PadicRing(_LocalRing):
-    def __init__(self, p: int, prec: int):
+    def __init__(self, p: int, prec: int, fmin: HomLift):
         self.p = p
-        self.eff_prec = prec
         self.modulus = p**prec
-        self._coef_cache: dict = {}
+        super().__init__(fmin, prec)
 
     def convert(self, x):
         if isinstance(x, RatFunc):
@@ -346,13 +358,6 @@ class _PadicRing(_LocalRing):
         if x == 0:
             return 0
         return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
-
-    def _coef(self, x):
-        r = self._coef_cache.get(id(x))
-        if r is None:
-            r = self.convert(x)
-            self._coef_cache[id(x)] = r
-        return r
 
     def val(self, r: int):
         if r == 0:
@@ -363,37 +368,30 @@ class _PadicRing(_LocalRing):
             v += 1
         return v if v < self.eff_prec else None
 
-    def eval_pair(self, fmin: HomLift, r0: int, r1: int):
-        d = fmin.d
+    def eval_pair(self, r0: int, r1: int):
         mod = self.modulus
         xs = [1]
         ys = [1]
-        for _ in range(d):
+        for _ in range(len(self.ca) - 1):
             xs.append(xs[-1] * r0 % mod)
             ys.append(ys[-1] * r1 % mod)
         s0 = s1 = 0
-        for j in range(d + 1):
-            m = xs[d - j] * ys[j] % mod
-            if fmin.a[j]:
-                s0 = (s0 + self._coef(fmin.a[j]) * m) % mod
-            if fmin.b[j]:
-                s1 = (s1 + self._coef(fmin.b[j]) * m) % mod
-        return s0, s1
+        for ca, cb, x, y in zip(self.ca, self.cb, reversed(xs), ys):
+            m = x * y % mod
+            s0 += ca * m
+            s1 += cb * m
+        return s0 % mod, s1 % mod
 
     def shift_down(self, r: int, m: int):
         return r // self.p**m if m else r
-
-    def consume(self, m: int):
-        self.eff_prec -= m
 
 
 class _SeriesRing(_LocalRing):
     """Truncated power series in the local uniformizer at an FF place."""
 
-    def __init__(self, v: Place, prec: int):
+    def __init__(self, v: Place, prec: int, fmin: HomLift):
         self.v = v
-        self.eff_prec = prec
-        self._coef_cache: dict = {}
+        super().__init__(fmin, prec)
 
     def convert(self, x):
         if isinstance(x, Fraction):
@@ -412,42 +410,31 @@ class _SeriesRing(_LocalRing):
             den = x.den.reversed_coeffs(dd)
         return _series_div(list(num.coeffs), list(den.coeffs), self.eff_prec)
 
-    def _coef(self, x):
-        r = self._coef_cache.get(id(x))
-        if r is None:
-            r = self.convert(x)
-            self._coef_cache[id(x)] = r
-        return r
-
     def val(self, r: list):
         for i, c in enumerate(r):
             if c:
                 return i
         return None
 
-    def eval_pair(self, fmin: HomLift, r0, r1):
-        d = fmin.d
+    def eval_pair(self, r0, r1):
         prec = self.eff_prec
         xs = [[Fraction(1)]]
         ys = [[Fraction(1)]]
-        for _ in range(d):
+        for _ in range(len(self.ca) - 1):
             xs.append(_series_mul(xs[-1], r0, prec))
             ys.append(_series_mul(ys[-1], r1, prec))
         s0: list = []
         s1: list = []
-        for j in range(d + 1):
-            m = _series_mul(xs[d - j], ys[j], prec)
-            if fmin.a[j]:
-                s0 = _series_add(s0, _series_mul(self._coef(fmin.a[j]), m, prec))
-            if fmin.b[j]:
-                s1 = _series_add(s1, _series_mul(self._coef(fmin.b[j]), m, prec))
+        for ca, cb, x, y in zip(self.ca, self.cb, reversed(xs), ys):
+            m = _series_mul(x, y, prec)
+            if ca:
+                s0 = _series_add(s0, _series_mul(ca, m, prec))
+            if cb:
+                s1 = _series_add(s1, _series_mul(cb, m, prec))
         return s0, s1
 
     def shift_down(self, r: list, m: int):
         return r[m:] if m else r
-
-    def consume(self, m: int):
-        self.eff_prec -= m
 
 
 def _series_mul(a: list, b: list, prec: int) -> list:
@@ -481,7 +468,7 @@ def _series_div(num: list, den: list, prec: int) -> list:
     out = []
     num = list(num) + [Fraction(0)] * max(0, prec - len(num))
     for k in range(prec):
-        acc = num[k] if k < len(num) else Fraction(0)
+        acc = num[k]
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
         out.append(acc * inv0)
@@ -510,22 +497,14 @@ def bad_places(fmap: RationalMap) -> list[Place]:
     """
     if fmap.base == "Q":
         primes: set[int] = set()
-        content = 0
-        den_l = 1
-        for c in list(fmap.lift.a) + list(fmap.lift.b):
-            if c:
-                content = math.gcd(content, abs(c.numerator))
-                den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
-        res = fmap.resultant
-        for n in (content, den_l, abs(res.numerator), res.denominator):
+        s, res = _primitive_scale(fmap.lift), fmap.resultant  # s = lcm(dens)/gcd(nums)
+        for n in (s.denominator, s.numerator, abs(res.numerator), res.denominator):
             if n > 1:
                 primes |= set(factor_int(n))
         return [Place.prime(p) for p in sorted(primes)]
     # function field: rational points where coefficients or Res degenerate
     pts: set[Fraction] = set()
     gcd_num: Optional[Poly] = None
-    from .algebra import poly_gcd
-
     for c in list(fmap.lift.a) + list(fmap.lift.b):
         if not c:
             continue
@@ -546,13 +525,46 @@ def bad_places(fmap: RationalMap) -> list[Place]:
 def _rational_zero_set(p: Poly) -> set[Fraction]:
     roots, cofactor = rational_roots(p)
     if cofactor.degree > 0:
-        raise ResourceLimit(
-            "bad reduction at a non-rational point of the t-line is unsupported"
-        )
+        raise ResourceLimit("bad reduction at a non-rational point of the t-line is unsupported")
     return {r for r, _ in roots}
 
 
+def _primitive_scale(lift: HomLift) -> Fraction:
+    """s > 0 such that s F has coprime integer coefficients."""
+    coeffs = list(lift.a) + list(lift.b)
+    i = next(i for i, c in enumerate(coeffs) if c)
+    return _coprime_int_pair(coeffs)[i] / coeffs[i]
+
+
+def _northcott_bound(fmap: RationalMap) -> float:
+    """C >= |h^(P) - h_2(P)| on P^1(Q), h_2 the Weil height with the
+    Euclidean norm at infinity; cached per map.
+
+    h^ - h_2 is the sum of the Green functions of any lift; for the primitive
+    integer lift F' they are bounded by sup|T_F'|/(d-1) at infinity and by
+    v_p(Res F') log p/(d-1) at p, which sum to log|Res F'|/(d-1) without
+    factoring.  inf when floats could overflow: the coefficients, Res F'
+    and the Bezout cofactors (minors) are below 2^(2d(bits + d)) (Hadamard).
+    """
+    bound = fmap._iterates.get(("northcott",))
+    if bound is None:
+        d, s = fmap.d, _primitive_scale(fmap.lift)
+        prim, res = fmap.lift.scale(s), fmap.resultant * s ** (2 * d)
+        bound = math.inf
+        if 2 * d * (max(abs(c.numerator) for c in prim.a + prim.b).bit_length() + d) <= 1000:
+            bound = (_arch_sup_t_bound(prim, res) + math.log(abs(res))) / (d - 1) + 1e-6
+        fmap._iterates[("northcott",)] = bound
+    return bound
+
+
 def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:
+    """True when the orbit of pt repeats within ``cap`` steps.
+
+    Over Q an orbit point whose Weil height h exceeds ``_northcott_bound``
+    has h^ >= h - C > 0 (h <= h_2), which proves pt wandering.  Past 2^14
+    bits an orbit is taken as escaping: the stop over Q(t), or with C = inf.
+    """
+    cutoff = _northcott_bound(fmap) if fmap.base == "Q" else math.inf
     seen = {pt}
     cur = pt
     for _ in range(cap):
@@ -560,21 +572,16 @@ def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:
         if cur in seen:
             return True
         seen.add(cur)
+        if cutoff < math.inf and math.log(max(abs(cur[0].numerator), cur[0].denominator)) > cutoff:
+            return False
         if _point_bits(cur) > 1 << 14:
-            return False  # escaping fast; certainly not preperiodic
+            return False
     return False
 
 
 def _point_bits(pt) -> int:
-    bits = 0
-    for c in pt:
-        if isinstance(c, Fraction):
-            bits += c.numerator.bit_length() + c.denominator.bit_length()
-        else:
-            for p in (c.num, c.den):
-                for q in p.coeffs:
-                    bits += q.numerator.bit_length() + q.denominator.bit_length()
-    return bits
+    qs = [q for c in pt for q in ([c] if isinstance(c, Fraction) else [*c.num.coeffs, *c.den.coeffs])]
+    return sum(q.numerator.bit_length() + q.denominator.bit_length() for q in qs)
 
 
 def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue:
@@ -595,8 +602,7 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
         xpt = (Fraction(x0), Fraction(x1))
         places = bad_places(fmap)
         per_tol = tol / (len(places) + 2)
-        value = 0.0
-        err = 0.0
+        value = err = 0.0
         for v in places:
             g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
             gv, ge = g.to_float()
@@ -609,16 +615,13 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
         err += ge + 5e-15 * (1 + abs(norm))
         return HeightValue(value, err)
     # function field
-    polys = _coprime_poly_coords(
-        [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in pt]
-    )
+    polys = _coprime_poly_coords([c if isinstance(c, RatFunc) else RatFunc.const(c) for c in pt])
     xpt = (RatFunc(polys[0], Poly((Fraction(1),)), _normalized=True),
            RatFunc(polys[1], Poly((Fraction(1),)), _normalized=True))
     places = bad_places(fmap) + [Place.ff_infinity()]
     per_tol = tol / (len(places) + 1)
     exact_total = Fraction(max(p.degree for p in polys if not p.is_zero()))
-    float_total = 0.0
-    err = 0.0
+    float_total = err = 0.0
     all_exact = True
     for v in places:
         g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
@@ -649,8 +652,7 @@ def critical_height_direct(fmap: RationalMap, tol: float = 1e-9) -> HeightValue:
         roots, cofactor = rational_roots(poly)
         if cofactor.degree > 0:
             raise IrrationalCriticalPoint(
-                f"critical polynomial has an irreducible factor of degree {cofactor.degree}"
-            )
+                f"critical polynomial has an irreducible factor of degree {cofactor.degree}")
         for r, mult in roots:
             points.append(((one * r, one), mult))
     else:
@@ -659,9 +661,7 @@ def critical_height_direct(fmap: RationalMap, tol: float = 1e-9) -> HeightValue:
             poly = Poly(poly.coeffs[1:])
             zeros += 1
         if poly.degree > 0:
-            raise IrrationalCriticalPoint(
-                "non-split critical polynomial over Q(t) is unsupported"
-            )
+            raise IrrationalCriticalPoint("non-split critical polynomial over Q(t) is unsupported")
         if zeros:
             points.append(((one * 0, one), zeros))
     if cd.mult_infinity:

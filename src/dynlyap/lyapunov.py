@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import _clear_fractions, period_count, sigma2
+from .algebra import _clear_fractions, period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
 from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
 from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
@@ -74,12 +74,15 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
         r = math.exp(r_val)
         if r > 1.0 + 1e-12:
             raise ValueError("archimedean truncation radius must satisfy r <= 1")
-        roots, errs = aberth_roots(list(cycle_polynomial(fmap, n).coeffs))
         total = 0.0
         err = 0.0
-        for root, rerr in zip(roots, errs):
-            total += math.log(max(r, abs(root)))
-            err += rerr / max(r, abs(root)) + 1e-15
+        # Aberth sees only simple roots: each squarefree part once, its roots
+        # weighted by their multiplicity in p_{d,n}
+        for part, mult in squarefree_parts(cycle_polynomial(fmap, n)):
+            roots, errs = aberth_roots(list(part.coeffs))
+            for root, rerr in zip(roots, errs):
+                total += mult * math.log(max(r, abs(root)))
+                err += mult * (rerr / max(r, abs(root)) + 1e-15)
         return LyapunovEstimate(v, n, log_r, LocalLogValue.from_float(total / d_n, err / d_n + 1e-14))
     terms = []
     for j in range(d_n + 1):

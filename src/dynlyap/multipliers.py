@@ -47,6 +47,7 @@ from .algebra import (
     Poly,
     RatFunc,
     _clear_fractions,
+    _fp_poly_inv,
     _int_content,
     _pack,
     _unpack,
@@ -182,18 +183,26 @@ def power_roots_poly(p: Poly, s: int) -> Poly:
 # multi-modular trace engine over Q
 # ---------------------------------------------------------------------------
 
-_PRIME_TOP = 1 << 127
-_PRIMES: list = []        # primes below _PRIME_TOP, descending; filled on demand
+_PRIMES: list = []        # proven primes k 2^64 + 1 below 2^127, descending; filled on demand
+_PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MAX_BAD_PRIMES = 32      # primes at which Den^2 is no unit before giving up
 
 
 def _engine_prime(i: int) -> int:
-    """The i-th prime below 2^127, counting down."""
+    """The i-th prime p = k 2^64 + 1 with a Proth witness, counting k down
+    from 2^63, so p < 2^127.
+
+    Proth's theorem (k < 2^64): p is prime when a^((p-1)/2) = -1 mod p for
+    some a.  Each kept p has such a witness among _PROTH_BASES, so it is
+    proven prime; Miller-Rabin only skips composites quickly.
+    """
     while len(_PRIMES) <= i:
-        p = _PRIMES[-1] if _PRIMES else _PRIME_TOP + 1
-        p -= 2
-        while not is_prime(p):
-            p -= 2
+        k = _PRIMES[-1] >> 64 if _PRIMES else 1 << 63
+        while True:
+            k -= 1
+            p = (k << 64) + 1
+            if is_prime(p) and any(pow(a, (p - 1) // 2, p) == p - 1 for a in _PROTH_BASES):
+                break
         _PRIMES.append(p)
     return _PRIMES[i]
 
@@ -275,39 +284,6 @@ class _FpQuotient:
     def dot(self, form: list, u: list) -> int:
         """Tr(w u) from form = trace_form(w)."""
         return sum(map(_mul, form, u)) % self.p
-
-
-def _fp_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _fp_poly_inv(b: list, phi: list, p: int):
-    """Inverse of b modulo (phi, p) by extended Euclid; None if not coprime."""
-    r0, r1 = _fp_trim(list(phi)), _fp_trim(list(b))
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        inv_lc = pow(r1[-1], -1, p)
-        n1 = len(r1)
-        r = r0[:]
-        q = [0] * (len(r0) - n1 + 1)
-        for k in range(len(r0) - n1, -1, -1):
-            c = r[k + n1 - 1] * inv_lc % p
-            if c:
-                q[k] = c
-                r[k : k + n1] = [(x - c * y) % p for x, y in zip(r[k : k + n1], r1)]
-        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
-        n_s = len(s1)
-        for k, c in enumerate(q):
-            if c:
-                s[k : k + n_s] = [(x - c * y) % p for x, y in zip(s[k : k + n_s], s1)]
-        r0, r1 = r1, _fp_trim(r[: n1 - 1])
-        s0, s1 = s1, _fp_trim(s)
-    if not r1:
-        return None
-    inv_lc = pow(r1[0], -1, p)
-    return [c * inv_lc % p for c in s1]
 
 
 def _mod_div(a: list, b: list, ring: _FpQuotient):

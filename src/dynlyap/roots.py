@@ -11,19 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import RootFindingFailure
-
-
-def _as_complex(c) -> complex:
-    if isinstance(c, Fraction):
-        try:
-            return complex(c.numerator / c.denominator)
-        except OverflowError:
-            ln = math.log(abs(c.numerator)) - math.log(c.denominator)
-            return complex(math.copysign(math.exp(min(ln, 700.0)), c.numerator))
-    return complex(c)
+from .heights import _to_complex
 
 
 def _horner(coeffs: list[complex], x: complex) -> complex:
@@ -71,7 +61,7 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 300):
     exactly.  Raises RootFindingFailure when no verified configuration is
     reached.
     """
-    cs = [_as_complex(c) for c in coeffs]
+    cs = [_to_complex(c) for c in coeffs]
     while cs and abs(cs[-1]) == 0.0:
         cs.pop()
     if len(cs) <= 1:

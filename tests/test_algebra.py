@@ -20,6 +20,7 @@ from dynlyap.algebra import (
     poly_resultant,
     rational_roots,
     sigma2,
+    squarefree_parts,
     sylvester_resultant,
 )
 from dynlyap.errors import NonExactDivision, NotAPerfectPower
@@ -100,6 +101,26 @@ class TestExactDivision:
     def test_non_exact_raises(self):
         with pytest.raises(NonExactDivision):
             poly_exact_div(ip(1, 0, 1), ip(-1, 1))
+
+
+class TestSquarefreeParts:
+    def test_yun(self):
+        p = ip(-1, 1) ** 3 * ip(2, 1) ** 2 * ip(-3, 1) * ip(1, 0, 1) ** 2 * F(5, 7)
+        parts = squarefree_parts(p)
+        assert parts == [(ip(-3, 1), 1), (ip(2, 1) * ip(1, 0, 1), 2), (ip(-1, 1), 3)]
+        prod = Poly.const(p.lc())
+        for a, i in parts:
+            prod = prod * a**i
+        assert prod == p
+        assert squarefree_parts(ip(-1, 1) ** 5) == [(ip(-1, 1), 5)]
+
+    def test_squarefree_input_returned_as_is(self):
+        q = (1 << 61) - 1  # a leading coefficient q skips the modular test
+        for p in (ip(1, 2, F(1, 3), 4), ip(1, 2, q), ip(-1, 0, q) * ip(3, 1)):
+            parts = squarefree_parts(p)
+            assert parts == [(p, 1)] and parts[0][0] is p
+        assert squarefree_parts(ip(-1, 0, q) * ip(3, 1) ** 2) == [
+            (ip(-1, 0, q).monic(), 1), (ip(3, 1), 2)]
 
 
 class TestNthRoot:

@@ -4,11 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynlyap import heights
 from dynlyap.algebra import Poly, RatFunc
-from dynlyap.errors import DegenerateMap, IrrationalCriticalPoint
+from dynlyap.budget import default_budget
+from dynlyap.errors import DegenerateMap, IrrationalCriticalPoint, ResourceLimit
 from dynlyap.heights import (
     _arch_sup_t_bound,
     _map_sup_t_bound,
+    _nonarch_green,
+    _northcott_bound,
+    _preperiodic,
     bad_places,
     canonical_height,
     critical_height_direct,
@@ -196,3 +201,127 @@ class TestCriticalHeight:
         if cof.degree > 0:
             with pytest.raises(IrrationalCriticalPoint):
                 critical_height_direct(fm)
+
+
+def rational_map(rng, d):
+    """Seeded map with p/q coefficients; every third one is a polynomial."""
+    poly = rng.random() < 1 / 3
+    while True:
+        cs = [F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 9, 25))) for _ in range(2 * d + 2)]
+        if poly:
+            cs[d + 1 :] = [0] * d + [F(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3)))]
+        try:
+            return new_map(d, cs[: d + 1], cs[d + 1 :])
+        except (DegenerateMap, ValueError):
+            continue
+
+
+def greens(cases):
+    """_nonarch_green at every (lift, point, place); counts values from rungs below full."""
+    inner = heights._nonarch_iterate
+    low = []
+
+    def spy(*args):
+        out = inner(*args)
+        low.append(args[11:] == (False,) and out is not None)
+        return out
+
+    heights._nonarch_iterate = spy
+    try:
+        return [_nonarch_green(fm.lift, pt, v, tol, default_budget(), fm.resultant)
+                for fm, pt, v, tol in cases], sum(low)
+    finally:
+        heights._nonarch_iterate = inner
+
+
+def ladder_cases():
+    rng = random.Random(2024)
+    cases = []
+    for i in range(12):
+        fm = rational_map(rng, 2 + i % 2)
+        pts = [(F(1), F(0)), (F(0), F(1))]
+        pts += [(F(rng.randint(-30, 30), rng.choice((1, 2, 3, 8, 27))), F(1)) for _ in range(3)]
+        for v in bad_places(fm):
+            pts.append((F(1, v.p**3), F(1)))  # escapes exactly on polynomial maps
+            cases += [(fm, normalize_point(*pt), v, 1e-12) for pt in pts]
+    t = RatFunc.t()
+    one, zero = RatFunc.const(1), RatFunc.const(0)
+    fm = new_map(2, (one, zero, one / t), (zero, zero, one))  # z^2 + 1/t, bad at t = 0
+    for x in (zero, one, t, one / t):
+        cases.append((fm, (x, one), Place.ff_point(0), 1e-9))
+    return cases
+
+
+class TestPrecisionLadder:
+    def test_ladder_equals_full_precision(self, monkeypatch):
+        cases = ladder_cases()
+        got, from_rungs = greens(cases)
+        # the oracle: no rung below (res_val + 1)(n_steps + 2) + 48 digits may answer
+        inner = heights._nonarch_iterate
+        monkeypatch.setattr(heights, "_nonarch_iterate",
+                            lambda *a: None if a[11:] == (False,) else inner(*a))
+        want, _ = greens(cases)
+        assert got == want
+        assert from_rungs > len(cases) // 2
+        assert any(g.is_exact() for g in got) and not all(g.is_exact() for g in got)
+        assert any(g.is_exact() and g.base is None and g.q for g in got)  # the t = 0 place
+
+
+    def test_rung_defers_unsettled_escape(self):
+        # infinity is fixed and v(b_1) = v(a_0): the escape test fails while r1 = 0
+        fm = new_map(2, (1, 0, 2), (0, 1, 1))
+        args = (fm.lift, (F(1), F(0)), Place.prime(2), 2, 10, 60, [0, None, 1], [None, 0, 0],
+                F(0), 2, 0.0)
+        assert heights._nonarch_iterate(*args, False) is None
+        assert heights._nonarch_iterate(*args).to_float() == (0.0, 0.0)
+
+
+class TestNorthcott:
+    def test_preperiodic_points_found(self):
+        cases = [
+            (poly_map(1, 0, 0), (F(0), F(1), F(-1), "inf")),    # z^2: fixed, fixed, preimage, fixed
+            (poly_map(1, 0, -3), (F(1), F(-2), F(2), F(-1))),  # the 2-cycle {1, -2}, preimages
+            (poly_map(1, 0, -2), (F(2), F(-2), F(0))),          # fixed point 2, preimages
+            (new_map(2, (0, 0, 1), (1, 0, 0)), (F(1), F(-1), F(0), "inf")),  # 1/z^2
+        ]
+        for fm, points in cases:
+            for x in points:
+                assert _preperiodic(fm, point_of(x)), x
+                assert canonical_height(fm, x).exact == 0
+        for fm, x in ((poly_map(1, 0, -3), F(3)), (poly_map(1, 0, 0), F(1, 2)),
+                      (poly_map(1, 0, -2), F(1, 3))):
+            assert not _preperiodic(fm, point_of(x))
+
+    def test_cutoff_stops_early(self, monkeypatch):
+        fm = poly_map(1, 0, F(-3, 4))
+        steps = []
+        inner = heights.apply_map
+        monkeypatch.setattr(heights, "apply_map", lambda f, p: steps.append(1) or inner(f, p))
+        assert not _preperiodic(fm, point_of(F(7, 2)))
+        assert len(steps) <= 3  # 7/2 -> 23/2 -> 526/4: log 131 > C
+
+    def test_bound_covers_height_gap(self):
+        rng = random.Random(99)
+        for i in range(10):
+            fm = rational_map(rng, 2 + i % 2)
+            c = _northcott_bound(fm)
+            for _ in range(3):
+                x = F(rng.randint(-40, 40), rng.randint(1, 12))
+                h = canonical_height(fm, x, 1e-10)
+                h2 = 0.5 * math.log(x.numerator**2 + x.denominator**2)
+                assert abs(h.value - h2) <= c + h.err, (i, x)
+
+    def test_no_factoring_for_preperiodic_points(self, monkeypatch):
+        # z^2/q: Res = q^2, whose primes trial division would take seconds to reach
+        q = (10**9 + 7) * (10**9 + 9)
+        fm = new_map(2, (1, 0, 0), (0, 0, q))
+
+        def refuse(*_):
+            raise ResourceLimit("factoring budget")
+
+        monkeypatch.setattr(heights, "bad_places", refuse)
+        for x in (F(0), F(q), "inf"):
+            assert canonical_height(fm, x).exact == 0
+        with pytest.raises(ResourceLimit):
+            canonical_height(fm, F(2))
+        assert _northcott_bound(fm) < 2 * math.log(q) + 50

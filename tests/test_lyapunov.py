@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynlyap.algebra import Poly, RatFunc
+from dynlyap.algebra import Poly, RatFunc, squarefree_parts
 from dynlyap.errors import ArchimedeanPlace, DegenerateMap
 from dynlyap.lyapunov import (
     L_n_local,
@@ -17,7 +17,7 @@ from dynlyap.lyapunov import (
 )
 from dynlyap.maps import new_map
 from dynlyap.maps import multiplier_rational_function
-from dynlyap.multipliers import dynatomic_divisor
+from dynlyap.multipliers import cycle_polynomial, dynatomic_divisor
 from dynlyap.places import LocalLogValue, Place
 from dynlyap.roots import aberth_roots
 
@@ -82,6 +82,30 @@ class TestLnLocal:
         est = L_n_local(poly_map(1, 0, 0), 2, LocalLogValue.exact(0), Place.arch())
         v, err = est.value.to_float()
         assert abs(v - math.log(2)) < 1e-9
+
+    def test_arch_power_maps_repeated_roots(self):
+        # p_{d,n}(z^d) = (T - d^n)^(d_n/n): Aberth sees only T - d^n
+        for d, ns in ((2, (3, 4, 5, 6)), (3, (2, 3, 4, 5))):
+            fm = poly_map(1, *[0] * d)
+            for n in ns:
+                v, err = L_n_local(fm, n, LocalLogValue.exact(0), Place.arch()).value.to_float()
+                assert abs(v - math.log(d)) <= err < 1e-12, (d, n)
+
+    def test_arch_squarefree_value_unchanged(self):
+        # a squarefree p_{d,n} goes to Aberth whole, as before the split
+        rng = random.Random(31)
+        for d, n in ((2, 3), (3, 2), (2, 4)):
+            fm = random_map(rng, d)
+            p = cycle_polynomial(fm, n)
+            assert squarefree_parts(p) == [(p, 1)]
+            roots, errs = aberth_roots(list(p.coeffs))
+            total = err = 0.0
+            for root, rerr in zip(roots, errs):
+                total += math.log(max(1.0, abs(root)))
+                err += rerr / max(1.0, abs(root)) + 1e-15
+            d_n = len(roots) * n
+            want = LocalLogValue.from_float(total / d_n, err / d_n + 1e-14)
+            assert L_n_local(fm, n, LocalLogValue.exact(0), Place.arch()).value == want
 
     def test_padic_power_map(self):
         v2 = Place.prime(2)

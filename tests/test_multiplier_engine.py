@@ -95,6 +95,16 @@ def test_cleared_power_sums_within_bound(label, fmap, periods):
             assert abs(t) <= phi.degree * growth ** (n * k), (label, n, k)
 
 
+def test_engine_primes_carry_proth_certificates():
+    # Proth: p = k 2^64 + 1 with k < 2^64 is prime if a^((p-1)/2) = -1 mod p
+    primes = [_engine_prime(i) for i in range(40)]
+    assert primes == sorted(set(primes), reverse=True)
+    for p in primes:
+        k, r = divmod(p - 1, 1 << 64)
+        assert r == 0 and 0 < k < 1 << 63 and p < 1 << 127
+        assert any(pow(a, (p - 1) // 2, p) == p - 1 for a in range(2, 100))
+
+
 def test_non_unit_prime_is_skipped(monkeypatch):
     calls = []
     inner = multipliers._power_sums_mod_p
