@@ -403,6 +403,14 @@ def _clear_fractions(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _primitive_factor(coeffs) -> Fraction:
+    """s with s * coeffs coprime integers and the last nonzero one positive,
+    for a Fraction sequence not all zero."""
+    ints, den = _clear_fractions(coeffs)
+    s = Fraction(den, _int_content(ints))
+    return s if next(c for c in reversed(ints) if c) > 0 else -s
+
+
 def _trailing_zeros(p: Poly) -> int:
     k = 0
     for c in p.coeffs:
@@ -696,7 +704,8 @@ def bareiss_det(rows):
     """Exact determinant by fraction-free Bareiss elimination.
 
     Entries may be Fraction or RatFunc; divisions performed are exact in
-    the fraction field.
+    the fraction field.  Only ``sylvester_resultant``, the test oracle for
+    the subresultant resultants, uses it.
     """
     m = [list(r) for r in rows]
     n = len(m)

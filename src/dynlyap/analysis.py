@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import RatFunc, factor_int, period_count, rational_roots, sigma2
+from .algebra import RatFunc, _clear_fractions, factor_int, period_count, rational_roots, sigma2
 from .errors import IrrationalCriticalPoint, PoleOutsideCenter, ResourceLimit
 from .heights import HeightValue, critical_height_direct, map_height, naive_height
 from .lyapunov import L_n_local
@@ -99,10 +99,7 @@ def crit_height_truncated_estimate(fmap: RationalMap, n: int) -> HeightValue:
     sigma = sigma_star(fmap, n)
     arch = L_n_local(fmap, n, LocalLogValue.exact(0), Place.arch())
     value, err = arch.value.to_float()
-    den_lcm = 1
-    for s in sigma:
-        if s:
-            den_lcm = den_lcm * s.denominator // math.gcd(den_lcm, s.denominator)
+    _, den_lcm = _clear_fractions(sigma)
     support = set(factor_int(den_lcm)) if den_lcm > 1 else set()
     p = 2
     bound = fmap.d**n
@@ -241,10 +238,7 @@ def global_consistency(fmap: RationalMap, n: int) -> float:
         raise ValueError("the consistency identity is implemented over Q")
     sigma = sigma_star(fmap, n)
     lhs = crit_height_multiplier_estimate(fmap, n).value
-    den_lcm = 1
-    for s in sigma:
-        if s:
-            den_lcm = den_lcm * s.denominator // math.gcd(den_lcm, s.denominator)
+    _, den_lcm = _clear_fractions(sigma)
     rhs = 0.0
     one_log = LocalLogValue.exact(0)
     for p in sorted(factor_int(den_lcm)) if den_lcm > 1 else []:

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (
-    Poly,
-    RatFunc,
-    _clear_fractions,
-    factor_int,
-    field_one,
-    poly_gcd,
-    rational_roots,
-)
+from .algebra import Poly, RatFunc, factor_int, field_one, poly_gcd, rational_roots
 from .budget import Budget, default_budget
 from .errors import IrrationalCriticalPoint, ResourceLimit
 from .maps import (
@@ -34,9 +26,12 @@ from .maps import (
     apply_map,
     critical_divisor,
     minimal_lift,
+    minimal_resultant_valuation,
     normalize_point,
+    primitive_lift,
     resultant_of_lift,
 )
+from .multipliers import _normalize_proj
 from .places import Place, LocalLogValue
 
 _PREPERIOD_CAP = 64
@@ -72,33 +67,15 @@ _ZERO_HEIGHT = HeightValue(0.0, 0.0, Fraction(0))
 # naive heights
 # ---------------------------------------------------------------------------
 
-def _coprime_int_pair(coords):
-    """Scale rational projective coordinates to coprime integers."""
-    ints, _ = _clear_fractions([Fraction(c) for c in coords])
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _coprime_poly_coords(coords):
-    """Clear Q(t) projective coordinates to coprime polynomials."""
-    from .multipliers import _normalize_proj
-
-    return [c.num for c in _normalize_proj(coords)]
-
-
 def naive_height(coords) -> HeightValue:
     """Weil height of a projective point over Q or Q(t)."""
     vals = list(coords)
     if not any(vals):
         raise ValueError("(0 : ... : 0) is not a projective point")
+    coprime = _normalize_proj(vals)  # coprime integers, or coprime polynomials in t
     if any(isinstance(c, RatFunc) for c in vals):
-        polys = _coprime_poly_coords(
-            [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in vals]
-        )
-        deg = max(p.degree for p in polys if not p.is_zero())
-        return HeightValue.from_exact(deg)
-    ints = _coprime_int_pair(vals)
-    m = max(abs(c) for c in ints)
+        return HeightValue.from_exact(max(c.num.degree for c in coprime if c))
+    m = max(abs(c.numerator) for c in coprime)
     if m == 1:
         return _ZERO_HEIGHT
     val = math.log(m)
@@ -132,12 +109,10 @@ def local_green(lift: HomLift, point, v: Place, tol: float = 1e-9,
 def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
                    resultant) -> LocalLogValue:
     d, one = lift.d, lift.one()
-    mcoef = min(v.valuation(c) for c in list(lift.a) + list(lift.b) if c)
+    mcoef, res_val = minimal_resultant_valuation(lift, resultant, v)
     fmin = minimal_lift(lift, v)
     # g_F = g_Fmin - mcoef * log(pi^-1) / (d-1)
     corr = Fraction(-mcoef, d - 1)
-    # Fmin = pi^(-mcoef) F and Res is homogeneous of degree 2d in the coefficients
-    res_val = v.valuation(resultant) - 2 * d * mcoef
     base = v.p if v.kind == "prime" else None
     if res_val == 0:
         return LocalLogValue.exact(corr, base if corr else None)
@@ -260,16 +235,15 @@ def _eval_form(coeffs, x, y, d):
     return acc
 
 
-def _to_complex(c):
-    if isinstance(c, Fraction):
-        try:
-            return complex(c.numerator / c.denominator)
-        except OverflowError:
-            ln = math.log(abs(c.numerator)) - math.log(c.denominator)
-            return complex(math.copysign(math.exp(min(ln, 700.0)), c.numerator))
+def _to_complex(c) -> complex:
+    """c as a complex float; ResourceLimit when |c| is beyond the float range."""
     if isinstance(c, RatFunc):
         raise ValueError("archimedean evaluation needs rational input")
-    return complex(c)
+    try:
+        return complex(c)
+    except OverflowError:
+        raise ResourceLimit("a number beyond the float range (about 1.8e308) "
+                            "at the archimedean place") from None
 
 
 def _arch_sup_t_bound(lift: HomLift, res) -> float:
@@ -497,7 +471,7 @@ def bad_places(fmap: RationalMap) -> list[Place]:
     """
     if fmap.base == "Q":
         primes: set[int] = set()
-        s, res = _primitive_scale(fmap.lift), fmap.resultant  # s = lcm(dens)/gcd(nums)
+        s, res = primitive_lift(fmap).scale, fmap.resultant
         for n in (s.denominator, s.numerator, abs(res.numerator), res.denominator):
             if n > 1:
                 primes |= set(factor_int(n))
@@ -529,13 +503,6 @@ def _rational_zero_set(p: Poly) -> set[Fraction]:
     return {r for r, _ in roots}
 
 
-def _primitive_scale(lift: HomLift) -> Fraction:
-    """s > 0 such that s F has coprime integer coefficients."""
-    coeffs = list(lift.a) + list(lift.b)
-    i = next(i for i, c in enumerate(coeffs) if c)
-    return _coprime_int_pair(coeffs)[i] / coeffs[i]
-
-
 def _northcott_bound(fmap: RationalMap) -> float:
     """C >= |h^(P) - h_2(P)| on P^1(Q), h_2 the Weil height with the
     Euclidean norm at infinity; cached per map.
@@ -548,11 +515,11 @@ def _northcott_bound(fmap: RationalMap) -> float:
     """
     bound = fmap._iterates.get(("northcott",))
     if bound is None:
-        d, s = fmap.d, _primitive_scale(fmap.lift)
-        prim, res = fmap.lift.scale(s), fmap.resultant * s ** (2 * d)
+        d, prim = fmap.d, primitive_lift(fmap)
+        bits = max(abs(c.numerator) for c in prim.lift.a + prim.lift.b).bit_length()
         bound = math.inf
-        if 2 * d * (max(abs(c.numerator) for c in prim.a + prim.b).bit_length() + d) <= 1000:
-            bound = (_arch_sup_t_bound(prim, res) + math.log(abs(res))) / (d - 1) + 1e-6
+        if 2 * d * (bits + d) <= 1000:
+            bound = (_arch_sup_t_bound(prim.lift, prim.res) + math.log(prim.res)) / (d - 1) + 1e-6
         fmap._iterates[("northcott",)] = bound
     return bound
 
@@ -597,9 +564,9 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     pt = normalize_point(*pt)
     if _preperiodic(fmap, pt):
         return _ZERO_HEIGHT
+    xpt = _normalize_proj(pt)
     if fmap.base == "Q":
-        x0, x1 = _coprime_int_pair(pt)
-        xpt = (Fraction(x0), Fraction(x1))
+        x0, x1 = xpt
         places = bad_places(fmap)
         per_tol = tol / (len(places) + 2)
         value = err = 0.0
@@ -615,12 +582,9 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
         err += ge + 5e-15 * (1 + abs(norm))
         return HeightValue(value, err)
     # function field
-    polys = _coprime_poly_coords([c if isinstance(c, RatFunc) else RatFunc.const(c) for c in pt])
-    xpt = (RatFunc(polys[0], Poly((Fraction(1),)), _normalized=True),
-           RatFunc(polys[1], Poly((Fraction(1),)), _normalized=True))
     places = bad_places(fmap) + [Place.ff_infinity()]
     per_tol = tol / (len(places) + 1)
-    exact_total = Fraction(max(p.degree for p in polys if not p.is_zero()))
+    exact_total = Fraction(max(c.num.degree for c in xpt if c))
     float_total = err = 0.0
     all_exact = True
     for v in places:

@@ -16,15 +16,16 @@ from .algebra import (
     FieldElem,
     Poly,
     RatFunc,
-    bareiss_det,
+    _primitive_factor,
     field_one,
     field_zero,
     poly_gcd,
     poly_exact_div,
+    poly_resultant,
 )
 from .budget import Budget, default_budget
-from .errors import ArchimedeanPlace, DegenerateMap
-from .places import Place, LocalLogValue, elem_log_abs
+from .errors import ArchimedeanPlace, DegenerateMap, NonExactDivision
+from .places import Place, LocalLogValue
 
 BASE_Q = "Q"
 BASE_QT = "Q(t)"
@@ -101,21 +102,28 @@ class HomLift:
 
 
 def resultant_of_lift(lift: HomLift) -> FieldElem:
-    """Res(F): the 2d x 2d determinant of the two shifted coefficient rows."""
+    """Res(F): the 2d x 2d determinant of the two shifted coefficient rows,
+    from the subresultant resultant R of F0(z, 1) and F1(z, 1).
+
+    With m = deg F0(z, 1) and n = deg F1(z, 1), Res(F) = (-1)^(mn) R when
+    m = n = d.  A row of degree below d vanishes at infinity, the root the
+    affine chart does not see: m < d adds (-1)^(d(d-m)) lc(F1)^(d-m), n < d
+    adds lc(F0)^(d-n).  When both drop, or a row is zero, the rows share a
+    root and Res(F) = 0.
+    """
     d = lift.d
-    zero = field_zero(lift.one())
-    rows = []
-    for i in range(d):
-        row = [zero] * (2 * d)
-        for j, c in enumerate(lift.a):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [zero] * (2 * d)
-        for j, c in enumerate(lift.b):
-            row[i + j] = c
-        rows.append(row)
-    return bareiss_det(rows)
+    f0, f1 = lift.poly0(), lift.poly1()
+    m, n = f0.degree, f1.degree
+    if min(m, n) < 0 or max(m, n) < d:
+        return field_zero(lift.one())
+    res = poly_resultant(f0, f1)
+    if (m * n + (d * (d - m) if m < d else 0)) % 2:
+        res = -res
+    if m < d:
+        return res * f1.lc() ** (d - m)
+    if n < d:
+        return res * f0.lc() ** (d - n)
+    return res
 
 
 @dataclass
@@ -317,25 +325,57 @@ def conjugate(fmap: RationalMap, m: Mobius2) -> RationalMap:
 # minimal lifts and local resultants
 # ---------------------------------------------------------------------------
 
+def _least_valuation(lift: HomLift, v: Place) -> int:
+    """m = min over the nonzero coefficients c of F of v(c); F_min = pi^(-m) F."""
+    return min(v.valuation(c) for c in lift.a + lift.b if c)
+
+
 def minimal_lift(lift: HomLift, v: Place) -> HomLift:
     """Scale the lift by a uniformizer power so max_v |coefficient| = 1."""
     if v.is_archimedean():
         raise ArchimedeanPlace("minimal lifts are defined at non-archimedean places")
-    vals = [v.valuation(c) for c in list(lift.a) + list(lift.b) if c]
-    m = min(vals)
+    m = _least_valuation(lift, v)
     if m == 0:
         return lift
     return lift.scale(v.uniformizer_power(-m, lift.one()))
+
+
+def minimal_resultant_valuation(lift: HomLift, resultant, v: Place) -> tuple[int, int]:
+    """(m, v(Res F_min)) from ``resultant`` = Res(F), m as in ``_least_valuation``:
+    Res is homogeneous of degree 2d in the coefficients, so
+    v(Res F_min) = v(Res F) - 2 d m."""
+    m = _least_valuation(lift, v)
+    return m, v.valuation(resultant) - 2 * lift.d * m
 
 
 def abs_resultant(fmap: RationalMap, v: Place) -> LocalLogValue:
     """log|Res(f)|_v for a v-minimal lift; always <= 0."""
     if v.is_archimedean():
         raise ArchimedeanPlace("Res(f) is used here only at non-archimedean places")
-    fmin = minimal_lift(fmap.lift, v)
-    res = resultant_of_lift(fmin)
-    val = elem_log_abs(res, v)
-    return val
+    _, val = minimal_resultant_valuation(fmap.lift, fmap.resultant, v)
+    return LocalLogValue.exact(-val, v.p)
+
+
+@dataclass(frozen=True)
+class PrimitiveLift:
+    """s F with coprime integer coefficients, for a map over Q."""
+
+    scale: Fraction  # s > 0
+    lift: HomLift    # s F, Fraction coefficients with denominator 1
+    res: int         # |Res(s F)|
+
+
+def primitive_lift(fmap: RationalMap) -> PrimitiveLift:
+    """The primitive integer lift of a map over Q, computed once per map."""
+    key = ("primitive_lift",)
+    prim = fmap._iterates.get(key)
+    if prim is None:
+        s = abs(_primitive_factor(fmap.lift.a + fmap.lift.b))
+        res = abs(fmap.resultant) * s ** (2 * fmap.d)  # Res is homogeneous of degree 2d
+        if res.denominator != 1:
+            raise NonExactDivision("resultant of the primitive lift is not an integer")
+        prim = fmap._iterates[key] = PrimitiveLift(s, fmap.lift.scale(s), res.numerator)
+    return prim
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
 from operator import mul as _mul
 
 from .algebra import (
@@ -48,8 +47,8 @@ from .algebra import (
     RatFunc,
     _clear_fractions,
     _fp_poly_inv,
-    _int_content,
     _pack,
+    _primitive_factor,
     _unpack,
     divisors,
     field_one,
@@ -67,6 +66,7 @@ from .maps import (
     fixed_point_divisor,
     normalize_point,
     orbit,
+    primitive_lift,
 )
 
 
@@ -338,16 +338,6 @@ def _trace_powers(ring, lam, count: int) -> list:
     return out
 
 
-def _primitive_resultant(fmap: RationalMap) -> int:
-    """|Res| of the primitive integer lift of f."""
-    ints, den = _clear_fractions(fmap.lift.a + fmap.lift.b)
-    scale = Fraction(den, _int_content(ints))
-    res = abs(fmap.resultant * scale ** (2 * fmap.d))
-    if res.denominator != 1:
-        raise NonExactDivision("resultant of the primitive lift is not an integer")
-    return res.numerator
-
-
 def _arch_lipschitz(fmap: RationalMap) -> Fraction:
     """Certified sup of f^# over P^1(C), cached on the map."""
     from .lyapunov import chordal_lipschitz_bound  # lyapunov imports this module
@@ -386,7 +376,7 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> lis
     num_coeffs = lift_n.poly0().coeffs
     ints, _ = _clear_fractions(num_coeffs + lift_n.poly1().coeffs)
     num, den = ints[: len(num_coeffs)], ints[len(num_coeffs) :]
-    res = _primitive_resultant(fmap)
+    res = primitive_lift(fmap).res
     growth = _arch_lipschitz(fmap) * res
     bound = phi.degree * max(growth**n, growth ** (n * count))
     modulus = 1
@@ -572,21 +562,14 @@ def sigma_display_poly(spectrum: MultiplierSpectrum) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _normalize_proj(coords) -> tuple:
+    """Projective coordinates over Q as coprime integers, over Q(t) as coprime
+    polynomials with coprime integer coefficients; the last nonzero
+    coordinate has a positive leading coefficient."""
     vals = list(coords)
     if all(isinstance(c, (int, Fraction)) for c in vals):
         vals = [Fraction(c) for c in vals]
-        den = 1
-        for c in vals:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        ints = [c.numerator * (den // c.denominator) for c in vals]
-        g = 0
-        for c in ints:
-            g = _gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        last = next(c for c in reversed(ints) if c)
-        if last < 0:
-            ints = [-c for c in ints]
-        return tuple(Fraction(c) for c in ints)
+        s = _primitive_factor(vals)
+        return tuple(c * s for c in vals)
     vals = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in vals]
     den = Poly((Fraction(1),))
     for c in vals:
@@ -602,21 +585,9 @@ def _normalize_proj(coords) -> tuple:
                 break
     if g is not None and g.degree > 0:
         cleared = [poly_exact_div(p, g) if not p.is_zero() else p for p in cleared]
-    # integer content normalization across all coefficients
-    den_i = 1
-    for p in cleared:
-        for c in p.coeffs:
-            den_i = den_i * c.denominator // _gcd(den_i, c.denominator)
-    num_g = 0
-    for p in cleared:
-        for c in p.coeffs:
-            num_g = _gcd(num_g, abs(c.numerator * (den_i // c.denominator)))
-    scale = Fraction(den_i, num_g if num_g else 1)
-    cleared = [p.scale(scale) for p in cleared]
-    last = next(p for p in reversed(cleared) if not p.is_zero())
-    if last.lc() < 0:
-        cleared = [p.scale(-1) for p in cleared]
-    return tuple(RatFunc(p, Poly((Fraction(1),)), _normalized=True) for p in cleared)
+    # the last nonzero coefficient overall is the leading one of the last nonzero polynomial
+    s = _primitive_factor([c for p in cleared for c in p.coeffs])
+    return tuple(RatFunc(p.scale(s), Poly((Fraction(1),)), _normalized=True) for p in cleared)
 
 
 def lambda_tilde_point(fmap: RationalMap, n: int) -> ProjPoint:

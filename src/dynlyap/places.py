@@ -281,6 +281,3 @@ def local_abs(x, v: Place) -> LocalLogValue:
     if v.kind == PRIME:
         return LocalLogValue.exact(-v.valuation(x), v.p)
     return LocalLogValue.exact(-v.valuation(x), None)
-
-
-elem_log_abs = local_abs

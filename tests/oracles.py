@@ -1,6 +1,6 @@
 """Slow exact reference paths that the fast engines are tested against."""
 
-from dynlyap.algebra import Poly
+from dynlyap.algebra import Poly, sylvester_resultant
 from dynlyap.errors import NonExactDivision
 from dynlyap.multipliers import _field_mod_div, power_sums_from_monic
 
@@ -33,3 +33,27 @@ def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:
         if k < count:
             cur = (cur * lam) % phi
     return out
+
+
+def lift_resultant(lift):
+    """Res(F) of a homogeneous lift by ``sylvester_resultant`` of a sheared lift.
+
+    G(X, Y) = F(X, Y + cX) has Res(G) = Res(F), the shear having determinant
+    1.  For c with F0(1, c) F1(1, c) != 0, G0(z, 1) and G1(z, 1) both have
+    degree d, and reversing the columns of the ascending Sylvester matrix
+    gives the lift's descending one with sign (-1)^d.  A zero row gives 0.
+    """
+    d, one = lift.d, lift.one()
+    if not any(lift.a) or not any(lift.b):
+        return one * 0
+
+    def sheared(row, c):
+        lin = Poly((one, one * c))  # Y + cX at (z, 1)
+        return sum(((lin ** j).scale(x).shift(d - j) for j, x in enumerate(row)), Poly())
+
+    for c in range(2 * d + 1):
+        g0, g1 = sheared(lift.a, c), sheared(lift.b, c)
+        if g0.degree == g1.degree == d:
+            res = sylvester_resultant(g0, g1)
+            return -res if d % 2 else res
+    raise AssertionError("no shear gives both rows full degree")

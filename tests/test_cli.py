@@ -139,6 +139,15 @@ class TestExitCodes:
     def test_resource_limit(self):
         assert run(["multipliers", "--map", SQUARE, "--n", "25"]) == 3
 
+    @pytest.mark.parametrize("argv", [["canonical-height", "--point", "1"],
+                                      ["lyapunov", "--place", "arch"]])
+    def test_coefficient_beyond_float_range(self, argv):
+        # z^2 + 10^400: the archimedean place works in floats
+        huge = '{"d":2,"a":["1","0","1' + "0" * 400 + '"],"b":["0","0","1"]}'
+        rep = run_json([argv[0], "--map", huge, *argv[1:]], expect=3)
+        assert rep["error"]["kind"] == "resource_limit"
+        assert "float range" in rep["error"]["message"]
+
     def test_missing_file(self):
         assert run(["multipliers", "--map", "/nonexistent/map.json", "--n", "1"]) == 2
 

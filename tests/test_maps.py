@@ -6,6 +6,7 @@ import pytest
 from dynlyap.algebra import Poly, RatFunc
 from dynlyap.errors import ArchimedeanPlace, DegenerateMap, ResourceLimit
 from dynlyap.maps import (
+    HomLift,
     Mobius2,
     abs_resultant,
     conjugate,
@@ -19,7 +20,8 @@ from dynlyap.maps import (
     resultant_of_lift,
 )
 from dynlyap.budget import Budget
-from dynlyap.places import Place
+from dynlyap.places import Place, local_abs
+from oracles import lift_resultant
 
 
 def poly_map(*coeffs_desc):
@@ -60,6 +62,53 @@ class TestConstruction:
             fm = random_map(rng)
             alpha = F(rng.randint(1, 5), rng.randint(1, 5))
             assert resultant_of_lift(fm.lift.scale(alpha)) == alpha ** (2 * fm.d) * fm.resultant
+
+
+def random_coeff(rng, base):
+    """A nonzero coefficient: a small rational, or over Q(t) a ratio of linear polynomials."""
+    q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    if base == "Q":
+        return q
+    t = RatFunc.t()
+    return (q + rng.randint(-2, 2) * t) / (1 + rng.randint(0, 1) * t)
+
+
+# which leading coefficients a[0], b[0] (of z^d in F0(z, 1), F1(z, 1)) vanish
+SHAPES = ("full", "F0 drops", "F1 drops", "both drop", "zero row")
+
+
+def shaped_lift(rng, d, base, shape):
+    rows = [[random_coeff(rng, base) if rng.random() < 0.8 else random_coeff(rng, base) * 0
+             for _ in range(d + 1)] for _ in range(2)]
+    for i, row in enumerate(rows):
+        row[0] = random_coeff(rng, base)
+        if shape == "both drop" or shape == ("F0 drops", "F1 drops")[i]:
+            drop = rng.randint(1, d)  # the degree falls to d - drop or below
+            row[:drop] = [row[0] * 0] * drop
+    if shape == "zero row":
+        rows[rng.randint(0, 1)] = [rows[0][0] * 0] * (d + 1)
+    return HomLift(d, tuple(rows[0]), tuple(rows[1]))
+
+
+class TestResultantOfLift:
+    @pytest.mark.parametrize("base", ["Q", "Q(t)"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_sylvester_oracle(self, d, base):
+        rng = random.Random(f"{d}{base}")
+        for shape in SHAPES:
+            for _ in range(6 if base == "Q" else 2):
+                lift = shaped_lift(rng, d, base, shape)
+                res = resultant_of_lift(lift)
+                assert res == lift_resultant(lift), (shape, lift)
+                if shape in ("both drop", "zero row"):
+                    assert not res
+
+    def test_dropped_degrees_keep_the_sign(self):
+        # (X Y, Y^2) share the root (1 : 0); Res(Y, X) = -1, Res(Y^2, X^2) = 1
+        assert resultant_of_lift(HomLift(2, (F(0), F(1), F(0)), (F(0), F(0), F(1)))) == 0
+        assert resultant_of_lift(HomLift(1, (F(0), F(1)), (F(1), F(0)))) == -1
+        assert resultant_of_lift(HomLift(2, (F(0), F(0), F(1)), (F(1), F(0), F(0)))) == 1
+        assert resultant_of_lift(HomLift(2, (F(1), F(0), F(0)), (F(0), F(0), F(1)))) == 1
 
 
 class TestIteration:
@@ -193,6 +242,32 @@ class TestMinimalLifts:
         fm = poly_map(1, 0, F(3, 4))
         nontrivial = [p for p in (2, 3, 5, 7, 11, 13) if abs_resultant(fm, Place.prime(p)).q != 0]
         assert set(nontrivial) <= {2, 3}
+
+    def test_abs_resultant_is_that_of_the_minimal_lift(self):
+        # v(Res F_min) from v(Res F) against the resultant of F_min itself,
+        # at every prime dividing Res(F) or a coefficient of a scaled lift
+        rng = random.Random(31)
+        for _ in range(8):
+            fm = random_map(rng, d=rng.choice([2, 3]))
+            alpha = F(rng.choice([2, 3, 5, 12]), rng.choice([1, 7, 10]))
+            g = new_map(fm.d, fm.lift.scale(alpha).a, fm.lift.scale(alpha).b)
+            nums = [g.resultant.numerator, g.resultant.denominator, alpha.numerator,
+                    alpha.denominator, *(c.numerator for c in g.lift.a + g.lift.b)]
+            for p in (2, 3, 5, 7, 11, 13):
+                if any(n % p == 0 for n in nums if n):
+                    v = Place.prime(p)
+                    assert abs_resultant(g, v) == local_abs(
+                        resultant_of_lift(minimal_lift(g.lift, v)), v), (g.lift, p)
+
+    def test_abs_resultant_at_function_field_places(self):
+        t = RatFunc.t()
+        one = RatFunc.const(1)
+        # t^2 (z^2 + 1/t) / (t z): poles and zeros of the coefficients at t = 0 and t = inf
+        fm = new_map(2, (t * t, one * 0, t), (one * 0, t * t * t, one * 0))
+        for v in (Place.ff_point(0), Place.ff_infinity(), Place.ff_point(1)):
+            expect = local_abs(resultant_of_lift(minimal_lift(fm.lift, v)), v)
+            assert abs_resultant(fm, v) == expect
+        assert abs_resultant(fm, Place.ff_point(0)).q != 0
 
 
 class TestCycleMultiplier:

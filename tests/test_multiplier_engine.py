@@ -14,12 +14,11 @@ from dynlyap.lyapunov import (
     _sup_chordal_derivative,
     chordal_lipschitz_bound,
 )
-from dynlyap.maps import new_map
+from dynlyap.maps import new_map, primitive_lift
 from dynlyap.multipliers import (
     _arch_lipschitz,
     _engine_prime,
     _modular_power_sums,
-    _primitive_resultant,
     dynatomic_divisor,
 )
 from oracles import field_power_sums
@@ -82,7 +81,7 @@ def test_engine_matches_field_path(label, fmap, periods):
 
 @pytest.mark.parametrize("label,fmap,periods", CASES, ids=[c[0] for c in CASES])
 def test_cleared_power_sums_within_bound(label, fmap, periods):
-    res = _primitive_resultant(fmap)
+    res = primitive_lift(fmap).res
     growth = _arch_lipschitz(fmap) * res
     for n in periods:
         got = engine_sums(fmap, n)
