@@ -1,13 +1,27 @@
 """Exact arithmetic in Q(t)[z] and Q(t)[z]/(phi) on integer rows.
 
-An element is held as U(t, z) / (c L(t)^e): U in Z[t][z] as a list of
-integer t-coefficient rows, one per power of z; c a positive integer; and L
-a primitive polynomial of Z[t] whose powers, times integers, clear every
-denominator met.  A product of two elements is one big-integer product of
-nested Kronecker packings (t-slots inside z-slots, ``_pack_rows``),
-and each result sheds the integer content and the power of L it shares
-with its denominator.  ``_ZtQuotient`` is the quotient ring that the
-multiplier engine over Q(t) (``_ratfunc_power_sums``) takes its traces in.
+An element of Z[t][z] is a list of integer t-coefficient rows, one per
+power of z; a map over Q is rows of t-degree 0.  The multiplier spectrum
+runs on such rows from start to end:
+
+* the lift.  ``primitive_rows`` holds a primitive integer lift G of f, and
+  ``lift_rows`` iterates it, G^(n) = G o G^(n-1), with packed products
+  (``_bi_dot``), caching every iterate on the map;
+* Phi*_n.  ``fixed_rows`` splits P_m = G0^(m) - z G1^(m) into its content
+  and primitive part, and ``multipliers.dynatomic_divisor`` divides the
+  product of the primitive parts with mu(n/m) = 1 by that of those with
+  mu(n/m) = -1 in one packed integer division (``_exact_quotient``), so
+  Phi*_n = prod_{m | n} P_m^mu(n/m) comes out primitive (Gauss's lemma);
+* the traces.  ``_ratfunc_power_sums`` takes Phi*_n and the rows of G^(n)
+  straight into the quotient ring ``_ZtQuotient``; over Q the modular
+  engine (``multipliers._modular_power_sums``) reads the same rows.
+
+In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
+positive integer, and L a primitive polynomial of Z[t] whose powers, times
+integers, clear every denominator met.  A product of two elements is one
+big-integer product of nested Kronecker packings (t-slots inside z-slots,
+``_pack_rows``), and each result sheds the integer content and the power
+of L it shares with its denominator.
 """
 
 from __future__ import annotations
@@ -29,8 +43,8 @@ from .algebra import (
     poly_exact_div,
     poly_gcd,
 )
-from .errors import NonExactDivision
-from .maps import RationalMap
+from .errors import DegenerateMap, NonExactDivision
+from .maps import BASE_Q, RationalMap, primitive_lift
 
 
 def _signed_digits(packed: int, start: int, n: int, width: int) -> list[int]:
@@ -247,17 +261,23 @@ def _ratfuncs(coeffs) -> list:
     return [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
 
 
-def _denominator_base(coeffs) -> list:
+def _radical_base(polys) -> list:
     """The primitive L in Z[t], positive leading coefficient, whose roots
-    are the poles of the given elements of Q(t), each once."""
+    are the roots of the given polynomials of Q[t], each once."""
     rad = Poly((Fraction(1),))
-    for den in {r.den for r in _ratfuncs(coeffs)}:
+    for den in polys:
         if den.degree > 0:
             sq = poly_exact_div(den, poly_gcd(den, den.derivative()))
             rad = rad * poly_exact_div(sq, poly_gcd(rad, sq))
     ints, _ = _clear_fractions(rad.coeffs)
     g = _int_content(ints)
     return [x // g for x in ints]
+
+
+def _denominator_base(coeffs) -> list:
+    """The primitive L in Z[t], positive leading coefficient, whose roots
+    are the poles of the given elements of Q(t), each once."""
+    return _radical_base({r.den for r in _ratfuncs(coeffs)})
 
 
 def _to_rows(coeffs, L: list):
@@ -280,10 +300,8 @@ def _to_rows(coeffs, L: list):
         cof, cof_d = cofactor[r.den]
         rows.append(_int_mul(ints, cof))
         dens.append(d * cof_d)
-    c = 1
-    for d in dens:
-        c = c * d // _gcd(c, d)
-    return [[(c // d) * x for x in row] for row, d in zip(rows, dens)], c, top
+    mults, c = _clear_fractions([Fraction(1, d) for d in dens])
+    return [[m * x for x in row] for row, m in zip(rows, mults)], c, top
 
 
 def _int_power(L: list, e: int) -> list:
@@ -316,39 +334,207 @@ def _ratfunc_poly_power(p: Poly, n: int) -> Poly:
         c, e = c * c, 2 * e
 
 
-def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> list:
+# ---------------------------------------------------------------------------
+# the lift and Phi*_n on rows
+# ---------------------------------------------------------------------------
+
+def _trim(rows: list) -> list:
+    """rows without their trailing zero rows."""
+    top = len(rows)
+    while top and not rows[top - 1]:
+        top -= 1
+    return rows[:top]
+
+
+def _mul_rows(a: list, b: list) -> list:
+    return _bi_dot([(a, b)], 0, len(a) + len(b) - 1)
+
+
+def _zt_content(rows: list) -> list:
+    """The gcd in Z[t] of the nonzero rows, with a positive leading
+    coefficient.  The shortest rows come first, so a row that is a
+    nonzero integer leaves only the integer gcd to take."""
+    live = sorted((r for r in rows if r), key=len)
+    g = Poly.from_ints(live[0])
+    for r in live[1:]:
+        if g.degree == 0:
+            break
+        g = poly_gcd(g, Poly.from_ints(r))
+    ic = _int_content(chain.from_iterable(live))
+    if g.degree == 0:
+        return [ic]
+    ints, _ = _clear_fractions(g.coeffs)
+    cg = _int_content(ints) * (1 if ints[-1] > 0 else -1)
+    return [ic * (x // cg) for x in ints]
+
+
+def _divide_content(rows: list, content: list) -> list:
+    if len(content) == 1:
+        c = content[0]
+        return rows if c == 1 else [[x // c for x in r] for r in rows]
+    return [_exact_div_int(r, content) if r else r for r in rows]
+
+
+def primitive_rows(fmap: RationalMap):
+    """(G0, G1, lam): rows of G0(z, 1) and G1(z, 1) for a primitive lift G
+    of f in Z[t][z], and lam with F = lam G for the map's own lift F;
+    cached on the map."""
+    key = ("primitive_rows",)
+    got = fmap._iterates.get(key)
+    if got is None:
+        d = fmap.d
+        if fmap.base == BASE_Q:
+            prim = primitive_lift(fmap)
+            rows = [[c.numerator] if c else [] for c in prim.lift.a[::-1] + prim.lift.b[::-1]]
+            lam = 1 / prim.scale
+        else:
+            coeffs = fmap.lift.a[::-1] + fmap.lift.b[::-1]
+            L = _denominator_base(coeffs)
+            rows, c, e = _to_rows(coeffs, L)
+            content = _zt_content(rows)
+            rows = _divide_content(rows, content)
+            lam = RatFunc(Poly.from_ints(content),
+                          Poly.from_ints([c * x for x in _int_power(L, e)]))
+        got = fmap._iterates[key] = (_trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam)
+    return got
+
+
+def _compose_rows(outer, inner, d: int) -> tuple:
+    """outer o inner for lifts of degree d and its iterate, as rows of
+    their affine parts: outer_k(h0, h1) = sum_i outer_k[i] h0^i h1^(d-i)."""
+    h0, h1 = inner
+    p0, p1 = [[[1]], h0], [[[1]], h1]
+    for _ in range(d - 1):
+        p0.append(_mul_rows(p0[-1], h0))
+        p1.append(_mul_rows(p1[-1], h1))
+    mons = [p1[d]] + [_mul_rows(p0[i], p1[d - i]) for i in range(1, d)] + [p0[d]]
+    keep = max(map(len, mons))
+    return tuple(_trim(_bi_dot([([c], m) for c, m in zip(g, mons) if c], 0, keep))
+                 for g in outer[:2])
+
+
+def lift_rows(fmap: RationalMap, n: int):
+    """(F0, F1): rows of F0(z, 1) and F1(z, 1) for F = G^(n), the n-th
+    iterate of the primitive lift, each iterate cached on the map.  The
+    budget is checked as ``maps.iterate_lift`` checks it: the period
+    first, then the coefficient bits of every new iterate."""
+    key = ("lift_rows", n)
+    got = fmap._iterates.get(key)
+    if got is None:
+        fmap.budget.check_period(fmap.d, n)
+        if n == 1:
+            got = primitive_rows(fmap)[:2]
+        else:
+            got = _compose_rows(primitive_rows(fmap), lift_rows(fmap, n - 1), fmap.d)
+            bits = sum(x.bit_length() for rows in got for r in rows for x in r)
+            fmap.budget.check_bits(bits, "iterated lift")
+        fmap._iterates[key] = got
+    return got
+
+
+def fixed_rows(fmap: RationalMap, m: int):
+    """(primitive part, content in Z[t]) of P_m = F0 - z F1 for F = G^(m),
+    with a positive content; cached on the map."""
+    key = ("fixed_rows", m)
+    got = fmap._iterates.get(key)
+    if got is None:
+        f0, f1 = lift_rows(fmap, m)
+        rows = [list(r) for r in f0] + [[] for _ in range(len(f1) + 1 - len(f0))]
+        for row, r in zip(rows[1:], f1):
+            row.extend([0] * (len(r) - len(row)))
+            for j, x in enumerate(r):
+                row[j] -= x
+            while row and not row[-1]:
+                row.pop()
+        rows = _trim(rows)
+        if not rows:
+            raise DegenerateMap("f^n is the identity; not a degree >= 2 map")
+        content = _zt_content(rows)
+        got = fmap._iterates[key] = (_divide_content(rows, content), content)
+    return got
+
+
+def _exact_quotient(num: list, den: list) -> list:
+    """num / den in Z[t][z] for a den that divides num, by one packed
+    integer division.  At t = B, z = B^stride both are integers, and the
+    quotient of the packings is the packing of the quotient; its digits are
+    the quotient's coefficients once these fit the slots.  A product that
+    does not give num back means they did not, and the slots are doubled,
+    up to Mignotte's bound on a factor of num after t -> x, z -> x^stride."""
+    keep = len(num) - len(den) + 1
+    if keep <= 0:
+        raise NonExactDivision("dynatomic quotient of a lower degree")
+    if den == [[1]]:
+        return num
+    stride = max(map(len, num))
+    bits = max(_row_bits(num), _row_bits(den))
+    cap = keep * stride + bits + (len(num) * stride).bit_length()
+    width = bits // 8 + 2
+    while True:
+        packed, rem = divmod(_pack_rows(num, stride, width), _pack_rows(den, stride, width))
+        if rem:
+            raise NonExactDivision("remainder in the dynatomic quotient")
+        quot = _unpack_rows(packed, 0, keep, stride, width)
+        if _mul_rows(quot, den) == num:
+            return quot
+        if 8 * width > cap + 1:
+            raise NonExactDivision("no dynatomic quotient within Mignotte's bound")
+        width *= 2
+
+
+def _power_cofactor(p: list, L: list):
+    """(cof, c, e) with p cof = c L^e and c a positive integer, for a p in
+    Z[t] whose roots are roots of L."""
+    sign = 1 if p[-1] > 0 else -1
+    c = _int_content(p)
+    pl = [sign * x // c for x in p]
+    e, power = 0, [1]
+    while (cof := _exact_div_int(power, pl)) is None:
+        e, power = e + 1, _int_mul(power, L)
+    return [sign * x for x in cof], c, e
+
+
+def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
     k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
 
-    With f^n = num / den, lambda = a / b for a = num' den - num den' and
-    b = den^2, both reduced mod phi in a ring whose L is the base of the
-    denominators of phi and of the lift.  When b is constant in z, b is
-    divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
-    lambda = a / b is formed once in Q(t)[z]/(phi) by ``multipliers._field_mod_div``
-    and the sums are taken in a ring whose L also covers the poles of
+    phi is Phi*_n as primitive rows, and f^n = num / den is read off the
+    rows of the iterated primitive lift (``lift_rows``).  With den = g D
+    for the content g of den in Z[t], lambda = a / b for
+    a = (num' D - num D') / g and b = D^2, both reduced mod phi in a ring
+    whose L is the radical of g times the leading row of Phi*_n, so that L
+    covers the poles of the monic Phi*_n and of a.  When b is constant in
+    z, b is divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
+    lambda = a / b is formed once in Q(t)[z]/(phi) by
+    ``multipliers._field_mod_div``, from a RatFunc Phi*_n built from the
+    rows, and the sums are taken in a ring whose L also covers the poles of
     lambda.  Each S_k becomes an element of Q(t), with one normalization,
     only at the end.
     """
-    lift_n = fmap.iterate_lift_cached(n)
-    phi_c, num_c, den_c = (list(p.coeffs) for p in (phi, lift_n.poly0(), lift_n.poly1()))
-    L = _denominator_base(phi_c + num_c + den_c)
-    num, nc, ne = _to_rows(num_c, L)
-    den, dc, de = _to_rows(den_c, L)
+    num, den = lift_rows(fmap, n)
+    content = _zt_content(den)
+    den = _divide_content(den, content)
+    phi = [list(r) for r in phi]
+    L = _radical_base([Poly.from_ints(phi[-1]), Poly.from_ints(content)])
+    cof, c, e = _power_cofactor(phi[-1], L)
+    a_len = max(len(num) + len(den) - 2, 1)
+    ring = _ZtQuotient(([_int_mul(r, cof) for r in phi], c, e), L, max(a_len, 2 * len(den) - 1))
     dnum = [[i * x for x in r] for i, r in enumerate(num)][1:]
     neg_dden = [[-i * x for x in r] for i, r in enumerate(den)][1:]
-    a_len = max(len(num) + len(den) - 2, 1)
-    ring = _ZtQuotient(_to_rows(phi_c, L), L, max(a_len, 2 * len(den) - 1))
-    lam = ring.reduce(_bi_dot([(dnum, den), (num, neg_dden)], 0, a_len), nc * dc, ne + de)
-    b = ring.reduce(_bi_dot([(den, den)], 0, 2 * len(den) - 1), dc * dc, 2 * de)
+    a = _bi_dot([(dnum, den), (num, neg_dden)], 0, a_len)
+    cof, c, e = _power_cofactor(content, L)  # 1 / content = cof / (c L^e)
+    lam = ring.reduce(a if cof == [1] else _mul_rows([cof], a), c, e)
+    b = ring.reduce(_mul_rows(den, den), 1, 0)
     if not b[0]:
         raise NonExactDivision("vanishing denominator in multiplier computation")
     norm = [1], 1, 0
     if len(b[0]) == 1:
         norm = b[0][0], b[1], b[2]
     else:
+        phi_c = _from_rows(phi, 1, phi[-1])
         lam_c = list(multipliers._field_mod_div(
             Poly(_from_rows(lam[0], lam[1], ring.lpow(lam[2]))),
-            Poly(_from_rows(b[0], b[1], ring.lpow(b[2]))), phi).coeffs)
+            Poly(_from_rows(b[0], b[1], ring.lpow(b[2]))), Poly(phi_c)).coeffs)
         L = _denominator_base(phi_c + lam_c)
         ring = _ZtQuotient(_to_rows(phi_c, L), L, 0)
         lam = ring.normal(*_to_rows(lam_c, L))

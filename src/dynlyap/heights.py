@@ -577,7 +577,13 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
             err += ge
         g_arch = _arch_green(fmap.lift, xpt, per_tol, _map_sup_t_bound(fmap))
         gv, ge = g_arch.to_float()
-        norm = 0.5 * math.log(float(x0) ** 2 + float(x1) ** 2)
+        try:
+            sq = float(x0) ** 2 + float(x1) ** 2
+        except OverflowError:
+            sq = math.inf
+        if math.isinf(sq):  # beyond the float range: the log of the exact integers
+            sq = x0.numerator**2 + x1.numerator**2
+        norm = 0.5 * math.log(sq)
         value += gv + norm
         err += ge + 5e-15 * (1 + abs(norm))
         return HeightValue(value, err)

@@ -9,9 +9,17 @@ convert them into the monic cycle polynomial p_{d,n}, and its n-th power
 recovers the full symmetric functions sigma*_{j,n}.  Everything is exact
 over the base field.
 
+The spectrum runs on integer rows (``bivariate``) from the lift to the
+traces, over Q and Q(t) alike: the iterates of a primitive integer lift G
+in Z[t][z] (a map over Q is rows of t-degree 0), Phi*_n as the exact
+quotient of the primitive parts of the P_m (``dynatomic_divisor``), and
+the multiplier at a periodic infinity read off the coefficients of the
+iterated lift (``_infinity_cycle_data``).  The Fraction or RatFunc
+``star_poly`` is formed only when a caller reads it.
+
 Over Q the power sums S_k come from a multi-modular engine
 (``_modular_power_sums``).  For each prime p below 2^127 it reduces Phi*_n
-and the integer lift of f^n mod p, forms lambda = (f^n)' = a / b in
+and the rows of G^(n) mod p, forms lambda = (f^n)' = a / b in
 F_p[z]/(Phi*_n) and takes the traces Tr(lambda^k) by baby and giant steps;
 products are Kronecker-packed and reduced by Barrett's method.  The
 per-place Lipschitz bound of the paper fixes how many primes are needed:
@@ -23,30 +31,33 @@ primes whose product exceeds twice that bound returns it exactly, with no
 rational reconstruction and no verification.
 
 Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
-(``bivariate._ratfunc_power_sums``, ``bivariate._ZtQuotient``).  An element is kept as
-U(t, z) / (c L(t)^e) with U in Z[t][z], c an integer and L the primitive
-polynomial whose roots are the poles of Phi*_n and of the lift of f^n; for
-the Laurent families L = t.  A product is one integer product of nested
-Kronecker packings (t-slots inside z-slots), remainders come from Barrett's
-method with the inverse series of rev(Phi*_n), and each result sheds the
-integer content and the power of L it shares with its denominator.  The
-traces Tr(lambda^k) use the same baby and giant steps as the modular
-engine (``_trace_powers``), and only the final S_k become elements of Q(t).
-Both engines are tested against the trace loop in k[z]/(Phi*_n) over the
-base field, which lives in the test suite.
+(``bivariate._ratfunc_power_sums``, ``bivariate._ZtQuotient``).  An element
+is kept as U(t, z) / (c L(t)^e) with U in Z[t][z], c an integer and L the
+primitive polynomial whose roots are the poles of the monic Phi*_n, that is
+the roots of its leading coefficient; for the Laurent families L = t.  A
+product is one integer product of nested Kronecker packings (t-slots
+inside z-slots), remainders come from Barrett's method with the inverse
+series of rev(Phi*_n), and each result sheds the integer content and the
+power of L it shares with its denominator.  The traces Tr(lambda^k) use the
+same baby and giant steps as the modular engine (``_trace_powers``), and
+only the final S_k become elements of Q(t).  Both engines are tested
+against the trace loop in k[z]/(Phi*_n) over the base field, and the rows
+of Phi*_n against composition of lifts over the base field; both oracles
+live in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul as _mul
 
 from .algebra import (
     Poly,
     RatFunc,
-    _clear_fractions,
     _fp_poly_inv,
+    _int_mul,
     _pack,
     _primitive_factor,
     _unpack,
@@ -59,25 +70,37 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import NonExactDivision
-from .maps import (
-    BASE_Q,
-    RationalMap,
-    cycle_multiplier,
-    fixed_point_divisor,
-    normalize_point,
-    orbit,
-    primitive_lift,
-)
+from .maps import BASE_Q, RationalMap, primitive_lift
 
 
 @dataclass(frozen=True)
 class DynatomicDivisor:
+    """Phi*_n and its multiplicity at infinity.
+
+    ``rows`` is the primitive Phi*_n in Z[t][z]: integer t-coefficient rows,
+    z ascending (t-degree 0 over Q).  ``star_poly``, the exact quotient
+    prod_{m | n} P_m^mu(n/m) of the fixed-point polynomials of the map's own
+    lift, is ``scale`` times the rows; it is formed on first read.
+    """
+
     n: int
-    star_poly: Poly
+    rows: tuple
     star_mult_infinity: int
+    scale: object  # Fraction or RatFunc
+
+    @property
+    def degree(self) -> int:
+        return len(self.rows) - 1
+
+    @cached_property
+    def star_poly(self) -> Poly:
+        s = self.scale
+        if isinstance(s, RatFunc):
+            return Poly([RatFunc(Poly.from_ints(r) * s.num, s.den) for r in self.rows])
+        return Poly([s * r[0] if r else s * 0 for r in self.rows])
 
     def total_degree(self) -> int:
-        return (len(self.star_poly.coeffs) - 1 if self.star_poly else 0) + self.star_mult_infinity
+        return self.degree + self.star_mult_infinity
 
 
 @dataclass(frozen=True)
@@ -98,28 +121,51 @@ class ProjPoint:
 
 
 def dynatomic_divisor(fmap: RationalMap, n: int) -> DynatomicDivisor:
-    """Phi*_n as an exact Moebius quotient of the fixed-point divisors."""
+    """Phi*_n as an exact Moebius quotient of the fixed-point divisors, on rows.
+
+    P_m = F0 - z F1 for the iterates F = G^(m) of the primitive lift G is
+    split into its content c_m in Z[t] and primitive part
+    (``bivariate.fixed_rows``).  The product of the primitive parts with
+    mu(n/m) = 1 is divided by the product of those with mu(n/m) = -1 in
+    Z[t][z] (``bivariate._exact_quotient``), which leaves the primitive
+    Phi*_n (Gauss's lemma).  The map's own lift is F = lam G and its
+    iterates are lam^((d^m - 1)/(d - 1)) G^(m), so the quotient of its
+    fixed-point polynomials is scale Phi*_n for
+    scale = lam^E prod c_m^mu(n/m), E = sum mu(n/m) (d^m - 1)/(d - 1).
+    """
     key = ("dynatomic", n)
     cached = fmap._iterates.get(key)
     if cached is not None:
         return cached
-    num = None
-    den = None
-    inf_mult = 0
+    # loaded on first use: starting the CLI and parsing maps never compile it
+    from . import bivariate
+
+    d = fmap.d
+    num = den = None
+    c_num, c_den = [1], [1]
+    inf_mult = exp = 0
     for m in divisors(n):
         mu = mobius(n // m)
         if mu == 0:
             continue
-        fd = fixed_point_divisor(fmap, m)
-        inf_mult += mu * fd.mult_infinity
+        rows, content = bivariate.fixed_rows(fmap, m)
+        inf_mult += mu * (d**m + 1 - (len(rows) - 1))  # fixed points of f^m at infinity
+        exp += mu * (d**m - 1) // (d - 1)
         if mu == 1:
-            num = fd.affine_poly if num is None else num * fd.affine_poly
+            num = rows if num is None else bivariate._mul_rows(num, rows)
+            c_num = _int_mul(c_num, content)
         else:
-            den = fd.affine_poly if den is None else den * fd.affine_poly
-    star = num if den is None else poly_exact_div(num, den)
+            den = rows if den is None else bivariate._mul_rows(den, rows)
+            c_den = _int_mul(c_den, content)
+    star = num if den is None else bivariate._exact_quotient(num, den)
     if inf_mult < 0:
         raise NonExactDivision("negative multiplicity at infinity in dynatomic divisor")
-    div = DynatomicDivisor(n, star, inf_mult)
+    lam = bivariate.primitive_rows(fmap)[2]
+    if fmap.base == BASE_Q:
+        scale = lam**exp * Fraction(c_num[0], c_den[0])
+    else:
+        scale = lam**exp * RatFunc(Poly.from_ints(c_num), Poly.from_ints(c_den))
+    div = DynatomicDivisor(n, tuple(map(tuple, star)), inf_mult, scale)
     if div.total_degree() != period_count(fmap.d, n):
         raise NonExactDivision(
             f"dynatomic degree {div.total_degree()} != d_n = {period_count(fmap.d, n)}"
@@ -349,9 +395,11 @@ def _arch_lipschitz(fmap: RationalMap) -> Fraction:
     return lip
 
 
-def _modular_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> list:
+def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k, k = 1..count,
-    for a map over Q, by CRT over primes below 2^127.
+    for a map over Q, by CRT over primes below 2^127.  phi_int holds the
+    integer coefficients of Phi*_n, and f^n is read off the rows of the
+    iterated primitive lift (``bivariate.lift_rows``).
 
     Bound.  Let R = |Res| of the primitive integer lift F of f.
       * Finite places: for ||P||_p = 1, Euler's identity gives
@@ -367,18 +415,17 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int) -> lis
         Lip >= sup f^# (``chordal_lipschitz_bound``), hence
         |T_k| <= deg Phi*_n (Lip R)^(nk).
     Residues of T_k modulo primes p that divide neither R nor the leading
-    coefficient of the integer Phi*_n are combined until their product M
+    coefficient of Phi*_n are combined until their product M
     exceeds twice that bound; the symmetric residue mod M is then T_k
     itself, and S_k = T_k / R^(nk) is exact by construction.
     """
-    phi_int, phi_lc = _clear_fractions(phi.coeffs)
-    lift_n = fmap.iterate_lift_cached(n)
-    num_coeffs = lift_n.poly0().coeffs
-    ints, _ = _clear_fractions(num_coeffs + lift_n.poly1().coeffs)
-    num, den = ints[: len(num_coeffs)], ints[len(num_coeffs) :]
+    from . import bivariate
+
+    phi_lc = phi_int[-1]
+    num, den = ([r[0] if r else 0 for r in rows] for rows in bivariate.lift_rows(fmap, n))
     res = primitive_lift(fmap).res
     growth = _arch_lipschitz(fmap) * res
-    bound = phi.degree * max(growth**n, growth ** (n * count))
+    bound = (len(phi_int) - 1) * max(growth**n, growth ** (n * count))
     modulus = 1
     residues = [0] * count
     i = bad = 0
@@ -434,28 +481,40 @@ def _field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
     return (a * inv) % phi
 
 
-def _multiplier_power_sums(fmap: RationalMap, n: int, phi: Poly, count: int, one):
-    """Power sums sum_{Phi(beta)=0} lambda(beta)^k, k = 1..count, lambda = (f^n)'."""
+def _multiplier_power_sums(fmap: RationalMap, n: int, div: DynatomicDivisor, count: int, one):
+    """Power sums sum_{Phi*_n(beta)=0} lambda(beta)^k, k = 1..count,
+    lambda = (f^n)', from the rows of ``div``."""
     if count == 0:
         return []
-    if phi.degree <= 0:
+    if div.degree <= 0:
         return [one * 0] * count
     if fmap.base == BASE_Q:
-        return _modular_power_sums(fmap, n, phi.monic(), count)
-    # loaded on first use: a process that meets no map over Q(t) never compiles it
-    from .bivariate import _ratfunc_power_sums
+        return _modular_power_sums(fmap, n, [r[0] if r else 0 for r in div.rows], count)
+    from . import bivariate
 
-    return _ratfunc_power_sums(fmap, n, phi.monic(), count)
+    return bivariate._ratfunc_power_sums(fmap, n, div.rows, count)
 
 
 def _infinity_cycle_data(fmap: RationalMap, n: int):
-    """(exact period q, multiplier of f^q at infinity) if infinity is n-periodic."""
-    one = field_one(fmap.resultant)
-    inf_pt = normalize_point(one, one * 0)
-    pts = orbit(fmap, inf_pt, n)
+    """(exact period q, multiplier of f^q at infinity) if infinity is
+    periodic with q <= n, else (None, None), read off the iterated lift.
+
+    F^(q)(1, 0) = (a_0, b_0), the coefficients of z^(d^q) in F0 and F1, so
+    f^q fixes infinity exactly when b_0 = 0.  In the chart u = 1/z,
+    f^q(u) = (b_0 + b_1 u + ...) / (a_0 + a_1 u + ...), whose derivative at
+    u = 0 is b_1 / a_0 once b_0 = 0; b_1 is the coefficient of z^(d^q - 1)
+    in F1.
+    """
+    from . import bivariate
+
     for q in range(1, n + 1):
-        if pts[q] == inf_pt:
-            return q, cycle_multiplier(fmap, inf_pt, q)
+        f0, f1 = bivariate.lift_rows(fmap, q)
+        top = fmap.d**q
+        if len(f1) <= top:
+            a0, b1 = f0[top], f1[top - 1] if len(f1) == top else ()
+            if fmap.base == BASE_Q:
+                return q, Fraction(b1[0] if b1 else 0, a0[0])
+            return q, RatFunc(Poly.from_ints(b1), Poly.from_ints(a0))
     return None, None
 
 
@@ -471,7 +530,7 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
         raise NonExactDivision(f"d_n = {d_n} not divisible by n = {n}")
     k_cycles = d_n // n
     one = field_one(fmap.resultant)
-    sums = _multiplier_power_sums(fmap, n, div.star_poly, k_cycles, one)
+    sums = _multiplier_power_sums(fmap, n, div, k_cycles, one)
     if div.star_mult_infinity:
         q, lam_q = _infinity_cycle_data(fmap, n)
         if q is None or n % q:
@@ -486,9 +545,9 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
     if fmap.base == BASE_Q:
         q_n = p_dn**n
     else:
-        from .bivariate import _ratfunc_poly_power
+        from . import bivariate
 
-        q_n = _ratfunc_poly_power(p_dn, n)
+        q_n = bivariate._ratfunc_poly_power(p_dn, n)
     if len(q_n.coeffs) - 1 != d_n:
         raise NonExactDivision("multiplier charpoly has wrong degree")
     fmap._iterates[("p_dn", n)] = p_dn

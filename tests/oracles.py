@@ -1,8 +1,29 @@
 """Slow exact reference paths that the fast engines are tested against."""
 
-from dynlyap.algebra import Poly, sylvester_resultant
+from dynlyap.algebra import Poly, divisors, mobius, poly_exact_div, sylvester_resultant
 from dynlyap.errors import NonExactDivision
+from dynlyap.maps import fixed_point_divisor
 from dynlyap.multipliers import _field_mod_div, power_sums_from_monic
+
+
+def dynatomic_poly(fmap, n: int):
+    """(Phi*_n, its multiplicity at infinity): the Moebius quotient
+    prod_{m | n} P_m^mu(n/m) of the fixed-point polynomials of the map's own
+    lift, composed over the base field (``fixed_point_divisor``) and divided
+    by ``poly_exact_div``."""
+    num = den = None
+    inf_mult = 0
+    for m in divisors(n):
+        mu = mobius(n // m)
+        if mu == 0:
+            continue
+        fd = fixed_point_divisor(fmap, m)
+        inf_mult += mu * fd.mult_infinity
+        if mu == 1:
+            num = fd.affine_poly if num is None else num * fd.affine_poly
+        else:
+            den = fd.affine_poly if den is None else den * fd.affine_poly
+    return (num if den is None else poly_exact_div(num, den)), inf_mult
 
 
 def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:

@@ -104,6 +104,24 @@ class TestSubcommands:
         inf = run_json(["canonical-height", "--map", SQUARE, "--point", "inf"])
         assert inf["result"]["height"]["exact"] == "0"
 
+    @pytest.mark.parametrize("point, expected", [
+        # 10^200 squared overflows a float
+        ("1" + "0" * 200, 200 * math.log(10)),
+        # each square fits in a float but their sum does not
+        ("1" + "0" * 153 + "1/1" + "0" * 154, 154 * math.log(10)),
+    ], ids=["square-overflows", "sum-overflows"])
+    def test_canonical_height_beyond_float_squares(self, point, expected):
+        # the log-norm comes from the exact integers
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynlyap", "canonical-height", "--map", SQUARE,
+             "--point", point],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        height = json.loads(proc.stdout)["result"]["height"]
+        assert math.isfinite(height["value"])
+        assert abs(height["value"] - expected) <= height["err"]
+
     def test_crit_height(self):
         rep = run_json(["crit-height", "--map", BASILICA, "--n-max", "2"])
         assert rep["result"]["direct"]["exact"] == "0"

@@ -47,7 +47,7 @@ def cases():
         ("z^2+1/2", poly_map(1, 0, F(1, 2)), (7,)),
         # infinity -> 0 -> infinity: a 2-cycle through infinity
         ("(z+1)/z^2", new_map(2, (0, 1, 1), (1, 0, 0)), (1, 2, 3, 4)),
-        # every coefficient of the lift, hence Den^2, vanishes mod the first prime
+        # every coefficient of the map's lift is a multiple of the first prime
         ("z^2+1/2 scaled", new_map(2, (p0, 0, F(p0, 2)), (0, 0, p0)), (1, 2, 3, 4)),
     ]
     out += [(f"random d=2 #{i}", random_map(rng, 2, 3), (1, 2, 3, 4)) for i in range(2)]
@@ -61,14 +61,14 @@ CASES = cases()
 
 def engine_sums(fmap, n, field_path=False):
     """(monic Phi*_n, S_1..S_{d_n/n}) from the engine or the field path."""
-    phi = dynatomic_divisor(fmap, n).star_poly
-    if phi.degree <= 0:
+    div = dynatomic_divisor(fmap, n)
+    if div.degree <= 0:
         return None
     count = period_count(fmap.d, n) // n
-    phi = phi.monic()
+    phi = div.star_poly.monic()
     if field_path:
         return phi, field_power_sums(fmap, n, phi, count, F(1))
-    return phi, _modular_power_sums(fmap, n, phi, count)
+    return phi, _modular_power_sums(fmap, n, [r[0] if r else 0 for r in div.rows], count)
 
 
 @pytest.mark.parametrize("label,fmap,periods", CASES, ids=[c[0] for c in CASES])
@@ -105,8 +105,12 @@ def test_engine_primes_carry_proth_certificates():
 
 
 def test_non_unit_prime_is_skipped(monkeypatch):
+    # Den^2 of the primitive lift is a unit modulo every prime that divides
+    # neither R nor lc(Phi*_n); a failed inversion at the first prime stands
+    # in for one where it is not, and that prime is skipped
     calls = []
     inner = multipliers._power_sums_mod_p
+    invert = multipliers._fp_poly_inv
 
     def spy(*args):
         out = inner(*args)
@@ -114,6 +118,8 @@ def test_non_unit_prime_is_skipped(monkeypatch):
         return out
 
     monkeypatch.setattr(multipliers, "_power_sums_mod_p", spy)
+    monkeypatch.setattr(multipliers, "_fp_poly_inv",
+                        lambda b, phi, p: None if p == _engine_prime(0) else invert(b, phi, p))
     fmap = new_map(2, (_engine_prime(0), 0, F(_engine_prime(0), 2)), (0, 0, _engine_prime(0)))
     assert engine_sums(fmap, 3) == engine_sums(fmap, 3, field_path=True)
     assert calls[0] == (_engine_prime(0), True)

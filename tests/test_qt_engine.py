@@ -1,7 +1,12 @@
-"""The integer bivariate multiplier engine over Q(t) against the RatFunc
-trace loop (``oracles.field_power_sums``)."""
+"""The integer row pipeline over Q(t) and Q: the iterated lift and Phi*_n
+against composition over the base field (``oracles.dynatomic_poly``), the
+multiplier at a periodic infinity against ``cycle_multiplier``, and the
+power sums against the RatFunc trace loop (``oracles.field_power_sums``)."""
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -9,13 +14,16 @@ import pytest
 from dynlyap import bivariate, multipliers
 from dynlyap.algebra import Poly, RatFunc, period_count
 from dynlyap.bivariate import _denominator_base, _pack_rows, _unpack_rows
-from dynlyap.maps import new_map
+from dynlyap.cli import run
+from dynlyap.errors import DegenerateMap, ResourceLimit
+from dynlyap.maps import cycle_multiplier, new_map, orbit
 from dynlyap.multipliers import (
+    _infinity_cycle_data,
     _multiplier_power_sums,
     dynatomic_divisor,
     fixstar_multiplier_charpoly,
 )
-from oracles import field_power_sums
+from oracles import dynatomic_poly, field_power_sums
 
 T = RatFunc.t()
 ONE, ZERO = RatFunc.const(1), RatFunc.const(0)
@@ -50,15 +58,23 @@ CASES = [
     # RatFunc inversion of b in _field_mod_div alone takes about 2 s)
     ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2), None),
     ("z^3+t", new_map(3, (ONE, ZERO, ZERO, T), (ZERO, ZERO, ZERO, ONE)), (1, 2), [[1]]),
+    # the leading coefficient of Phi*_n is a power of t + 1, or of t (t + 1)
+    ("(t+1)z^2+t", new_map(2, (T + 1, ZERO, T), (ZERO, ZERO, ONE)), (1, 2, 3), [[1, 1]]),
+    ("(t^2+t)z^2+1", new_map(2, (T * T + T, ZERO, ONE), (ZERO, ZERO, ONE)), (1, 2, 3),
+     [[0, 1, 1]]),
+    # at n = 2: Phi*_2 = t z^2 + (t - 1) z + t, the denominator of f^2 has
+    # content t + 1, and lambda = a / b adds the pole t = 1
+    ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), (1, 2),
+     [[0, 1, 1], [0, -1, 1]]),
 ]
 
 
 def sums(fmap, n, oracle=False):
-    phi = dynatomic_divisor(fmap, n).star_poly
+    div = dynatomic_divisor(fmap, n)
     count = period_count(fmap.d, n) // n
     if oracle:
-        return field_power_sums(fmap, n, phi.monic(), count, ONE)
-    return _multiplier_power_sums(fmap, n, phi, count, ONE)
+        return field_power_sums(fmap, n, div.star_poly.monic(), count, ONE)
+    return _multiplier_power_sums(fmap, n, div, count, ONE)
 
 
 @pytest.mark.parametrize("label,fmap,periods,base", CASES, ids=[c[0] for c in CASES])
@@ -72,13 +88,13 @@ def test_engine_matches_ratfunc_oracle(label, fmap, periods, base):
                          ids=[c[0] for c in CASES if c[3]])
 def test_denominator_base(label, fmap, periods, base, monkeypatch):
     seen = []
-    inner = bivariate._denominator_base
 
-    def spy(coeffs):
-        seen.append(inner(coeffs))
-        return seen[-1]
+    class Spy(bivariate._ZtQuotient):
+        def __init__(self, phi, L, max_len):
+            seen.append(L)
+            super().__init__(phi, L, max_len)
 
-    monkeypatch.setattr(bivariate, "_denominator_base", spy)
+    monkeypatch.setattr(bivariate, "_ZtQuotient", Spy)
     sums(fmap, periods[-1])
     assert seen == base
 
@@ -90,6 +106,103 @@ def test_infinity_cycle_charpoly():
     q2 = fixstar_multiplier_charpoly(fmap, 2)
     assert q2.degree == period_count(2, 2)
     assert q2.coeffs[0] == ZERO
+
+
+def q_map(d, a, b):
+    return new_map(d, [F(x) for x in a], [F(x) for x in b])
+
+
+def random_q_map(rng):
+    while True:
+        cs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+        try:
+            return new_map(2, cs[:3], cs[3:])
+        except (DegenerateMap, ValueError):
+            continue
+
+
+_rng = random.Random(606)
+DIVISOR_CASES = [
+    ("z^2+t", z2_plus(T), 5),
+    ("z^2+1/t", z2_plus(1 / T), 5),
+    # P_1 = t is constant in z: its primitive part is 1 and its content t
+    ("(z^2+t)/z", quotient(T), 4),
+    # the leading coefficient of every P_m depends on t
+    ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), 3),
+    # P_1 = 2 (1 + z - z^3): integer content 2
+    ("(z^2+2z+2)/(2z^2+z)", q_map(2, (1, 2, 2), (2, 1, 0)), 4),
+    ("(z+1)/z^2", q_map(2, (0, 1, 1), (1, 0, 0)), 4),
+] + [(f"random Q #{i}", random_q_map(_rng), 4) for i in range(4)]
+
+
+@pytest.mark.parametrize("label,fmap,n_top", DIVISOR_CASES, ids=[c[0] for c in DIVISOR_CASES])
+def test_row_dynatomic_matches_composition(label, fmap, n_top):
+    for n in range(1, n_top + 1):
+        div = dynatomic_divisor(fmap, n)
+        star, inf_mult = dynatomic_poly(fmap, n)
+        assert div.star_poly == star, (label, n)
+        assert div.star_mult_infinity == inf_mult, (label, n)
+        # the rows are primitive: no integer and no polynomial of Z[t] divides them
+        assert bivariate._zt_content([list(r) for r in div.rows]) == [1], (label, n)
+
+
+def test_exact_quotient_widens_its_slots(monkeypatch):
+    # (t + 1) Q has coefficients 0 and +-1 while those of Q climb to m > 2^15,
+    # past the two-byte slots that the bits of num and den ask for
+    m = (1 << 15) + 1
+    quot = [[(-1) ** i * min(i + 1, 2 * m - 1 - i) for i in range(2 * m - 1)]]
+    num = bivariate._mul_rows(quot, [[1, 1]])
+    assert bivariate._row_bits(num) == 1
+    checks = []
+    inner = bivariate._mul_rows
+
+    def spy(a, b):
+        checks.append(len(a))
+        return inner(a, b)
+
+    monkeypatch.setattr(bivariate, "_mul_rows", spy)
+    assert bivariate._exact_quotient(num, [[1, 1]]) == quot
+    assert len(checks) == 2
+
+
+INF = (ONE, ZERO)
+INFINITY_CASES = [
+    # (label, map, exact period of infinity or None, its multiplier)
+    ("z^2+t: attracting", z2_plus(T), 1, ZERO),
+    ("(z^2+t)/z: parabolic", quotient(T), 1, ONE),
+    ("(z+t)/z^2: 2-cycle", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), 2, ZERO),
+    ("(z+1)/z^2: 2-cycle over Q", q_map(2, (0, 1, 1), (1, 0, 0)), 2, F(0)),
+    ("(t z^2+1)/(z^2+t): wandering", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), None, None),
+    ("3z^2/(z^2+1): wandering over Q", q_map(2, (3, 0, 0), (1, 0, 1)), None, None),
+]
+
+
+@pytest.mark.parametrize("label,fmap,q,lam", INFINITY_CASES, ids=[c[0] for c in INFINITY_CASES])
+def test_infinity_multiplier_off_the_lift(label, fmap, q, lam):
+    got_q, got_lam = _infinity_cycle_data(fmap, 4)
+    pts = orbit(fmap, INF, 4)
+    if q is None:
+        assert (got_q, got_lam) == (None, None)
+        assert INF not in pts[1:]
+        return
+    assert (got_q, got_lam) == (q, lam)
+    assert pts[q] == pts[0] and INF not in pts[1:q]
+    assert got_lam == cycle_multiplier(fmap, INF, q)
+
+
+def test_budget_bits_stop_the_row_lift(monkeypatch):
+    # the lift rows of z^2+t carry 130 bits at n = 4 and 1104 at n = 5
+    monkeypatch.setenv("DYNLYAP_BUDGET_BITS", "600")
+    fmap = z2_plus(T)
+    fixstar_multiplier_charpoly(fmap, 4)
+    with pytest.raises(ResourceLimit, match="iterated lift"):
+        fixstar_multiplier_charpoly(fmap, 5)
+    zt = ('{"d":2,"a":[{"num":"1","den":"1"},{"num":"0","den":"1"},{"num":"t","den":"1"}],'
+          '"b":[{"num":"0","den":"1"},{"num":"0","den":"1"},{"num":"1","den":"1"}]}')
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["ff-analyze", "--map", zt, "--n-max", "5"]) == 3
+    assert json.loads(buf.getvalue())["error"]["kind"] == "resource_limit"
 
 
 def test_field_mod_div_inverts():
