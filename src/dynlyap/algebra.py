@@ -931,6 +931,8 @@ def _ratfunc_normalize(num: Poly, den: Poly):
 
 def _ord_linear(p: Poly, a: Fraction) -> int:
     """Multiplicity of the root t=a of p (0 if p(a) != 0)."""
+    if not a:
+        return _trailing_zeros(p)
     k = 0
     while True:
         if p.evaluate(a):

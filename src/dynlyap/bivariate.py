@@ -16,6 +16,12 @@ runs on such rows from start to end:
   straight into the quotient ring ``_ZtQuotient``; over Q the modular
   engine (``multipliers._modular_power_sums``) reads the same rows.
 
+Elements of Q(t) become rows in one way: ``_clear_rows`` writes them as
+integer rows over one den in Z[t], the lcm of their denominators.  The
+lift, q_n = p^n (``_ratfunc_poly_power``), the lambda of the second trace
+ring, ``multipliers._normalize_proj`` and ``heights.bad_places`` all
+clear through it.
+
 In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
 positive integer, and L a primitive polynomial of Z[t] whose powers, times
 integers, clear every denominator met.  A product of two elements is one
@@ -27,7 +33,7 @@ of L it shares with its denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd as _gcd
 
 from . import multipliers
@@ -257,10 +263,6 @@ class _ZtQuotient:
         return num, form[1] * u[1], form[2] + u[2]
 
 
-def _ratfuncs(coeffs) -> list:
-    return [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
-
-
 def _radical_base(polys) -> list:
     """The primitive L in Z[t], positive leading coefficient, whose roots
     are the roots of the given polynomials of Q[t], each once."""
@@ -270,68 +272,42 @@ def _radical_base(polys) -> list:
             sq = poly_exact_div(den, poly_gcd(den, den.derivative()))
             rad = rad * poly_exact_div(sq, poly_gcd(rad, sq))
     ints, _ = _clear_fractions(rad.coeffs)
-    g = _int_content(ints)
+    g = _int_content(ints) * (1 if ints[-1] > 0 else -1)
     return [x // g for x in ints]
 
 
-def _denominator_base(coeffs) -> list:
-    """The primitive L in Z[t], positive leading coefficient, whose roots
-    are the poles of the given elements of Q(t), each once."""
-    return _radical_base({r.den for r in _ratfuncs(coeffs)})
+def _clear_rows(coeffs):
+    """(rows, den) with coeffs[i] = rows[i] / den for elements of Q(t):
+    integer t-rows over the lcm of the denominators, which is cleared of
+    fractions with them, so den in Z[t] has a positive leading coefficient."""
+    coeffs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
+    dens = dict.fromkeys(c.den for c in coeffs)
+    lcm = Poly((Fraction(1),))
+    for den in dens:
+        lcm = lcm * poly_exact_div(den, poly_gcd(lcm, den))
+    cof = {den: poly_exact_div(lcm, den) for den in dens}
+    parts = [(c.num * cof[c.den]).coeffs for c in coeffs] + [lcm.coeffs]
+    flat = iter(_clear_fractions([x for part in parts for x in part])[0])
+    rows = [list(islice(flat, len(part))) for part in parts]
+    return rows[:-1], rows[-1]
 
 
-def _to_rows(coeffs, L: list):
-    """(rows, c, e) with sum_i rows[i] z^i / (c L^e) = sum_i coeffs[i] z^i."""
-    coeffs = _ratfuncs(coeffs)
-    base = Poly.from_ints(L)
-    need = {}
-    for den in {r.den for r in coeffs}:
-        e = -(-den.degree // base.degree) if den.degree > 0 else 0
-        while den.degree > 0 and (base**e) % den:
-            e += 1
-        need[den] = e
-    top = max(need.values(), default=0)
-    power = base**top
-    # L^top / den as (integers, denominator)
-    cofactor = {den: _clear_fractions(poly_exact_div(power, den).coeffs) for den in need}
-    rows, dens = [], []
-    for r in coeffs:
-        ints, d = _clear_fractions(r.num.coeffs)
-        cof, cof_d = cofactor[r.den]
-        rows.append(_int_mul(ints, cof))
-        dens.append(d * cof_d)
-    mults, c = _clear_fractions([Fraction(1, d) for d in dens])
-    return [[m * x for x in row] for row, m in zip(rows, mults)], c, top
-
-
-def _int_power(L: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _int_mul(out, L)
-    return out
-
-
-def _from_rows(rows: list, c: int, power: list) -> list:
-    """The elements rows[i] / (c L^e) of Q(t), for power = L^e; one
-    normalization each."""
-    den = Poly.from_ints([c * x for x in power])
+def _from_rows(rows: list, den: list) -> list:
+    """The elements rows[i] / den of Q(t); one normalization each."""
+    den = Poly.from_ints(den)
     return [RatFunc(Poly.from_ints(r), den) for r in rows]
 
 
 def _ratfunc_poly_power(p: Poly, n: int) -> Poly:
-    """p^n for p over Q(t), by packed integer products on _to_rows form."""
-    L = _denominator_base(p.coeffs)
-    rows, c, e = _to_rows(p.coeffs, L)
-    out, out_c, out_e = [[1]], 1, 0
-    while True:
-        if n & 1:
-            out = _bi_dot([(out, rows)], 0, len(out) + len(rows) - 1)
-            out_c, out_e = out_c * c, out_e + e
-        n >>= 1
-        if not n:
-            return Poly(_from_rows(out, out_c, _int_power(L, out_e)))
-        rows = _bi_dot([(rows, rows)], 0, 2 * len(rows) - 1)
-        c, e = c * c, 2 * e
+    """p^n for p over Q(t): with the coefficients cleared to integer rows
+    over one den (``_clear_rows``), p^n is rows^n / den^n, taken by packed
+    integer products."""
+    rows, den = _clear_rows(p.coeffs)
+    out, out_den = rows, den
+    for _ in range(n - 1):
+        out = _mul_rows(out, rows)
+        out_den = _int_mul(out_den, den)
+    return Poly(_from_rows(out, out_den))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +364,10 @@ def primitive_rows(fmap: RationalMap):
             rows = [[c.numerator] if c else [] for c in prim.lift.a[::-1] + prim.lift.b[::-1]]
             lam = 1 / prim.scale
         else:
-            coeffs = fmap.lift.a[::-1] + fmap.lift.b[::-1]
-            L = _denominator_base(coeffs)
-            rows, c, e = _to_rows(coeffs, L)
+            rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
             content = _zt_content(rows)
             rows = _divide_content(rows, content)
-            lam = RatFunc(Poly.from_ints(content),
-                          Poly.from_ints([c * x for x in _int_power(L, e)]))
+            lam = RatFunc(Poly.from_ints(content), Poly.from_ints(den))
         got = fmap._iterates[key] = (_trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam)
     return got
 
@@ -494,6 +467,16 @@ def _power_cofactor(p: list, L: list):
     return [sign * x for x in cof], c, e
 
 
+def _trace_ring(phi: list, extra: list, max_len: int):
+    """(ring, (cof, c, e)): the ring _ZtQuotient modulo the monic Phi*_n,
+    for phi its primitive rows, whose L is the radical of the leading row
+    of phi times the extra denominator, and 1 / extra = cof / (c L^e)."""
+    L = _radical_base([Poly.from_ints(phi[-1]), Poly.from_ints(extra)])
+    cof, c, e = _power_cofactor(phi[-1], L)
+    ring = _ZtQuotient(([_int_mul(r, cof) for r in phi], c, e), L, max_len)
+    return ring, _power_cofactor(extra, L)
+
+
 def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
     k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
@@ -507,23 +490,21 @@ def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> lis
     z, b is divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
     lambda = a / b is formed once in Q(t)[z]/(phi) by
     ``multipliers._field_mod_div``, from a RatFunc Phi*_n built from the
-    rows, and the sums are taken in a ring whose L also covers the poles of
-    lambda.  Each S_k becomes an element of Q(t), with one normalization,
-    only at the end.
+    rows, cleared back to rows over one denominator (``_clear_rows``), and
+    the sums are taken in a ring whose L is the radical of that denominator
+    times the leading row of Phi*_n (``_trace_ring`` builds both rings).
+    Each S_k becomes an element of Q(t), with one normalization, only at
+    the end.
     """
     num, den = lift_rows(fmap, n)
     content = _zt_content(den)
     den = _divide_content(den, content)
-    phi = [list(r) for r in phi]
-    L = _radical_base([Poly.from_ints(phi[-1]), Poly.from_ints(content)])
-    cof, c, e = _power_cofactor(phi[-1], L)
     a_len = max(len(num) + len(den) - 2, 1)
-    ring = _ZtQuotient(([_int_mul(r, cof) for r in phi], c, e), L, max(a_len, 2 * len(den) - 1))
+    ring, (cof, c, e) = _trace_ring(phi, content, max(a_len, 2 * len(den) - 1))
     dnum = [[i * x for x in r] for i, r in enumerate(num)][1:]
     neg_dden = [[-i * x for x in r] for i, r in enumerate(den)][1:]
     a = _bi_dot([(dnum, den), (num, neg_dden)], 0, a_len)
-    cof, c, e = _power_cofactor(content, L)  # 1 / content = cof / (c L^e)
-    lam = ring.reduce(a if cof == [1] else _mul_rows([cof], a), c, e)
+    lam = ring.reduce(a if cof == [1] else _mul_rows([cof], a), c, e)  # a / content
     b = ring.reduce(_mul_rows(den, den), 1, 0)
     if not b[0]:
         raise NonExactDivision("vanishing denominator in multiplier computation")
@@ -531,13 +512,13 @@ def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> lis
     if len(b[0]) == 1:
         norm = b[0][0], b[1], b[2]
     else:
-        phi_c = _from_rows(phi, 1, phi[-1])
-        lam_c = list(multipliers._field_mod_div(
-            Poly(_from_rows(lam[0], lam[1], ring.lpow(lam[2]))),
-            Poly(_from_rows(b[0], b[1], ring.lpow(b[2]))), Poly(phi_c)).coeffs)
-        L = _denominator_base(phi_c + lam_c)
-        ring = _ZtQuotient(_to_rows(phi_c, L), L, 0)
-        lam = ring.normal(*_to_rows(lam_c, L))
+        lam_c = multipliers._field_mod_div(
+            Poly(_from_rows(lam[0], [lam[1] * x for x in ring.lpow(lam[2])])),
+            Poly(_from_rows(b[0], [b[1] * x for x in ring.lpow(b[2])])),
+            Poly(_from_rows(phi, phi[-1])))
+        rows, lam_den = _clear_rows(lam_c.coeffs)
+        ring, (cof, c, e) = _trace_ring(phi, lam_den, 0)
+        lam = ring.normal([_int_mul(r, cof) for r in rows], c, e)
     out = []
     norm_num, norm_c, norm_e = [1], 1, 0  # norm^k = norm_num / (norm_c L^norm_e)
     for num, c, e in multipliers._trace_powers(ring, lam, count):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly, RatFunc, factor_int, field_one, poly_gcd, rational_roots
+from .algebra import Poly, RatFunc, factor_int, field_one, rational_roots
 from .budget import Budget, default_budget
 from .errors import IrrationalCriticalPoint, ResourceLimit
 from .maps import (
@@ -476,23 +476,16 @@ def bad_places(fmap: RationalMap) -> list[Place]:
             if n > 1:
                 primes |= set(factor_int(n))
         return [Place.prime(p) for p in sorted(primes)]
-    # function field: rational points where coefficients or Res degenerate
-    pts: set[Fraction] = set()
-    gcd_num: Optional[Poly] = None
-    for c in list(fmap.lift.a) + list(fmap.lift.b):
-        if not c:
-            continue
-        c = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        pts |= _rational_zero_set(c.den)
-        gcd_num = c.num if gcd_num is None else poly_gcd(gcd_num, c.num)
-    if gcd_num is not None and gcd_num.degree > 0:
-        pts |= _rational_zero_set(gcd_num)
-    res = fmap.resultant
+    # function field: the rational zeros and poles of lam, for F = lam G with
+    # G the primitive lift in Z[t][z] (``bivariate.primitive_rows``), and of Res
+    from .bivariate import primitive_rows
+
+    lam, res = primitive_rows(fmap)[2], fmap.resultant
     res = res if isinstance(res, RatFunc) else RatFunc.const(res)
-    if res.num.degree > 0:
-        pts |= _rational_zero_set(res.num)
-    if res.den.degree > 0:
-        pts |= _rational_zero_set(res.den)
+    pts: set[Fraction] = set()
+    for p in (lam.den, lam.num, res.num, res.den):
+        if p.degree > 0:
+            pts |= _rational_zero_set(p)
     return [Place.ff_point(a) for a in sorted(pts)]
 
 

@@ -66,8 +66,6 @@ from .algebra import (
     is_prime,
     mobius,
     period_count,
-    poly_exact_div,
-    poly_gcd,
 )
 from .errors import NonExactDivision
 from .maps import BASE_Q, RationalMap, primitive_lift
@@ -629,24 +627,14 @@ def _normalize_proj(coords) -> tuple:
         vals = [Fraction(c) for c in vals]
         s = _primitive_factor(vals)
         return tuple(c * s for c in vals)
-    vals = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in vals]
-    den = Poly((Fraction(1),))
-    for c in vals:
-        if c.den.degree > 0:
-            g = poly_gcd(den, c.den)
-            den = poly_exact_div(den * c.den, g) if g.degree > 0 else den * c.den
-    cleared = [(c * RatFunc(den, Poly((Fraction(1),)))).num for c in vals]
-    g = None
-    for p in cleared:
-        if not p.is_zero():
-            g = p if g is None else poly_gcd(g, p)
-            if g.degree == 0:
-                break
-    if g is not None and g.degree > 0:
-        cleared = [poly_exact_div(p, g) if not p.is_zero() else p for p in cleared]
-    # the last nonzero coefficient overall is the leading one of the last nonzero polynomial
-    s = _primitive_factor([c for p in cleared for c in p.coeffs])
-    return tuple(RatFunc(p.scale(s), Poly((Fraction(1),)), _normalized=True) for p in cleared)
+    from . import bivariate
+
+    rows, _ = bivariate._clear_rows(vals)
+    rows = bivariate._divide_content(rows, bivariate._zt_content(rows))
+    if next(r for r in reversed(rows) if r)[-1] < 0:
+        rows = [[-x for x in r] for r in rows]
+    one = Poly((Fraction(1),))
+    return tuple(RatFunc(Poly.from_ints(r), one, _normalized=True) for r in rows)
 
 
 def lambda_tilde_point(fmap: RationalMap, n: int) -> ProjPoint:

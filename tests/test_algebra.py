@@ -154,6 +154,13 @@ class TestRatFunc:
         assert g.ord_at(F(0)) == 2
         assert g.ord_at(F(1)) == -1
         assert g.ord_at_infinity() == -1
+        # high-order zeros and poles at t = 0, next to factors that vanish elsewhere
+        assert (t**9 * (t - 2) / ((t + 1) * t**4)).ord_at(F(0)) == 5
+        assert (1 / (t**12 * (t * t + 3))).ord_at(F(0)) == -12
+        assert (t**7 + t**20).ord_at(F(0)) == 7
+        h = (t - 1) ** 6 / t**11
+        assert (h.ord_at(F(0)), h.ord_at(F(1)), h.ord_at(F(2))) == (-11, 6, 0)
+        assert RatFunc.const(F(-5, 3)).ord_at(F(0)) == 0
 
     def test_arithmetic_coprimality(self):
         rng = random.Random(3)

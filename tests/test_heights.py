@@ -174,6 +174,29 @@ class TestBadPlaces:
         fm = new_map(2, (RatFunc.const(1), RatFunc.const(0), inv_t), (0, 0, RatFunc.const(1)))
         assert [str(v) for v in bad_places(fm)] == ["t=0"]
 
+    # places pinned before bad_places read them off the primitive lift
+    T = RatFunc.t()
+
+    @pytest.mark.parametrize("a,b,want", [
+        # t - 1 divides every coefficient; poles at t = 0 and t = -3; Res vanishes at t = -2
+        (((T - 1) * (T + 2), 0, (T - 1) / T), (0, 0, (T - 1) / (T + 3)),
+         ["t=-3", "t=-2", "t=0", "t=1"]),
+        # poles at two points, one of them not an integer
+        ((1, 0, 1 / (T * (2 * T - 1))), (0, 0, 1), ["t=0", "t=1/2"]),
+        # t^2 divides every coefficient, next to the poles of t^2 / (t - 2)
+        ((T * T * (T + 1), 0, T * T / (T - 2)), (0, T * T * (3 * T + 1) / (T - 2), 0),
+         ["t=-1", "t=-1/3", "t=0", "t=2"]),
+    ])
+    def test_ff_shared_factor_and_two_poles(self, a, b, want):
+        fm = new_map(2, a, b)
+        assert [str(v) for v in bad_places(fm)] == want
+
+    def test_ff_pole_off_the_rational_points(self):
+        t = RatFunc.t()
+        fm = new_map(2, (RatFunc.const(1), RatFunc.const(0), 1 / (t * t + 1)), (0, 0, RatFunc.const(1)))
+        with pytest.raises(ResourceLimit):
+            bad_places(fm)
+
 
 class TestCriticalHeight:
     def test_exact_zero_cases(self):

@@ -5,6 +5,7 @@ power sums against the RatFunc trace loop (``oracles.field_power_sums``)."""
 
 import io
 import json
+import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -12,14 +13,15 @@ from fractions import Fraction as F
 import pytest
 
 from dynlyap import bivariate, multipliers
-from dynlyap.algebra import Poly, RatFunc, period_count
-from dynlyap.bivariate import _denominator_base, _pack_rows, _unpack_rows
+from dynlyap.algebra import Poly, RatFunc, period_count, poly_gcd
+from dynlyap.bivariate import _clear_rows, _pack_rows, _radical_base, _unpack_rows
 from dynlyap.cli import run
 from dynlyap.errors import DegenerateMap, ResourceLimit
 from dynlyap.maps import cycle_multiplier, new_map, orbit
 from dynlyap.multipliers import (
     _infinity_cycle_data,
     _multiplier_power_sums,
+    _normalize_proj,
     dynatomic_divisor,
     fixstar_multiplier_charpoly,
 )
@@ -218,7 +220,83 @@ def test_field_mod_div_inverts():
 
 def test_denominator_base_radical():
     coeffs = [RatFunc(Poly([F(1)]), Poly([F(2, 3), F(1)]) ** 3), 1 / (T * T), ONE]
-    assert _denominator_base(coeffs) == [0, 2, 3]
+    assert _radical_base([c.den for c in coeffs]) == [0, 2, 3]
+
+
+CLEAR_CASES = [
+    # zero entries and Fraction constants only
+    [ZERO, F(3, 4), F(-5, 6), 2],
+    # a shared pole and a distinct one
+    [(T - 2) / (T + 1), F(3, 2) * T, ZERO, 1 / ((T + 1) * (T + 1))],
+    [1 / T, (T * T + 1) / (T * T * T), F(1, 7) / (2 * T - 1), ZERO],
+    # poles off the rational points of the t-line, and Fraction coefficients
+    [RatFunc(Poly([F(-5, 3), F(0), F(1, 2)])) / (T * T + 1), T / 3, (T + F(1, 2)) / (T * T + 1)],
+]
+
+
+@pytest.mark.parametrize("coeffs", CLEAR_CASES)
+def test_clear_rows_rebuilds_its_input(coeffs):
+    rows, den = _clear_rows(coeffs)
+    assert len(rows) == len(coeffs) and den[-1] > 0
+    assert all(isinstance(x, int) for r in rows + [den] for x in r)
+    for r, c in zip(rows, coeffs):
+        assert RatFunc(Poly.from_ints(r), Poly.from_ints(den)) == c + ZERO
+    # den is the lcm of the denominators, up to an integer factor
+    lcm = Poly([F(1)])
+    for c in coeffs:
+        lcm = lcm * (c + ZERO).den // poly_gcd(lcm, (c + ZERO).den)
+    assert Poly.from_ints(den).monic() == lcm
+
+
+def test_clear_rows_random():
+    rng = random.Random(70)
+    for _ in range(40):
+        coeffs = []
+        for _ in range(rng.randint(1, 6)):
+            num = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))])
+            den = Poly([F(rng.choice((0, 1, -2))) for _ in range(rng.randint(0, 2))]
+                       + [F(rng.randint(1, 3))])
+            coeffs.append(RatFunc(num, den))
+        rows, den = _clear_rows(coeffs)
+        assert den[-1] > 0
+        assert [RatFunc(Poly.from_ints(r), Poly.from_ints(den)) for r in rows] == coeffs
+
+
+def test_ratfunc_poly_power_matches_field_power():
+    for p in (Poly([T, ZERO, ONE]), Poly([1 / T, F(2, 3) * T, (T + 1) / (T * T - 2), ONE]),
+              Poly([ZERO, (T - 2) / (T + 1), F(3, 2) * T, 1 / ((T + 1) * (T + 1))])):
+        for n in (1, 2, 3, 5):
+            assert bivariate._ratfunc_poly_power(p, n) == p**n
+
+
+# values pinned before _normalize_proj cleared through _clear_rows
+NORMALIZE_CASES = [
+    (CLEAR_CASES[1], [[-4, -2, 2], [0, 3, 6, 3], [], [2]]),
+    ([F(1, 2), (T * T - 1) / 3, -T / (2 * T - 6), ZERO],
+     [[9, -3], [-6, 2, 6, -2], [0, 3], []]),
+    ([-(T * T) / 5, F(-4, 7) * T * T * T], [[7], [0, 20]]),
+    ([(T + 1) / T, (T + 1) * (T + 1) / (T * T), -ONE / (T * T * T)],
+     [[0, 0, -1, -1], [0, -1, -2, -1], [1]]),
+]
+
+
+@pytest.mark.parametrize("coords,want", NORMALIZE_CASES)
+def test_normalize_proj_over_qt(coords, want):
+    got = _normalize_proj(coords)
+    assert [[int(x) for x in c.num.coeffs] for c in got] == want
+    assert all(c.den == Poly([F(1)]) for c in got)
+    ints = [Poly([F(x) for x in r]) for r in want if r]
+    # coprime in Z[t]: no common root, and integer content 1
+    g = ints[0]
+    for p in ints[1:]:
+        g = poly_gcd(g, p)
+    assert g.degree == 0
+    assert math.gcd(*(x for r in want for x in r)) == 1
+    assert next(r for r in reversed(want) if r)[-1] > 0
+    # proportional to the input
+    k = next(i for i, c in enumerate(coords) if c)
+    ratio = got[k] / coords[k]
+    assert all(g_c == ratio * c for g_c, c in zip(got, coords))
 
 
 def test_bivariate_pack_round_trips():
