@@ -18,7 +18,7 @@ from .errors import IrrationalCriticalPoint, PoleOutsideCenter, ResourceLimit
 from .heights import HeightValue, critical_height_direct, map_height, naive_height
 from .lyapunov import L_n_local
 from .maps import RationalMap
-from .multipliers import lambda_point, lambda_tilde_point, sigma_star
+from .multipliers import cycle_polynomial, lambda_point, lambda_tilde_point, sigma_star
 from .places import Place, LocalLogValue
 
 CERTIFIED_NON_ISOTRIVIAL = "CertifiedNonIsotrivial"
@@ -139,6 +139,13 @@ def crit_height_series(fmap: RationalMap, n_max: int, tol: float = 1e-9) -> Crit
 def ff_degree_sequence(fmap: RationalMap, n_max: int) -> FFGrowthReport:
     """Exact degree growth D_n of the multiplier symmetric functions.
 
+    The sigma*_{j,n} are the coefficients of q_n = p_{d,n}^n, and every
+    place of Q(t) is non-archimedean, so by Gauss's lemma
+    D_n = h(Lambda~_n) = n h([coefficients of p_{d,n}]) and
+    d_n = n deg p_{d,n}; q_n is never built.  Every sigma* is constant
+    exactly when every coefficient of p_{d,n} is: the roots of a q_n over Q
+    are algebraic over Q, and Q is algebraically closed in Q(t).
+
     Also evaluates the explicit inequality
     |D_n/(n d_n) - h_crit| <= 8d(12d^2-8d-3) sigma2(n)/d^n * h_d(f)
     whenever the direct critical height is computable.
@@ -153,12 +160,11 @@ def ff_degree_sequence(fmap: RationalMap, n_max: int) -> FFGrowthReport:
         h_crit = None
     entries = []
     for n in range(1, n_max + 1):
-        sigma = sigma_star(fmap, n)
-        point = lambda_tilde_point(fmap, n)
-        deg = naive_height(point.coords).exact
-        d_n = len(sigma) - 1
+        p = cycle_polynomial(fmap, n)
+        deg = n * naive_height(p.coeffs).exact
+        d_n = n * p.degree
         normalized = Fraction(deg, n * d_n)
-        constant = all((s.is_constant() if isinstance(s, RatFunc) else True) for s in sigma)
+        constant = all((c.is_constant() if isinstance(c, RatFunc) else True) for c in p.coeffs)
         holds = None
         if h_crit is not None and h_crit.exact is not None:
             radius = Fraction(8 * d * (12 * d * d - 8 * d - 3)) * Fraction(sigma2(n), d**n) * h_d
@@ -191,7 +197,11 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
     """Blow-up slope alpha_n of the truncated Lyapunov average at the center.
 
     alpha_n = (1/(n d_n)) max_j (-ord_center sigma*_{j,n}); sigma*_0 = 1
-    pins the max at >= 0.  Exact rationals throughout.
+    pins the max at >= 0.  The sigma* are the coefficients of
+    q_n = p_{d,n}^n, and by Gauss's lemma at the center
+    max_j (-ord sigma*_{j,n}) = n max_j (-ord c_j(p_{d,n})), so
+    alpha_n = max_j (-ord c_j(p_{d,n})) / (n deg p_{d,n}) is read off
+    p_{d,n} without building q_n.  Exact rationals throughout.
     """
     if fmap.base != "Q(t)":
         raise ValueError("degeneration slopes concern Q(t) families")
@@ -200,14 +210,9 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
     _check_poles_only_at(fmap, center)
     alphas = []
     for n in range(1, n_max + 1):
-        sigma = sigma_star(fmap, n)
-        best = Fraction(0)
-        for s in sigma:
-            if s:
-                ordv = center.valuation(s)
-                if -ordv > best:
-                    best = Fraction(-ordv)
-        alphas.append((n, best / (n * (len(sigma) - 1))))
+        p = cycle_polynomial(fmap, n)
+        best = max(-center.valuation(c) for c in p.coeffs if c)  # >= 0: p is monic
+        alphas.append((n, Fraction(best, n * p.degree)))
     return DegenerationReport(center, tuple(alphas), alphas[-1][1])
 
 

@@ -468,22 +468,27 @@ def bad_places(fmap: RationalMap) -> list[Place]:
     At every other non-archimedean place the Green function of the lift
     vanishes identically, so canonical-height sums may be restricted to
     this set (plus the archimedean or t=inf place).
+
+    For F = lam G with G the primitive integer lift, Res F = lam^(2d) Res G
+    and Res G is integral, so every zero of lam is a zero of Res F: the
+    places are the poles of lam (where a zero of Res G can cancel) and the
+    zeros and poles of Res F.
     """
     if fmap.base == "Q":
         primes: set[int] = set()
-        s, res = primitive_lift(fmap).scale, fmap.resultant
-        for n in (s.denominator, s.numerator, abs(res.numerator), res.denominator):
+        s, res = primitive_lift(fmap).scale, fmap.resultant  # lam = 1 / s
+        for n in (s.numerator, abs(res.numerator), res.denominator):
             if n > 1:
                 primes |= set(factor_int(n))
         return [Place.prime(p) for p in sorted(primes)]
-    # function field: the rational zeros and poles of lam, for F = lam G with
-    # G the primitive lift in Z[t][z] (``bivariate.primitive_rows``), and of Res
+    # function field: the rational points among those places, with G in
+    # Z[t][z] (``bivariate.primitive_rows``)
     from .bivariate import primitive_rows
 
     lam, res = primitive_rows(fmap)[2], fmap.resultant
     res = res if isinstance(res, RatFunc) else RatFunc.const(res)
     pts: set[Fraction] = set()
-    for p in (lam.den, lam.num, res.num, res.den):
+    for p in (lam.den, res.num, res.den):
         if p.degree > 0:
             pts |= _rational_zero_set(p)
     return [Place.ff_point(a) for a in sorted(pts)]
@@ -517,14 +522,43 @@ def _northcott_bound(fmap: RationalMap) -> float:
     return bound
 
 
+def _ff_northcott_bound(fmap: RationalMap) -> Fraction:
+    """C with h(P) > C => h^(P) > 0 on P^1(Q(t)), h the t-degree height;
+    cached per map.
+
+    Let G be the primitive lift in Z[t][z] (``bivariate.primitive_rows``)
+    and e the largest t-degree of its coefficients.  For coprime
+    P = (x0, x1) in Q[t], G(P) has degree <= d h(P) + e.  Bezout gives
+    G0 A0 + G1 A1 = R X^(2d-1) and G0 B0 + G1 B1 = R Y^(2d-1) with
+    R = Res G != 0 and cofactors whose coefficients are minors of the
+    Sylvester matrix, of t-degree <= (2d - 1) e.  So the gcd of G0(P) and
+    G1(P) divides R, and deg R + (2d - 1) h(P) <= max deg G_i(P)
+    + (d - 1) h(P) + (2d - 1) e; together h(G(P)) >= d h(P) - (2d - 1) e.
+    Telescoping, h^(P) >= h(P) - (2d - 1) e / (d - 1).
+    """
+    bound = fmap._iterates.get(("ff_northcott",))
+    if bound is None:
+        from .bivariate import primitive_rows
+
+        g0, g1, _ = primitive_rows(fmap)
+        e = max(len(r) - 1 for r in g0 + g1 if r)
+        bound = fmap._iterates[("ff_northcott",)] = Fraction((2 * fmap.d - 1) * e, fmap.d - 1)
+    return bound
+
+
 def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:
     """True when the orbit of pt repeats within ``cap`` steps.
 
-    Over Q an orbit point whose Weil height h exceeds ``_northcott_bound``
-    has h^ >= h - C > 0 (h <= h_2), which proves pt wandering.  Past 2^14
-    bits an orbit is taken as escaping: the stop over Q(t), or with C = inf.
+    An orbit point whose height passes a Northcott bound has h^ > 0, which
+    proves pt wandering.  Over Q the Weil height h exceeds
+    ``_northcott_bound`` C and h^ >= h - C > 0 (h <= h_2); over Q(t) the
+    t-degree of a point (x : 1), max(deg num x, deg den x), exceeds
+    ``_ff_northcott_bound``.  Past 2^14 bits an orbit is taken as escaping:
+    the stop for orbits that never pass the bound, such as the constant
+    orbits of an isotrivial map, or with C = inf.
     """
-    cutoff = _northcott_bound(fmap) if fmap.base == "Q" else math.inf
+    q_base = fmap.base == "Q"
+    cutoff = _northcott_bound(fmap) if q_base else _ff_northcott_bound(fmap)
     seen = {pt}
     cur = pt
     for _ in range(cap):
@@ -532,7 +566,10 @@ def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:
         if cur in seen:
             return True
         seen.add(cur)
-        if cutoff < math.inf and math.log(max(abs(cur[0].numerator), cur[0].denominator)) > cutoff:
+        if q_base:
+            if cutoff < math.inf and math.log(max(abs(cur[0].numerator), cur[0].denominator)) > cutoff:
+                return False
+        elif cur[1] and cur[0].degree_as_map() > cutoff:
             return False
         if _point_bits(cur) > 1 << 14:
             return False

@@ -6,8 +6,9 @@ The multiplier data over it is extracted without ever locating periodic
 points: the first d_n/n power sums of the multiplier multiset are traces
 of powers of (f^n)' in the quotient ring k[z]/(Phi*_n), Newton's identities
 convert them into the monic cycle polynomial p_{d,n}, and its n-th power
-recovers the full symmetric functions sigma*_{j,n}.  Everything is exact
-over the base field.
+q_n recovers the full symmetric functions sigma*_{j,n}.  p_{d,n} is the
+cached primary object (``cycle_polynomial``); q_n is built only for the
+callers that read sigma*.  Everything is exact over the base field.
 
 The spectrum runs on integer rows (``bivariate``) from the lift to the
 traces, over Q and Q(t) alike: the iterates of a primitive integer lift G
@@ -516,9 +517,18 @@ def _infinity_cycle_data(fmap: RationalMap, n: int):
     return None, None
 
 
-def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
-    """Monic prod over Fix*(f^n) of (T - (f^n)'(z)), via power-sum traces."""
-    key = ("fixstar_charpoly", n)
+def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
+    """Monic p_{d,n} = prod over the formal n-cycles of (T - lambda), of
+    degree d_n / n, via power-sum traces and Newton's identities; cached.
+
+    It is the primary object of the spectrum: q_n = p_{d,n}^n
+    (``fixstar_multiplier_charpoly``) is formed only when a caller reads the
+    symmetric functions sigma*.  Over Q(t) every place is non-archimedean,
+    so the Gauss norms of q_n are the n-th powers of those of p_{d,n}, and
+    the heights and valuations of sigma* are read off p_{d,n} directly
+    (``analysis.ff_degree_sequence``, ``analysis.degeneration_slope``).
+    """
+    key = ("p_dn", n)
     cached = fmap._iterates.get(key)
     if cached is not None:
         return cached
@@ -538,17 +548,25 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
         for k in range(k_cycles):
             sums[k] = sums[k] + div.star_mult_infinity * power
             power = power * lam_inf
-    cycle_sums = [s / n for s in sums]
-    p_dn = monic_from_power_sums(cycle_sums, k_cycles, one)
+    p_dn = monic_from_power_sums([s / n for s in sums], k_cycles, one)
+    fmap._iterates[key] = p_dn
+    return p_dn
+
+
+def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
+    """Monic q_n = prod over Fix*(f^n) of (T - (f^n)'(z)) = p_{d,n}^n, of
+    degree d_n; cached."""
+    key = ("fixstar_charpoly", n)
+    cached = fmap._iterates.get(key)
+    if cached is not None:
+        return cached
+    p_dn = cycle_polynomial(fmap, n)
     if fmap.base == BASE_Q:
         q_n = p_dn**n
     else:
         from . import bivariate
 
         q_n = bivariate._ratfunc_poly_power(p_dn, n)
-    if len(q_n.coeffs) - 1 != d_n:
-        raise NonExactDivision("multiplier charpoly has wrong degree")
-    fmap._iterates[("p_dn", n)] = p_dn
     fmap._iterates[key] = q_n
     return q_n
 
@@ -568,12 +586,6 @@ def sigma_star(fmap: RationalMap, n: int) -> tuple:
     """(sigma*_{0,n} = 1, ..., sigma*_{d_n,n}), the symmetric functions of
     the formal period-n multipliers, without building chi_n."""
     return tuple(_elementary_symmetric(fixstar_multiplier_charpoly(fmap, n)))
-
-
-def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
-    """Monic p_{d,n}, the n-th root of fixstar_multiplier_charpoly; cached."""
-    fixstar_multiplier_charpoly(fmap, n)
-    return fmap._iterates[("p_dn", n)]
 
 
 def _elementary_symmetric(charpoly: Poly) -> list:

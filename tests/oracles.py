@@ -1,9 +1,27 @@
 """Slow exact reference paths that the fast engines are tested against."""
 
-from dynlyap.algebra import Poly, divisors, mobius, poly_exact_div, sylvester_resultant
-from dynlyap.errors import NonExactDivision
+from fractions import Fraction
+
+from dynlyap.algebra import (
+    Poly,
+    RatFunc,
+    divisors,
+    mobius,
+    poly_exact_div,
+    sigma2,
+    sylvester_resultant,
+)
+from dynlyap.analysis import (
+    DegenerationReport,
+    FFGrowthEntry,
+    FFGrowthReport,
+    _check_poles_only_at,
+    _classify,
+)
+from dynlyap.errors import IrrationalCriticalPoint, NonExactDivision
+from dynlyap.heights import critical_height_direct, map_height, naive_height
 from dynlyap.maps import fixed_point_divisor
-from dynlyap.multipliers import _field_mod_div, power_sums_from_monic
+from dynlyap.multipliers import _field_mod_div, lambda_tilde_point, power_sums_from_monic, sigma_star
 
 
 def dynatomic_poly(fmap, n: int):
@@ -78,3 +96,46 @@ def lift_resultant(lift):
             res = sylvester_resultant(g0, g1)
             return -res if d % 2 else res
     raise AssertionError("no shear gives both rows full degree")
+
+
+def ff_degree_sequence(fmap, n_max: int):
+    """``analysis.ff_degree_sequence`` read off q_n = p_{d,n}^n: D_n is the
+    height of Lambda~_n = [sigma*_{d_n} : ... : 1] and constancy is checked
+    on every sigma*."""
+    d = fmap.d
+    h_d = map_height(fmap).exact
+    try:
+        h_crit = critical_height_direct(fmap)
+    except IrrationalCriticalPoint:
+        h_crit = None
+    entries = []
+    for n in range(1, n_max + 1):
+        sigma = sigma_star(fmap, n)
+        point = lambda_tilde_point(fmap, n)
+        deg = naive_height(point.coords).exact
+        d_n = len(sigma) - 1
+        normalized = Fraction(deg, n * d_n)
+        constant = all((s.is_constant() if isinstance(s, RatFunc) else True) for s in sigma)
+        holds = None
+        if h_crit is not None and h_crit.exact is not None:
+            radius = Fraction(8 * d * (12 * d * d - 8 * d - 3)) * Fraction(sigma2(n), d**n) * h_d
+            holds = abs(normalized - h_crit.exact) <= radius
+        entries.append(FFGrowthEntry(n, int(deg), normalized, constant, holds))
+    return FFGrowthReport(tuple(entries), h_crit, _classify(entries))
+
+
+def degeneration_slope(fmap, center, n_max: int):
+    """``analysis.degeneration_slope`` read off the valuations of every
+    sigma*_{j,n}, the coefficients of q_n."""
+    _check_poles_only_at(fmap, center)
+    alphas = []
+    for n in range(1, n_max + 1):
+        sigma = sigma_star(fmap, n)
+        best = Fraction(0)
+        for s in sigma:
+            if s:
+                ordv = center.valuation(s)
+                if -ordv > best:
+                    best = Fraction(-ordv)
+        alphas.append((n, best / (n * (len(sigma) - 1))))
+    return DegenerationReport(center, tuple(alphas), alphas[-1][1])

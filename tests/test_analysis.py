@@ -1,9 +1,14 @@
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from dynlyap import bivariate
 from dynlyap.algebra import RatFunc
 from dynlyap.analysis import (
     CERTIFIED_NON_ISOTRIVIAL,
@@ -15,7 +20,9 @@ from dynlyap.analysis import (
     global_consistency,
     isotriviality_report,
 )
+from dynlyap.cli import run
 from dynlyap.errors import DegenerateMap, PoleOutsideCenter
+from dynlyap.mapio import format_coefficient
 from dynlyap.heights import canonical_height
 from dynlyap.maps import new_map
 from dynlyap.places import Place
@@ -116,6 +123,75 @@ class TestDegenerationSlope:
         fm = new_map(2, (t, RatFunc.const(1), RatFunc.const(1) / t), (0, 0, RatFunc.const(1)))
         rep = degeneration_slope(fm, Place.ff_point(0), 3)
         assert all(a >= 0 for _, a in rep.alphas)
+
+
+def gauss_lemma_maps():
+    """(name, map factory, n_max, slope centers) for the p_{d,n} readers;
+    a factory, so each path starts from empty caches."""
+    t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+    inf, origin = Place.ff_infinity(), Place.ff_point(0)
+    cases = [
+        ("z^2+t", lambda: new_map(2, (one, zero, t), (zero, zero, one)), 4, (inf, origin)),
+        ("z^2+1/t", lambda: new_map(2, (one, zero, one / t), (zero, zero, one)), 4, (origin,)),
+        ("(z^2+t)/z", lambda: new_map(2, (one, zero, t), (zero, one, zero)), 3, (inf, origin)),
+        ("(z+t)/z^2", lambda: new_map(2, (zero, one, t), (one, zero, zero)), 2, (inf,)),
+        ("(z-t)^2+t", lambda: new_map(2, (one, -2 * t, t * t + t), (zero, zero, one)), 3, (inf,)),
+    ]
+    rng = random.Random(31)
+    for i in range(3):
+        c = zero
+        while c.is_constant():
+            c = sum((t**k * rng.randint(-3, 3) for k in range(3)), zero)
+        cases.append((f"z^2+c_{i}(t)", lambda c=c: new_map(2, (one, zero, c), (zero, zero, one)),
+                      3, (inf, Place.ff_point(rng.randint(-2, 2)))))
+    return cases
+
+
+class TestGaussLemmaReaders:
+    """ff_degree_sequence and degeneration_slope read p_{d,n}; the oracles
+    read every sigma*_{j,n} of q_n = p_{d,n}^n."""
+
+    @pytest.mark.parametrize("name,make,n_max,centers", gauss_lemma_maps(),
+                             ids=[c[0] for c in gauss_lemma_maps()])
+    def test_equals_q_n_oracle(self, name, make, n_max, centers):
+        got, want = ff_degree_sequence(make(), n_max), oracles.ff_degree_sequence(make(), n_max)
+        assert got.entries == want.entries
+        assert got.classification == want.classification
+        assert got.h_crit == want.h_crit
+        for center in centers:
+            got, want = degeneration_slope(make(), center, n_max), \
+                oracles.degeneration_slope(make(), center, n_max)
+            assert got.alphas == want.alphas and got.extrapolated == want.extrapolated
+
+    def test_isotrivial_conjugate_constant(self):
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one, -2 * t, t * t + t), (zero, zero, one))  # (z - t)^2 + t
+        rep = ff_degree_sequence(fm, 3)
+        assert all(e.all_sigma_constant and e.degree == 0 for e in rep.entries)
+        assert rep.classification == CONSISTENT_ISOTRIVIAL_OR_AFFINE
+
+    def test_pole_outside_center_at_infinity(self):
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        for slope in (degeneration_slope, oracles.degeneration_slope):
+            fm = new_map(2, (one, zero, one / t), (zero, zero, one))
+            with pytest.raises(PoleOutsideCenter):
+                slope(fm, Place.ff_infinity(), 2)
+
+    def test_cli_never_builds_q_n(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("q_n = p^n was built")
+
+        monkeypatch.setattr(bivariate, "_ratfunc_poly_power", refuse)
+        t, one = RatFunc.t(), RatFunc.const(1)
+        for c, center in ((t, "t=inf"), (one / t, "t=0")):
+            coeffs = [one, one * 0, c, one * 0, one * 0, one]
+            text = json.dumps({"d": 2, "a": [format_coefficient(x) for x in coeffs[:3]],
+                               "b": [format_coefficient(x) for x in coeffs[3:]]})
+            for argv in (["ff-analyze", "--map", text, "--n-max", "4"],
+                         ["slope", "--map", text, "--center", center, "--n-max", "4"]):
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    assert run(argv) == 0, buf.getvalue()
 
 
 class TestGlobalConsistency:

@@ -10,6 +10,7 @@ from dynlyap.budget import default_budget
 from dynlyap.errors import DegenerateMap, IrrationalCriticalPoint, ResourceLimit
 from dynlyap.heights import (
     _arch_sup_t_bound,
+    _ff_northcott_bound,
     _map_sup_t_bound,
     _nonarch_green,
     _northcott_bound,
@@ -191,6 +192,18 @@ class TestBadPlaces:
         fm = new_map(2, a, b)
         assert [str(v) for v in bad_places(fm)] == want
 
+    def test_pole_of_the_lift_scale(self):
+        # F = (X^2/p, p Y^2) has Res F = 1; the primitive lift (X^2, p^2 Y^2) is
+        # bad at p, which only the pole of lam (F = lam G) shows
+        fm = new_map(2, (F(1, 3), 0, 0), (0, 0, 3))
+        assert fm.resultant == 1
+        assert [v.p for v in bad_places(fm)] == [3]
+        t = RatFunc.t()
+        one, zero = RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one / t, zero, zero), (zero, zero, t))
+        assert fm.resultant == 1
+        assert [str(v) for v in bad_places(fm)] == ["t=0"]
+
     def test_ff_pole_off_the_rational_points(self):
         t = RatFunc.t()
         fm = new_map(2, (RatFunc.const(1), RatFunc.const(0), 1 / (t * t + 1)), (0, 0, RatFunc.const(1)))
@@ -299,6 +312,40 @@ class TestPrecisionLadder:
         assert heights._nonarch_iterate(*args).to_float() == (0.0, 0.0)
 
 
+def ff_orbit_cases():
+    """Seeded points of z^2 + c(t) and (z^2 + c(t))/z over Q(t); in half of
+    the cases c = x0 - x0^2, so x0 is fixed by z^2 + c and -x0 maps to it."""
+    rng = random.Random(2026)
+    t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+    cases = []
+    for i in range(8):
+        x0 = t * rng.choice((-1, 1, 2)) + rng.randint(-2, 2)
+        c = x0 - x0 * x0 if i % 4 < 2 else zero
+        while c.is_constant():
+            c = sum((t**k * rng.randint(-2, 2) for k in range(3)), zero)
+        b = (zero, one, zero) if i % 2 else (zero, zero, one)
+        fm = new_map(2, (one, zero, c), b)
+        xs = [zero, "inf", x0, -x0, RatFunc.const(rng.randint(-3, 3)),
+              t * rng.randint(1, 2) + rng.randint(-2, 2), one / (t + rng.randint(-2, 2))]
+        cases.append((fm, [point_of(x, one) for x in xs]))
+    return cases
+
+
+# the answers of the 2^14-bit stop alone, before the t-degree bound existed;
+# that stop needs minutes on these points, so its answers are pinned here
+F_, T_ = False, True
+FF_ORBIT_PINS = [
+    [F_, T_, T_, T_, F_, F_, F_],
+    [T_, T_, F_, F_, T_, F_, F_],
+    [F_, T_, F_, F_, F_, F_, F_],
+    [T_, T_, F_, F_, F_, F_, F_],
+    [F_, T_, T_, T_, F_, F_, F_],
+    [T_, T_, F_, F_, F_, F_, F_],
+    [F_, T_, F_, F_, F_, F_, F_],
+    [T_, T_, F_, F_, T_, F_, F_],
+]
+
+
 class TestNorthcott:
     def test_preperiodic_points_found(self):
         cases = [
@@ -333,6 +380,40 @@ class TestNorthcott:
                 h = canonical_height(fm, x, 1e-10)
                 h2 = 0.5 * math.log(x.numerator**2 + x.denominator**2)
                 assert abs(h.value - h2) <= c + h.err, (i, x)
+
+    def test_ff_wandering_orbit_stops_at_the_bound(self, monkeypatch):
+        # z^2 + t: e = 1, so the bound is 3; 0 -> t -> t^2 + t -> degree 4
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one, zero, t), (zero, zero, one))
+        assert _ff_northcott_bound(fm) == 3
+        steps = []
+        inner = heights.apply_map
+        monkeypatch.setattr(heights, "apply_map", lambda f, p: steps.append(1) or inner(f, p))
+        assert not _preperiodic(fm, point_of(zero, one))
+        assert len(steps) <= 4
+
+    def test_ff_fixed_point_below_the_bound(self):
+        # z = t is fixed by z^2 + t - t^2
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one, zero, t - t * t), (zero, zero, one))
+        assert _preperiodic(fm, point_of(t, one))
+        assert _preperiodic(fm, point_of(-t, one))
+        assert canonical_height(fm, t).exact == 0
+
+    def test_ff_constant_orbit_takes_the_bit_stop(self, monkeypatch):
+        # z^2 + 1 over Q(t): e = 0, and the constant orbit of 0 never passes it
+        one, zero = RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one, zero, one), (zero, zero, one))
+        assert _ff_northcott_bound(fm) == 0
+        bits = []
+        inner = heights._point_bits
+        monkeypatch.setattr(heights, "_point_bits", lambda p: bits.append(inner(p)) or bits[-1])
+        assert not _preperiodic(fm, point_of(zero, one))
+        assert bits[-1] > 1 << 14
+
+    def test_ff_bound_agrees_with_the_bit_stop(self):
+        got = [[_preperiodic(fm, pt) for pt in pts] for fm, pts in ff_orbit_cases()]
+        assert got == FF_ORBIT_PINS
 
     def test_no_factoring_for_preperiodic_points(self, monkeypatch):
         # z^2/q: Res = q^2, whose primes trial division would take seconds to reach
