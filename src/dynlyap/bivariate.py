@@ -14,12 +14,17 @@ runs on such rows from start to end:
   Phi*_n = prod_{m | n} P_m^mu(n/m) comes out primitive (Gauss's lemma);
 * the traces.  ``_ratfunc_power_sums`` takes Phi*_n and the rows of G^(n)
   straight into the quotient ring ``_ZtQuotient``; over Q the modular
-  engine (``multipliers._modular_power_sums``) reads the same rows.
+  engine (``multipliers._modular_power_sums``) reads the same rows.  When
+  the multiplier lambda = a / b needs a division, ``_row_mod_div`` forms it
+  from F_p images at points t0, Cauchy interpolation, rational number
+  reconstruction and an exact check in the ring;
+* Newton's identities.  ``_monic_from_power_sums`` turns the power sums
+  into p_{d,n} on integer rows over one denominator.
 
 Elements of Q(t) become rows in one way: ``_clear_rows`` writes them as
 integer rows over one den in Z[t], the lcm of their denominators.  The
-lift, q_n = p^n (``_ratfunc_poly_power``), the lambda of the second trace
-ring, ``multipliers._normalize_proj`` and ``heights.bad_places`` all
+lift, q_n = p^n (``_ratfunc_poly_power``), the power sums of Newton's
+identities, ``multipliers._normalize_proj`` and ``heights.bad_places`` all
 clear through it.
 
 In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
@@ -33,14 +38,15 @@ of L it shares with its denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
-from math import gcd as _gcd
+from itertools import chain, count, islice
+from math import gcd as _gcd, isqrt
 
 from . import multipliers
 from .algebra import (
     Poly,
     RatFunc,
     _clear_fractions,
+    _fp_poly_inv,
     _int_content,
     _half_offset,
     _int_mul,
@@ -310,6 +316,36 @@ def _ratfunc_poly_power(p: Poly, n: int) -> Poly:
     return Poly(_from_rows(out, out_den))
 
 
+def _monic_from_power_sums(psums, degree: int) -> Poly:
+    """The monic polynomial over Q(t) of the given degree with the given
+    first power sums, by Newton's identities on integer rows.  With
+    psums[i] = P_(i+1) / D over one den (``_clear_rows``), the elementary
+    symmetric functions are e_k = E_k / (k! D^k) for E_0 = 1 and
+    E_k = sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! D^(i-1) E_(k-i) P_i in Z[t],
+    so each coefficient (-1)^j e_j is normalized once."""
+    rows, den = _clear_rows(psums[:degree])
+    dpow = [[1]]  # D^i
+    for _ in range(degree):
+        dpow.append(_int_mul(dpow[-1], den))
+    rows = [_int_mul(r, dpow[i]) for i, r in enumerate(rows)]  # D^(i-1) P_i
+    elem = [[1]]
+    for k in range(1, degree + 1):
+        acc, f = [], 1  # f = (k-1)! / (k-i)!
+        for i in range(1, k + 1):
+            term = _int_mul(elem[k - i], rows[i - 1])
+            acc += [0] * (len(term) - len(acc))
+            for j, x in enumerate(term):
+                acc[j] += x * f if i % 2 else -x * f
+            f *= k - i
+        elem.append(acc)
+    coeffs, fact = [], 1
+    for j, e in enumerate(elem):
+        fact *= j or 1
+        coeffs.append(RatFunc(Poly.from_ints(e if j % 2 == 0 else [-x for x in e]),
+                              Poly.from_ints([fact * x for x in dpow[j]])))
+    return Poly(coeffs[::-1])
+
+
 # ---------------------------------------------------------------------------
 # the lift and Phi*_n on rows
 # ---------------------------------------------------------------------------
@@ -477,6 +513,250 @@ def _trace_ring(phi: list, extra: list, max_len: int):
     return ring, _power_cofactor(extra, L)
 
 
+# ---------------------------------------------------------------------------
+# lambda = a / b from F_p images
+# ---------------------------------------------------------------------------
+
+_START_POINTS = 8   # evaluation points per prime in the first round
+_MAX_SKIPS = 32     # points t0 skipped for one prime before giving up
+
+
+def _fp_horner(row: list, x: int, p: int) -> int:
+    v = 0
+    for c in reversed(row):
+        v = (v * x + c) % p
+    return v
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    return [c % p for c in _int_mul(a, b)]
+
+
+def _fp_divmod(a: list, b: list, p: int):
+    """(q, r) with a = q b + r over F_p, b with a nonzero last entry."""
+    r = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            q[k] = c
+            for j in range(db + 1):
+                r[k + j] = (r[k + j] - c * b[j]) % p
+    r = r[:db]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _fp_sub(a: list, b: list, p: int) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fp_cauchy(xs: list, vanish: list, u: list, p: int):
+    """(num, den) over F_p, den monic, with num / den = u at the points xs,
+    deg num < k and deg den <= len(xs) - k for k = ceil(len(xs) / 2); None
+    if there is no such fraction.  u is the interpolating polynomial of the
+    values and vanish = prod (t - x); the fraction is the first remainder of
+    their Euclid of degree below k, over its cofactor."""
+    k = (len(xs) + 1) // 2
+    r0, r1 = vanish, u
+    s0, s1 = [], [1]
+    while len(r1) > k:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+    if len(s1) - 1 > len(xs) - k or any(_fp_horner(s1, x, p) == 0 for x in xs):
+        return None
+    inv = pow(s1[-1], -1, p)
+    return [c * inv % p for c in r1], [c * inv % p for c in s1]
+
+
+def _fp_interpolate(xs: list, ys: list, invs: list, p: int) -> list:
+    """The polynomial of degree < len(xs) through the values ys, by
+    Newton's divided differences; invs[j][i] = 1 / (xs[i + j] - xs[i])."""
+    c = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        inv = invs[j]
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv[i - j] % p
+    u = [c[-1]]
+    for i in range(n - 2, -1, -1):  # u <- u (t - x_i) + c_i
+        x = xs[i]
+        u = [(lo - x * hi) % p for lo, hi in zip([c[i]] + u, u + [0])]
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _rat_recon(u: int, m: int):
+    """The fraction x / y = u mod m with |x|, y <= sqrt(m / 2), or None
+    (Wang's rational number reconstruction)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or _gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+class _Images:
+    """lambda(t0) = a(t0) / b(t0) in F_p[z]/(Phi*_n(t0)) at the points
+    t0 = 1, 2, ... where the leading row of Phi*_n, the denominators of a
+    and b and b(t0) itself are units mod p, for the monic Phi*_n = phi /
+    phi[-1], a = (rows, c, e) and b as elements of ``ring``."""
+
+    def __init__(self, ring, phi: list, a, b, p: int):
+        self.p = p
+        self.phi = [[x % p for x in r] for r in phi]
+        self.a = [[x % p for x in r] for r in a[0]]
+        self.b = [[x % p for x in r] for r in b[0]]
+        self.L = [x % p for x in ring.L]
+        self.scale, self.e = b[1] * pow(a[1], -1, p) % p, b[2] - a[2]
+        self.xs, self.values = [], []
+        self.next, self.skips = 1, 0
+
+    def take(self, points: int):
+        """(xs, values) at the first good points."""
+        p = self.p
+        while len(self.xs) < points:
+            x = self.next
+            self.next += 1
+            lx = _fp_horner(self.L, x, p)
+            phi = [_fp_horner(r, x, p) for r in self.phi]
+            lam = None
+            if lx and phi[-1]:
+                inv_lc = pow(phi[-1], -1, p)
+                phi = [c * inv_lc % p for c in phi]
+                inv = _fp_poly_inv([_fp_horner(r, x, p) for r in self.b], phi, p)
+                if inv is not None:
+                    s = self.scale * pow(lx, self.e, p) % p
+                    lam = [c * s % p for c in _fp_divmod(
+                        _fp_mul([_fp_horner(r, x, p) for r in self.a], inv, p), phi, p)[1]]
+            if lam is None:
+                self.skips += 1
+                if self.skips > _MAX_SKIPS:
+                    raise NonExactDivision(
+                        "derivative denominator shares a root with the dynatomic polynomial")
+                continue
+            self.xs.append(x)
+            self.values.append(lam + [0] * (len(phi) - 1 - len(lam)))
+        return self.xs[:points], self.values[:points]
+
+    def reconstruct(self, points: int):
+        """(delta, nums) over F_p from that many points: lambda_i = nums[i] /
+        delta with delta the monic lcm of the denominators; None if a
+        coefficient has no fraction within the degree bounds.  Each
+        coefficient is interpolated times the delta of those before it, so
+        the denominator left over is what delta still lacks."""
+        p = self.p
+        xs, values = self.take(points)
+        inv = {}  # 1 / (x - y) by the difference: most points are consecutive
+        for x in xs:
+            for y in xs:
+                if x > y and x - y not in inv:
+                    inv[x - y] = pow(x - y, -1, p)
+        invs = [[inv.get(x - y) for x, y in zip(xs[j:], xs)] for j in range(len(xs))]
+        vanish = [1]
+        for x in xs:
+            vanish = _fp_mul(vanish, [-x, 1], p)
+        delta, nums = [1], []
+        dx = [1] * len(xs)
+        for col in zip(*values):
+            u = _fp_interpolate(xs, [v * d % p for v, d in zip(col, dx)], invs, p)
+            frac = _fp_cauchy(xs, vanish, u, p)
+            if frac is None:
+                return None
+            num, den = frac
+            if len(den) > 1:
+                nums = [_fp_mul(c, den, p) for c in nums]
+                delta = _fp_mul(delta, den, p)
+                dx = [_fp_horner(delta, x, p) for x in xs]
+            nums.append(num)
+        return delta, nums
+
+
+def _row_mod_div(ring, phi: list, a, b):
+    """lambda = a / b in Q(t)[z]/(Phi*_n) as (rows, den), lambda_i =
+    rows[i] / den with den the lcm of the denominators of the lambda_i in
+    lowest terms, for a and b = (rows, c, e) elements of ``ring`` (modulo
+    the monic Phi*_n = phi / phi[-1]) and b a unit.
+
+    The images of lambda at points t0 mod engine primes p
+    (``multipliers._engine_prime``) are interpolated to fractions over one
+    monic den per prime (Cauchy interpolation, ``_Images.reconstruct``);
+    the coefficients are lifted from the CRT of the primes that agree on
+    the degrees to Q by rational reconstruction and cleared to integers.
+    The result is kept only when lam b = den a holds exactly in the ring,
+    so it is exact by construction.  A failed reconstruction or check
+    doubles the points, unless doubling them last time left the images
+    unchanged: then the modulus is too small and a prime is added.
+    """
+    if not a[0]:
+        return [], [1]
+    bad = a[1] * b[1] * _int_content(phi[-1])
+    primes = (p for p in map(multipliers._engine_prime, count()) if bad % p)
+    images = [_Images(ring, phi, a, b, next(primes))]
+    points, last = _START_POINTS, None
+    while True:
+        recons = [im.reconstruct(points) for im in images]
+        if None not in recons:
+            shapes = [[len(delta)] + [len(c) for c in nums] for delta, nums in recons]
+            lifted = _lift_fractions([(im.p, r) for im, r, s in zip(images, recons, shapes)
+                                      if s == max(shapes)])
+            if lifted is not None and _exact_check(ring, *lifted, a, b):
+                return lifted
+            if recons[0] == last:  # more points changed nothing: the modulus is short
+                images.append(_Images(ring, phi, a, b, next(primes)))
+                continue
+            last = recons[0]
+        points *= 2
+
+
+def _exact_check(ring, rows: list, den: list, a, b) -> bool:
+    """rows b == den a in the ring, both sides in normal form."""
+    rows = _trim(rows)
+    if not rows:
+        return False
+    return ring.mul((rows, 1, 0), b) == ring.normal(_mul_rows([den], a[0]), a[1], a[2])
+
+
+def _lift_fractions(used):
+    """(rows, den) over Z from the F_p forms (delta, nums) of several primes,
+    by CRT and rational reconstruction; None if some coefficient has no
+    fraction within Wang's bound."""
+    m, acc = 1, None
+    for p, (delta, nums) in used:
+        flat = delta + [x for c in nums for x in c]
+        if acc is None:
+            acc = flat
+        else:
+            inv = pow(m, -1, p)
+            acc = [x + m * ((y - x) * inv % p) for x, y in zip(acc, flat)]
+        m *= p
+    fracs = []
+    for x in acc:
+        f = _rat_recon(x, m)
+        if f is None:
+            return None
+        fracs.append(f)
+    ints, _ = _clear_fractions(fracs)
+    delta, nums = used[0][1]
+    flat = iter(ints)
+    den = list(islice(flat, len(delta)))
+    rows = [list(islice(flat, len(c))) for c in nums]
+    return rows, den
+
+
 def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
     k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
@@ -488,11 +768,10 @@ def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> lis
     whose L is the radical of g times the leading row of Phi*_n, so that L
     covers the poles of the monic Phi*_n and of a.  When b is constant in
     z, b is divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
-    lambda = a / b is formed once in Q(t)[z]/(phi) by
-    ``multipliers._field_mod_div``, from a RatFunc Phi*_n built from the
-    rows, cleared back to rows over one denominator (``_clear_rows``), and
-    the sums are taken in a ring whose L is the radical of that denominator
-    times the leading row of Phi*_n (``_trace_ring`` builds both rings).
+    lambda = a / b is formed once on rows, over one denominator in lowest
+    terms (``multipliers._field_mod_div``, ``_row_mod_div``), and the sums
+    are taken in a ring whose L is the radical of that denominator times
+    the leading row of Phi*_n (``_trace_ring`` builds both rings).
     Each S_k becomes an element of Q(t), with one normalization, only at
     the end.
     """
@@ -512,11 +791,7 @@ def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> lis
     if len(b[0]) == 1:
         norm = b[0][0], b[1], b[2]
     else:
-        lam_c = multipliers._field_mod_div(
-            Poly(_from_rows(lam[0], [lam[1] * x for x in ring.lpow(lam[2])])),
-            Poly(_from_rows(b[0], [b[1] * x for x in ring.lpow(b[2])])),
-            Poly(_from_rows(phi, phi[-1])))
-        rows, lam_den = _clear_rows(lam_c.coeffs)
+        rows, lam_den = multipliers._field_mod_div(ring, phi, lam, b)
         ring, (cof, c, e) = _trace_ring(phi, lam_den, 0)
         lam = ring.normal([_int_mul(r, cof) for r in rows], c, e)
     out = []

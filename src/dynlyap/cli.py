@@ -288,10 +288,15 @@ def _attach_point_value(argv) -> list:
     return out
 
 
+_parser = None  # built on the first run and reused: parsing leaves it unchanged
+
+
 def run(argv) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_point_value(argv))
+        args = _parser.parse_args(_attach_point_value(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = {

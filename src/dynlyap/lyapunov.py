@@ -24,7 +24,7 @@ from .algebra import _clear_fractions, period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
 from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
 from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
-from .multipliers import cycle_polynomial, fixstar_multiplier_charpoly
+from .multipliers import cycle_polynomial
 from .places import Place, LocalLogValue, local_abs, log_max
 from .roots import aberth_roots
 
@@ -66,9 +66,13 @@ def epsilon_radius(v: Place, d: int, n: int) -> TruncationRadius:
 
 
 def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> LyapunovEstimate:
-    """Truncated multiplier average L_n(f, r) at the place v."""
-    q_n = fixstar_multiplier_charpoly(fmap, n)  # prod over Fix*(f^n) of (T - lambda)
-    d_n = q_n.degree
+    """Truncated multiplier average L_n(f, r) at the place v, read off
+    p_{d,n}, whose n-th power is q_n = prod over Fix*(f^n) of (T - lambda).
+    At a finite place the r-weighted Gauss norm max_j |c_j|_v r^j of a
+    polynomial is multiplicative, so its log on q_n is n times that on
+    p_{d,n}, and q_n is never built."""
+    p_dn = cycle_polynomial(fmap, n)
+    d_n = n * p_dn.degree
     if v.is_archimedean():
         r_val, _ = log_r.to_float()
         r = math.exp(r_val)
@@ -78,18 +82,14 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
         err = 0.0
         # Aberth sees only simple roots: each squarefree part once, its roots
         # weighted by their multiplicity in p_{d,n}
-        for part, mult in squarefree_parts(cycle_polynomial(fmap, n)):
+        for part, mult in squarefree_parts(p_dn):
             roots, errs = aberth_roots(list(part.coeffs))
             for root, rerr in zip(roots, errs):
                 total += mult * math.log(max(r, abs(root)))
                 err += mult * (rerr / max(r, abs(root)) + 1e-15)
         return LyapunovEstimate(v, n, log_r, LocalLogValue.from_float(total / d_n, err / d_n + 1e-14))
-    terms = []
-    for j in range(d_n + 1):
-        s = q_n[d_n - j]  # sigma*_j up to sign, which |.|_v does not see
-        if s:
-            terms.append(local_abs(s, v) + log_r.scaled(d_n - j))
-    value = log_max(terms).scaled(Fraction(1, n * d_n))
+    terms = [local_abs(c, v) + log_r.scaled(j) for j, c in enumerate(p_dn.coeffs) if c]
+    value = log_max(terms).scaled(Fraction(1, d_n))
     return LyapunovEstimate(v, n, log_r, value)
 
 

@@ -41,7 +41,13 @@ inside z-slots), remainders come from Barrett's method with the inverse
 series of rev(Phi*_n), and each result sheds the integer content and the
 power of L it shares with its denominator.  The traces Tr(lambda^k) use the
 same baby and giant steps as the modular engine (``_trace_powers``), and
-only the final S_k become elements of Q(t).  Both engines are tested
+only the final S_k become elements of Q(t).  When den^2 is not constant in
+z, lambda = a / b is formed on rows from its images mod (Phi*_n(t0), p)
+at points t0 and engine primes p: Cauchy interpolation over F_p, rational
+number reconstruction over the CRT of the primes, and an exact check
+lambda b = a in the ring that makes the result exact by construction
+(``_field_mod_div``, ``bivariate._row_mod_div``).  Newton's identities
+over Q(t) run on integer rows over one denominator.  Both engines are tested
 against the trace loop in k[z]/(Phi*_n) over the base field, and the rows
 of Phi*_n against composition of lifts over the base field; both oracles
 live in the test suite.
@@ -196,7 +202,13 @@ def power_sums_from_monic(p: Poly, count: int):
 
 
 def monic_from_power_sums(psums, degree: int, one) -> Poly:
-    """Monic polynomial of the given degree with the given first power sums."""
+    """Monic polynomial of the given degree with the given first power sums.
+    Over Q(t) the identities run on integer rows over one denominator
+    (``bivariate._monic_from_power_sums``)."""
+    if isinstance(one, RatFunc):
+        from . import bivariate
+
+        return bivariate._monic_from_power_sums(psums, degree)
     elem = [one]
     for k in range(1, degree + 1):
         acc = one * 0
@@ -459,25 +471,16 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     return out
 
 
-def _field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
-    """Generic extended-Euclid division in k[z]/(phi); small inputs only.
-    Each remainder is made monic, which over Q(t) keeps the degrees of the
-    coefficients from compounding (8x faster for (z+t)/z^2 at n = 3)."""
-    one = field_one(phi.lc())
-    r0, r1 = phi, b % phi
-    u0, u1 = Poly(), Poly.const(one)
-    while not r1.is_zero() and r1.degree > 0:
-        inv_lc = 1 / r1.lc()
-        r1, u1 = r1.scale(inv_lc), u1.scale(inv_lc)
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    if r1.is_zero():
-        raise NonExactDivision(
-            "derivative denominator shares a root with the dynatomic polynomial"
-        )
-    inv = u1.scale(1 / r1.coeffs[0])
-    return (a * inv) % phi
+def _field_mod_div(ring, phi: list, a, b):
+    """lambda = a / b in Q(t)[z]/(Phi*_n) on integer rows, as (rows, den)
+    with den the lcm of the denominators of the coefficients in lowest
+    terms; a and b are elements (rows, c, e) of ``ring`` and phi the
+    primitive rows of Phi*_n.  From F_p images, rational reconstruction
+    and an exact check (``bivariate._row_mod_div``); the division keeps
+    this name because ``perfbench/tracing.py`` times it by name."""
+    from . import bivariate
+
+    return bivariate._row_mod_div(ring, phi, a, b)
 
 
 def _multiplier_power_sums(fmap: RationalMap, n: int, div: DynatomicDivisor, count: int, one):

@@ -6,6 +6,7 @@ from dynlyap.algebra import (
     Poly,
     RatFunc,
     divisors,
+    field_one,
     mobius,
     poly_exact_div,
     sigma2,
@@ -21,7 +22,13 @@ from dynlyap.analysis import (
 from dynlyap.errors import IrrationalCriticalPoint, NonExactDivision
 from dynlyap.heights import critical_height_direct, map_height, naive_height
 from dynlyap.maps import fixed_point_divisor
-from dynlyap.multipliers import _field_mod_div, lambda_tilde_point, power_sums_from_monic, sigma_star
+from dynlyap.multipliers import (
+    fixstar_multiplier_charpoly,
+    lambda_tilde_point,
+    power_sums_from_monic,
+    sigma_star,
+)
+from dynlyap.places import local_abs, log_max
 
 
 def dynatomic_poly(fmap, n: int):
@@ -44,6 +51,27 @@ def dynatomic_poly(fmap, n: int):
     return (num if den is None else poly_exact_div(num, den)), inf_mult
 
 
+def field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
+    """a / b in k[z]/(phi) by the extended Euclid over the base field
+    (Fraction or RatFunc coefficients).  Each remainder is made monic, which
+    over Q(t) keeps the degrees of the coefficients from compounding."""
+    one = field_one(phi.lc())
+    r0, r1 = phi, b % phi
+    u0, u1 = Poly(), Poly.const(one)
+    while not r1.is_zero() and r1.degree > 0:
+        inv_lc = 1 / r1.lc()
+        r1, u1 = r1.scale(inv_lc), u1.scale(inv_lc)
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+    if r1.is_zero():
+        raise NonExactDivision(
+            "derivative denominator shares a root with the dynatomic polynomial"
+        )
+    inv = u1.scale(1 / r1.coeffs[0])
+    return (a * inv) % phi
+
+
 def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:
     """S_k = sum over the roots beta of the monic phi of lambda(beta)^k,
     k = 1..count, lambda = (f^n)', by the trace loop cur = cur * lambda mod phi
@@ -59,7 +87,7 @@ def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:
     if b.degree <= 0:
         lam = a.scale(1 / b.coeffs[0])
     else:
-        lam = _field_mod_div(a, b, phi)
+        lam = field_mod_div(a, b, phi)
     traces = [one * deg] + power_sums_from_monic(phi, deg - 1)  # trace of z^i
     out = []
     cur = lam
@@ -139,3 +167,16 @@ def degeneration_slope(fmap, center, n_max: int):
                     best = Fraction(-ordv)
         alphas.append((n, best / (n * (len(sigma) - 1))))
     return DegenerationReport(center, tuple(alphas), alphas[-1][1])
+
+
+def L_n_local_finite(fmap, n: int, log_r, v):
+    """``lyapunov.L_n_local`` at a finite place read off q_n = p_{d,n}^n:
+    the log of the r-weighted Gauss norm of q_n over n d_n."""
+    q_n = fixstar_multiplier_charpoly(fmap, n)
+    d_n = q_n.degree
+    terms = []
+    for j in range(d_n + 1):
+        s = q_n[d_n - j]  # sigma*_j up to sign, which |.|_v does not see
+        if s:
+            terms.append(local_abs(s, v) + log_r.scaled(d_n - j))
+    return log_max(terms).scaled(Fraction(1, n * d_n))

@@ -193,6 +193,35 @@ class TestDeterminism:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
+    def test_cached_parser_matches_a_fresh_one(self, monkeypatch, capsys):
+        from dynlyap import cli
+
+        calls = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
+        jobs = [
+            (["multipliers", "--map", BASILICA, "--n"], 2),  # argparse: no value for --n
+            (["multipliers", "--map", BASILICA, "--n", "2"], 0),
+            (["slope", "--map", POLE, "--center", "t=0", "--n-max", "2"], 0),
+            (["lyapunov", "--map", SQUARE, "--place", "p:3", "--n-max", "2"], 0),
+        ]
+
+        def outputs(fresh):
+            got = []
+            for argv, code in jobs:
+                if fresh:
+                    monkeypatch.setattr(cli, "_parser", None)
+                assert run(argv) == code
+                out = capsys.readouterr()
+                got.append((out.out, out.err))
+            return got
+
+        monkeypatch.setattr(cli, "_parser", None)
+        cached = outputs(fresh=False)
+        assert len(calls) == 1
+        assert outputs(fresh=True) == cached
+        assert cached[0][1].startswith("usage:") and cached[1][0].startswith("{")
+
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dynlyap", "multipliers", "--map", BASILICA, "--n", "1"],

@@ -20,6 +20,7 @@ from dynlyap.maps import multiplier_rational_function
 from dynlyap.multipliers import cycle_polynomial, dynatomic_divisor
 from dynlyap.places import LocalLogValue, Place
 from dynlyap.roots import aberth_roots
+from oracles import L_n_local_finite
 
 
 def poly_map(*coeffs_desc):
@@ -111,6 +112,19 @@ class TestLnLocal:
         v2 = Place.prime(2)
         est = L_n_local(poly_map(1, 0, 0), 2, epsilon_radius(v2, 2, 2).log_eps, v2)
         assert est.value.is_exact() and est.value.q == -1
+
+    def test_finite_place_matches_q_n_oracle(self):
+        # the Gauss norm of q_n = p_{d,n}^n, against the norm of p_{d,n}
+        rng = random.Random(91)
+        for d, n_max in ((2, 3), (2, 3), (3, 2), (2, 3)):
+            fm = random_map(rng, d)
+            for p in (2, 3):
+                v = Place.prime(p)
+                for n in range(1, n_max + 1):
+                    for r in (epsilon_radius(v, d, n).log_eps, LocalLogValue.exact(0),
+                              LocalLogValue.exact(F(-3, 2), p)):
+                        want = L_n_local_finite(fm, n, r, v)
+                        assert L_n_local(fm, n, r, v).value == want, (d, p, n, r)
 
     def test_ff_vanishing_at_special_parameter(self):
         t = RatFunc.t()

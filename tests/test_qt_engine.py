@@ -1,7 +1,9 @@
 """The integer row pipeline over Q(t) and Q: the iterated lift and Phi*_n
 against composition over the base field (``oracles.dynatomic_poly``), the
-multiplier at a periodic infinity against ``cycle_multiplier``, and the
-power sums against the RatFunc trace loop (``oracles.field_power_sums``)."""
+multiplier at a periodic infinity against ``cycle_multiplier``, the power
+sums against the RatFunc trace loop (``oracles.field_power_sums``), and the
+row division lambda = a / b against the RatFunc Euclid
+(``oracles.field_mod_div``) and values pinned with it."""
 
 import io
 import json
@@ -16,16 +18,17 @@ from dynlyap import bivariate, multipliers
 from dynlyap.algebra import Poly, RatFunc, period_count, poly_gcd
 from dynlyap.bivariate import _clear_rows, _pack_rows, _radical_base, _unpack_rows
 from dynlyap.cli import run
-from dynlyap.errors import DegenerateMap, ResourceLimit
+from dynlyap.errors import DegenerateMap, NonExactDivision, ResourceLimit
 from dynlyap.maps import cycle_multiplier, new_map, orbit
 from dynlyap.multipliers import (
     _infinity_cycle_data,
     _multiplier_power_sums,
     _normalize_proj,
+    cycle_polynomial,
     dynatomic_divisor,
     fixstar_multiplier_charpoly,
 )
-from oracles import dynatomic_poly, field_power_sums
+from oracles import dynatomic_poly, field_mod_div, field_power_sums
 
 T = RatFunc.t()
 ONE, ZERO = RatFunc.const(1), RatFunc.const(0)
@@ -56,9 +59,10 @@ CASES = [
     # rational coefficients: integer denominators next to the powers of L
     ("z^2+(t^2/2-5/3)/t", z2_plus(RatFunc(Poly([F(-5, 3), F(0), F(1, 2)])) / T), (1, 2, 3),
      [[0, 1]]),
-    # infinity -> 0 -> infinity: a 2-cycle through infinity (at n = 3 the
-    # RatFunc inversion of b in _field_mod_div alone takes about 2 s)
-    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2), None),
+    # infinity -> 0 -> infinity: a 2-cycle through infinity
+    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2, 3), [[0, 1], [0, 1]]),
+    # a general rational family: lambda has the poles t = 1 and t^2 + 2t + 5 = 0
+    ("(z^2+t)/(z^2+1)", new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE)), (1, 2), [[1], [-1, 1]]),
     ("z^3+t", new_map(3, (ONE, ZERO, ZERO, T), (ZERO, ZERO, ZERO, ONE)), (1, 2), [[1]]),
     # the leading coefficient of Phi*_n is a power of t + 1, or of t (t + 1)
     ("(t+1)z^2+t", new_map(2, (T + 1, ZERO, T), (ZERO, ZERO, ONE)), (1, 2, 3), [[1, 1]]),
@@ -215,7 +219,158 @@ def test_field_mod_div_inverts():
     a = (num.derivative() * den - num * den.derivative()) % phi
     b = (den * den) % phi
     assert b.degree > 0
-    assert ((multipliers._field_mod_div(a, b, phi) * b - a) % phi).is_zero()
+    assert ((field_mod_div(a, b, phi) * b - a) % phi).is_zero()
+
+
+# p_{d,3} as the engine gave it when it formed lambda = a / b by the RatFunc
+# Euclid (``oracles.field_mod_div``), which takes 2 s to over a minute here
+PINNED_P3 = [
+    ("(z^2+t)/(z^2+1)", new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE)),
+     [([320, 448, 1472, 896, 704, 192, 64], [1, -6, 15, -20, 15, -6, 1]),
+      ([24, 64, 24, 16], [-1, 3, -3, 1]), ([1], [1])]),
+    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)),
+     [([3, 0, -24, 0, 64], [0, 0, 0, 0, 1]), ([-3, 0, 16], [0, 0, 1]), ([1], [1])]),
+    ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)),
+     [([64, -256, 640, -896, 960, -640, 448, -128, 64], [1, -4, 4, 4, -10, 4, 4, -4, 1]),
+      ([-16, 32, -48, 16, -16], [-1, 2, 0, -2, 1]), ([1], [1])]),
+]
+
+
+@pytest.mark.parametrize("label,fmap,want", PINNED_P3, ids=[c[0] for c in PINNED_P3])
+def test_cycle_polynomial_pinned(label, fmap, want):
+    got = cycle_polynomial(fmap, 3)
+    assert [([int(x) for x in c.num.coeffs], [int(x) for x in c.den.coeffs])
+            for c in got.coeffs] == want
+
+
+def row_divisions(fmap, n, monkeypatch):
+    """[(ring, phi, a, b, (rows, den))] for every lambda = a / b that the
+    power sums of period n form."""
+    seen = []
+    inner = multipliers._field_mod_div
+
+    def spy(ring, phi, a, b):
+        out = inner(ring, phi, a, b)
+        seen.append((ring, phi, a, b, out))
+        return out
+
+    monkeypatch.setattr(multipliers, "_field_mod_div", spy)
+    sums(fmap, n)
+    return seen
+
+
+def ring_poly(ring, x):
+    rows, c, e = x
+    return Poly(bivariate._from_rows(rows, [c * v for v in ring.lpow(e)]))
+
+
+DIVISION_CASES = [
+    # (label, map, period, whether the RatFunc Euclid is quick enough to compare)
+    ("(z^2+3t+2)/z", quotient(3 * T + 2), 3, True),
+    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), 3, False),
+    ("(z^2+t)/(z^2+1)", new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE)), 3, False),
+    ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), 2, True),
+]
+
+
+@pytest.mark.parametrize("label,fmap,n,euclid", DIVISION_CASES,
+                         ids=[c[0] for c in DIVISION_CASES])
+def test_row_division_inverts(label, fmap, n, euclid, monkeypatch):
+    divisions = row_divisions(fmap, n, monkeypatch)
+    assert divisions
+    for ring, phi, a, b, (rows, den) in divisions:
+        phi_poly = Poly(bivariate._from_rows(phi, phi[-1]))
+        lam = Poly(bivariate._from_rows(rows, den))
+        a_poly, b_poly = ring_poly(ring, a), ring_poly(ring, b)
+        assert ((lam * b_poly - a_poly) % phi_poly).is_zero()
+        # lowest terms: den is the lcm of the denominators, up to a constant
+        lcm = Poly([F(1)])
+        for c in lam.coeffs:
+            lcm = lcm * c.den // poly_gcd(lcm, c.den)
+        assert Poly.from_ints(den).monic() == lcm
+        if euclid:
+            assert lam == field_mod_div(a_poly, b_poly, phi_poly)
+
+
+Z2_MINUS_1 = [[-1], [], [1]]
+
+
+def z2_minus_1_ring(L):
+    return bivariate._ZtQuotient((Z2_MINUS_1, 1, 0), list(L), 0)
+
+
+def divide_mod_z2_minus_1(b, a=([[1]], 1, 0), L=(1,)):
+    """a / b modulo z^2 - 1, for elements (rows, c, e) of the ring with base L."""
+    rows, den = bivariate._row_mod_div(z2_minus_1_ring(L), Z2_MINUS_1, a, b)
+    return Poly(bivariate._from_rows(rows, den))
+
+
+def spy_images(monkeypatch):
+    made = []
+
+    class Spy(bivariate._Images):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(bivariate, "_Images", Spy)
+    return made
+
+
+SINGULAR_CASES = [
+    # z - t is a unit modulo z^2 - 1, but at t0 = 1 it shares the root z = 1;
+    # 1 / (z - t) = (z + t) / (1 - t^2)
+    ("b(1) singular", ([[0, -1], [1]], 1, 0), ([[1]], 1, 0), (1,),
+     Poly([T / (1 - T * T), 1 / (1 - T * T)])),
+    # a = 1 / (t - 1) has a pole at t0 = 1, where b = z - 2t is a unit;
+    # a / b = (z + 2t) / ((t - 1) (1 - 4t^2))
+    ("a(1) a pole", ([[0, -2], [1]], 1, 0), ([[1]], 1, 1), (-1, 1),
+     Poly([2 * T / ((T - 1) * (1 - 4 * T * T)), 1 / ((T - 1) * (1 - 4 * T * T))])),
+]
+
+
+@pytest.mark.parametrize("label,b,a,L,want", SINGULAR_CASES, ids=[c[0] for c in SINGULAR_CASES])
+def test_row_division_skips_a_singular_point(label, b, a, L, want):
+    images = bivariate._Images(z2_minus_1_ring(L), Z2_MINUS_1, a, b, multipliers._engine_prime(0))
+    xs, values = images.take(3)
+    assert xs == [2, 3, 4] and images.skips == 1
+    p = images.p
+    for x, image in zip(xs, values):
+        at_x = [c.evaluate(F(x)) for c in want.coeffs]
+        assert image == [v.numerator * pow(v.denominator, -1, p) % p for v in at_x]
+    assert divide_mod_z2_minus_1(b, a, L) == want
+
+
+def test_row_division_gives_up_on_a_non_unit():
+    # z - 1 divides z^2 - 1: singular at every t0
+    with pytest.raises(NonExactDivision):
+        divide_mod_z2_minus_1(([[-1], [1]], 1, 0))
+
+
+def test_row_division_lifts_over_several_primes(monkeypatch):
+    # 1 / (z - c t) = (z + c t) / (1 - c^2 t^2), with 40-digit c^2: beyond
+    # rational reconstruction modulo one prime below 2^127
+    c = 10**20
+    made = spy_images(monkeypatch)
+    lam = 1 / (1 - c * c * T * T)
+    assert divide_mod_z2_minus_1(([[0, -c], [1]], 1, 0)) == Poly([c * T * lam, lam])
+    assert len(made) > 1
+
+
+def test_row_division_recovers_from_too_few_points(monkeypatch):
+    fmap = new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE))
+    want = sums(fmap, 3)
+    checks = []
+    inner = bivariate._exact_check
+
+    def spy(*args):
+        checks.append(inner(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(bivariate, "_START_POINTS", 1)
+    monkeypatch.setattr(bivariate, "_exact_check", spy)
+    assert sums(fmap, 3) == want
+    assert False in checks and checks[-1] is True
 
 
 def test_denominator_base_radical():
