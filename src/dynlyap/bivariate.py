@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import gcd as _gcd, isqrt
+from math import gcd as _gcd, isqrt, prod
 
 from . import multipliers
 from .algebra import (
@@ -201,6 +201,9 @@ class _ZtQuotient:
             if g != 1:
                 rows = [[x // g for x in r] for r in rows]
                 c //= g
+        if e and self.L == [0, 1]:  # the power of t dividing a row is its count of low zeros
+            k = min(e, *(next((i for i, x in enumerate(r) if x), e) for r in rows))
+            return [r[k:] for r in rows], c, e - k
         while e:
             out = []
             for r in rows:
@@ -699,7 +702,10 @@ def _row_mod_div(ring, phi: list, a, b):
     The result is kept only when lam b = den a holds exactly in the ring,
     so it is exact by construction.  A failed reconstruction or check
     doubles the points, unless doubling them last time left the images
-    unchanged: then the modulus is too small and a prime is added.
+    unchanged: then the modulus is too small and a prime is added.  Past
+    the points and the modulus that ``_division_caps`` proves enough, the
+    points stop doubling and primes stop being added, and the division
+    raises NonExactDivision.
     """
     if not a[0]:
         return [], [1]
@@ -707,19 +713,56 @@ def _row_mod_div(ring, phi: list, a, b):
     primes = (p for p in map(multipliers._engine_prime, count()) if bad % p)
     images = [_Images(ring, phi, a, b, next(primes))]
     points, last = _START_POINTS, None
+    max_points, max_modulus = _division_caps(ring, phi, a, b)
     while True:
         recons = [im.reconstruct(points) for im in images]
         if None not in recons:
             shapes = [[len(delta)] + [len(c) for c in nums] for delta, nums in recons]
-            lifted = _lift_fractions([(im.p, r) for im, r, s in zip(images, recons, shapes)
-                                      if s == max(shapes)])
+            used = [(im.p, r) for im, r, s in zip(images, recons, shapes) if s == max(shapes)]
+            lifted = _lift_fractions(used)
             if lifted is not None and _exact_check(ring, *lifted, a, b):
                 return lifted
-            if recons[0] == last:  # more points changed nothing: the modulus is short
+            # more points changed nothing: the modulus is short
+            if recons[0] == last and prod(p for p, _ in used) <= max_modulus:
                 images.append(_Images(ring, phi, a, b, next(primes)))
                 continue
             last = recons[0]
+        if points >= max_points:
+            break
         points *= 2
+    raise NonExactDivision("no exact quotient within the Cramer bounds of the row division")
+
+
+def _division_caps(ring, phi: list, a, b):
+    """(points, modulus) past which ``_row_mod_div`` cannot succeed.
+
+    Write a = A / (c_a L^e_a) and b = B / (c_b L^e_b).  lambda = a / b
+    solves B lam' - phi q = A in Z[t][z] for lam' = lam c_a L^e_a / (c_b
+    L^e_b) of z-degree < deg phi and q of z-degree < deg_z B: a square
+    system of N = deg phi + deg_z B equations whose entries are
+    coefficients of A, B and phi, of t-degree at most e and with l1 norms
+    summing to at most S = |A|_1 + |B|_1 + |phi|_1 in each row.  By
+    Cramer's rule each lambda_i is a ratio of integer polynomials of
+    t-degree at most D = N e + |e_b - e_a| deg L and l1 norm at most
+    K = c_a c_b |L|_1^|e_b - e_a| S^N.  Cauchy interpolation recovers a
+    ratio of degrees <= D from 2 D + 1 points, so the doubling from
+    _START_POINTS meets that count at some P and checks it at 2 P.  The
+    coefficients of the monic lcm of the denominators and of lambda times
+    it are ratios of coefficients of divisors of those polynomials, each
+    at most H = 2^D K by Mignotte's bound, which Wang's reconstruction
+    recovers modulo any M > 2 H^2.
+    """
+    rows = [r for part in (a[0], b[0], phi) for r in part if r]
+    e = max(len(r) for r in rows) - 1
+    n_eq = len(phi) - 1 + len(b[0]) - 1
+    shift = abs(b[2] - a[2])
+    degree = n_eq * e + shift * (len(ring.L) - 1)
+    points = _START_POINTS
+    while points < 2 * degree + 1:
+        points *= 2
+    l1 = sum(abs(x) for r in rows for x in r)
+    height = a[1] * b[1] * sum(map(abs, ring.L)) ** shift * l1**n_eq << degree
+    return 2 * points, 2 * height**2
 
 
 def _exact_check(ring, rows: list, den: list, a, b) -> bool:

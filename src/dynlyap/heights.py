@@ -195,7 +195,8 @@ def _map_sup_t_bound(fmap: RationalMap) -> float:
     key = ("arch_sup_t",)
     sup_t = fmap._iterates.get(key)
     if sup_t is None:
-        sup_t = fmap._iterates[key] = _arch_sup_t_bound(fmap.lift, fmap.resultant)
+        res = fmap.resultant
+        sup_t = fmap._iterates[key] = _arch_sup_t_bound(fmap.lift, res, _map_cofactors(fmap, res))
     return sup_t
 
 
@@ -246,13 +247,14 @@ def _to_complex(c) -> complex:
                             "at the archimedean place") from None
 
 
-def _arch_sup_t_bound(lift: HomLift, res) -> float:
+def _arch_sup_t_bound(lift: HomLift, res, cofactors=None) -> float:
     """Rigorous bound on sup over P^1 of |T_F| at the archimedean place;
-    ``res`` is Res(F)."""
+    ``res`` is Res(F), and ``cofactors`` its ``_bezout_cofactors`` when
+    the caller has them."""
     d = lift.d
     sup_coeff = max(abs(_to_complex(c)) for c in list(lift.a) + list(lift.b))
     upper = math.log(math.sqrt(2.0) * (d + 1) * sup_coeff)
-    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
+    g1, g2, h1, h2 = cofactors or _bezout_cofactors(lift, res)
     row1 = sum(abs(_to_complex(c)) for c in g1 + g2)
     row2 = sum(abs(_to_complex(c)) for c in h1 + h2)
     lower = math.log(abs(_to_complex(res))) - (2 * d - 1) / 2 * math.log(2.0) - math.log(max(row1, row2))
@@ -275,6 +277,21 @@ def _bezout_cofactors(lift: HomLift, res):
     sol_g = _solve_field(rows, [res if j == 0 else res * 0 for j in range(size)])
     sol_h = _solve_field(rows, [res if j == size - 1 else res * 0 for j in range(size)])
     return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
+
+
+def _map_cofactors(fmap: RationalMap, res, s=1):
+    """``_bezout_cofactors`` of s F, for F the lift of a map over Q and
+    res = Res(s F).  The system for F with right-hand side 1 is solved
+    once per map and cached; s F times (cofactors of F) / s is F times the
+    cofactors of F, so the cofactors of s F are that solution times res / s.
+    The scaling is exact, so every value read off them is the same as
+    from a solve of its own."""
+    key = ("bezout",)
+    unit = fmap._iterates.get(key)
+    if unit is None:
+        unit = fmap._iterates[key] = _bezout_cofactors(fmap.lift, Fraction(1))
+    scale = Fraction(res) / s
+    return tuple([c * scale for c in part] for part in unit)
 
 
 def _solve_field(rows, rhs):
@@ -517,7 +534,9 @@ def _northcott_bound(fmap: RationalMap) -> float:
         bits = max(abs(c.numerator) for c in prim.lift.a + prim.lift.b).bit_length()
         bound = math.inf
         if 2 * d * (bits + d) <= 1000:
-            bound = (_arch_sup_t_bound(prim.lift, prim.res) + math.log(prim.res)) / (d - 1) + 1e-6
+            cofactors = _map_cofactors(fmap, prim.res, prim.scale)
+            sup_t = _arch_sup_t_bound(prim.lift, prim.res, cofactors)
+            bound = (sup_t + math.log(prim.res)) / (d - 1) + 1e-6
         fmap._iterates[("northcott",)] = bound
     return bound
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebra import _clear_fractions, period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
-from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
+from .heights import _arch_green, _map_sup_t_bound, _to_complex
 from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
 from .multipliers import cycle_polynomial
 from .places import Place, LocalLogValue, local_abs, log_max
@@ -204,10 +204,11 @@ _LIP_RANGE_BITS = 400        # wider coefficient ranges are left to the Bezout b
 _SQRT2_UP = 1.4142135623731  # > sqrt(2): half-diagonal over half-width of a box
 
 
-def chordal_lipschitz_bound(lift: HomLift, res) -> Fraction:
+def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     """Certified upper bound on sup over P^1(C) of the chordal derivative
     f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms); ``res``
-    is Res(F) of this lift.
+    is Res(F) of this lift and ``cofactors`` its Bezout cofactors
+    (``heights._bezout_cofactors``).
 
     The exact ``_bezout_lipschitz_bound`` is capped by a branch and bound
     over boxes covering the two charts (z, 1) and (1, w), |z|, |w| <= 1,
@@ -222,7 +223,7 @@ def chordal_lipschitz_bound(lift: HomLift, res) -> Fraction:
     stands alone.
     """
     d = lift.d
-    bezout = _bezout_lipschitz_bound(lift, res)
+    bezout = _bezout_lipschitz_bound(lift, res, cofactors)
     ints, _ = _clear_fractions(list(lift.a) + list(lift.b))
     f0, f1 = ints[d::-1], ints[: d : -1]  # F0(z, 1), F1(z, 1), ascending in z
     prim = HomLift(d, tuple(ints[: d + 1]), tuple(ints[d + 1 :]))
@@ -240,17 +241,17 @@ def chordal_lipschitz_bound(lift: HomLift, res) -> Fraction:
     return min(Fraction(sup), bezout) if math.isfinite(sup) else bezout
 
 
-def _bezout_lipschitz_bound(lift: HomLift, res) -> Fraction:
+def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     """2 ||det DF||_1 row^2 / (d Res^2) >= sup f^#, exactly.
 
     From F0 G1 + F1 G2 = Res X^(2d-1) and F0 H1 + F1 H2 = Res Y^(2d-1)
-    (``_bezout_cofactors``), |Res| ||P||_inf^(2d-1) <= row ||P||_inf^(d-1)
+    (``cofactors`` = G1, G2, H1, H2), |Res| ||P||_inf^(2d-1) <= row ||P||_inf^(d-1)
     ||F(P)||_inf, where row is the larger l1 norm of (G1, G2) and (H1, H2).
     With |det DF(P)| <= ||det DF||_1 ||P||_inf^(2d-2) and
     ||P||^2 <= 2 ||P||_inf^2 the bound follows.
     """
     jac = critical_divisor(lift).affine_poly  # det DF(z, 1)
-    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
+    g1, g2, h1, h2 = cofactors
     row = max(sum(abs(c) for c in g1 + g2), sum(abs(c) for c in h1 + h2))
     return 2 * sum(abs(c) for c in jac.coeffs) * row**2 / (lift.d * Fraction(res) ** 2)
 

@@ -20,14 +20,18 @@ iterated lift (``_infinity_cycle_data``).  The Fraction or RatFunc
 
 Over Q the power sums S_k come from a multi-modular engine
 (``_modular_power_sums``).  For each prime p below 2^127 it reduces Phi*_n
-and the rows of G^(n) mod p, forms lambda = (f^n)' = a / b in
-F_p[z]/(Phi*_n) and takes the traces Tr(lambda^k) by baby and giant steps;
+and the rows f^n = A / B of G^(n) mod p, forms lambda = (f^n)' =
+(A' - z B') / B in F_p[z]/(Phi*_n), where A = z B because Phi*_n divides
+A - z B, and takes the traces Tr(lambda^k) by baby and giant steps;
 products are Kronecker-packed and reduced by Barrett's method.  The
-per-place Lipschitz bound of the paper fixes how many primes are needed:
-with R = |Res| of the primitive integer lift, |lambda|_p <= |R|_p^(-n) at
-every prime and |lambda| <= Lip^n at infinity for a certified
-Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``), so R^(nk) S_k is an
-integer of absolute value at most deg Phi*_n (Lip R)^(nk).  The CRT over
+per-place Lipschitz bound of the paper fixes how many primes are needed,
+with the reduced resultant rho in place of R = |Res G|: rho is the lcm of
+the denominators of the Bezout cofactors of X^(2d-1) and Y^(2d-1) for the
+primitive integer lift G (``_reduced_resultant``), and divides R.  Then
+|lambda|_p <= |rho|_p^(-n) at every prime and |lambda| <= Lip^n at
+infinity for a certified Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``),
+so rho^(nk) S_k is an integer of absolute value at most
+deg Phi*_n (Lip rho)^(nk).  The CRT over
 primes whose product exceeds twice that bound returns it exactly, with no
 rational reconstruction and no verification.
 
@@ -58,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul as _mul
 
 from .algebra import (
@@ -242,7 +247,7 @@ def power_roots_poly(p: Poly, s: int) -> Poly:
 
 _PRIMES: list = []        # proven primes k 2^64 + 1 below 2^127, descending; filled on demand
 _PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_MAX_BAD_PRIMES = 32      # primes at which Den^2 is no unit before giving up
+_MAX_BAD_PRIMES = 32      # primes at which Den is no unit before giving up
 
 
 def _engine_prime(i: int) -> int:
@@ -271,23 +276,37 @@ class _FpQuotient:
     remainders come from Barrett's method: for c of length deg + m, the
     reversed quotient is rev(c)_(<m) * rev(phi)^(-1) mod z^m, with the
     inverse series computed once by Newton iteration.  ``traces`` holds
-    Tr(z^i), i < 2 deg - 1, read off rev(phi') / rev(phi).
+    Tr(z^i), i < 2 deg - 1: rev(phi) times their series is rev(phi'), of
+    degree < deg, so the first deg are rev(phi') / rev(phi) mod z^deg and
+    the next deg - 1 are -1 / rev(phi) times the coefficients deg ..
+    2 deg - 2 of rev(phi) times the first deg (``_ZtQuotient.traces``).
+
+    Precision and slot width.  ``reduce`` takes inputs of up to max_len
+    residues, and products of two reduced elements have 2 deg - 1, so the
+    series is needed to precision max(deg, max_len - deg).  Every packed
+    product multiplies two residue lists, one of them of at most
+    max(deg + 1, max_len - deg) <= max_len entries (max_len > deg): its
+    digits are below max_len p^2 and fit the slots without carries.
     """
 
     def __init__(self, phi: list, p: int, max_len: int):
         self.p = p
         self.phi = phi
         self.deg = deg = len(phi) - 1
-        # a sum of two products of length <= max_len has digits < 2 max_len p^2
-        self.width = (2 * p.bit_length() + (2 * max_len).bit_length() + 7) // 8
+        max_len = max(max_len, deg + 1)
+        self.width = (2 * p.bit_length() + max_len.bit_length() + 7) // 8
         self.phi_low = self.pack(phi[:deg])
-        self.inv = self._series_inverse(phi[::-1], max(max_len - deg, 2 * deg - 1))
+        self.inv = self._series_inverse(phi[::-1], max(max_len - deg, deg))
         self._inv_packed = {}
         dphi = [i * c % p for i, c in enumerate(phi)][1:]
-        self.traces = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv), 2 * deg - 1)
+        low = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv[:deg]), deg)
+        mid = self.digits((self.pack(phi[::-1]) * self.pack(low)) >> (8 * self.width * deg),
+                          deg - 1)
+        high = self.digits(self.pack(self.inv[: deg - 1]) * self.pack(mid), deg - 1)
+        self.traces = low + [(-x) % p for x in high]
         self._traces_packed = self.pack(self.traces)
         self.one = [1]
-        self.unit_form = self.traces[:deg]
+        self.unit_form = low
 
     def pack(self, coeffs: list) -> int:
         return _pack(coeffs, self.width)
@@ -352,19 +371,22 @@ def _mod_div(a: list, b: list, ring: _FpQuotient):
 
 
 def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: int, p: int):
-    """Tr(lambda^k) mod p for k = 1..count, lambda = (num' den - num den') / den^2
-    in F_p[z]/(phi_int / phi_lc); None if den^2 is not a unit there."""
+    """Tr(lambda^k) mod p for k = 1..count in F_p[z]/(phi_int / phi_lc), for
+    lambda = (num / den)' = (num' - z den') / den; None if den is not a unit there.
+
+    phi_int divides num - z den, so num = z den in the ring and the
+    derivative (num' den - num den') / den^2 equals (num' - z den') / den
+    there: the numerator needs no product, and only den is inverted.
+    """
     inv_lc = pow(phi_lc, -1, p)
-    ring = _FpQuotient([c * inv_lc % p for c in phi_int], p, 2 * max(len(num), len(den)))
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    dnum = [i * c % p for i, c in enumerate(num)][1:]
-    neg_dden = [(-i * c) % p for i, c in enumerate(den)][1:]
-    pack = ring.pack
-    a_len = max(len(num) + len(den) - 2, 0)
-    a = ring.reduce(ring.digits(pack(dnum) * pack(den) + pack(num) * pack(neg_dden), a_len))
-    b = ring.reduce(ring.digits(pack(den) * pack(den), 2 * len(den) - 1))
-    lam = _mod_div(a, b, ring)
+    top = max(len(num) - 1, len(den))
+    ring = _FpQuotient([c * inv_lc % p for c in phi_int], p, top)
+    u = [0] * top  # num' - z den'
+    for i in range(1, len(num)):
+        u[i - 1] = i * num[i]
+    for i in range(1, len(den)):
+        u[i] -= i * den[i]
+    lam = _mod_div(ring.reduce([c % p for c in u]), ring.reduce([c % p for c in den]), ring)
     if lam is None:
         return None
     return _trace_powers(ring, lam, count)
@@ -397,13 +419,27 @@ def _trace_powers(ring, lam, count: int) -> list:
 
 def _arch_lipschitz(fmap: RationalMap) -> Fraction:
     """Certified sup of f^# over P^1(C), cached on the map."""
-    from .lyapunov import chordal_lipschitz_bound  # lyapunov imports this module
+    from .heights import _map_cofactors  # heights and lyapunov import this module
+    from .lyapunov import chordal_lipschitz_bound
 
     key = ("arch_lipschitz", 1)
     lip = fmap._iterates.get(key)
     if lip is None:
-        lip = fmap._iterates[key] = chordal_lipschitz_bound(fmap.lift, fmap.resultant)
+        res = fmap.resultant
+        lip = fmap._iterates[key] = chordal_lipschitz_bound(
+            fmap.lift, res, _map_cofactors(fmap, res))
     return lip
+
+
+def _reduced_resultant(fmap: RationalMap) -> int:
+    """rho = lcm of the denominators of the cofactors A1, A2, B1, B2 in
+    G0 A1 + G1 A2 = X^(2d-1) and G0 B1 + G1 B2 = Y^(2d-1), for G the
+    primitive integer lift of a map over Q; rho divides Res G, since
+    Res G times each cofactor is integral (``heights._bezout_cofactors``)."""
+    from .heights import _map_cofactors
+
+    cofactors = _map_cofactors(fmap, 1, primitive_lift(fmap).scale)
+    return lcm(*(c.denominator for part in cofactors for c in part))
 
 
 def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) -> list:
@@ -412,30 +448,36 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     integer coefficients of Phi*_n, and f^n is read off the rows of the
     iterated primitive lift (``bivariate.lift_rows``).
 
-    Bound.  Let R = |Res| of the primitive integer lift F of f.
-      * Finite places: for ||P||_p = 1, Euler's identity gives
-        det DF(P) / d = F1(P) dF0/dx(P) - F0(P) dF1/dx(P) after a GL_2(Z_p)
-        change of coordinates moving P to (0, 1), so |det DF(P) / d|_p
-        <= ||F(P)||_p and f^#(P) = |det DF(P) / d|_p / ||F(P)||_p^2
-        <= 1 / ||F(P)||_p <= |R|_p^(-1), the last step by the Bezout
-        identity with integral cofactors.  By the chain rule along the
-        cycle, |lambda(beta)|_p = (f^n)^#(beta) <= |R|_p^(-n) at every p,
-        so R^n lambda(beta) is an algebraic integer and T_k = R^(nk) S_k
-        is a rational integer.
+    Bound.  Let G be the primitive integer lift of f, R = |Res G| and rho
+    its reduced resultant (``_reduced_resultant``): rho A and rho B are
+    integral for the Bezout cofactors A = (A1, A2), B = (B1, B2) of
+    X^(2d-1) and Y^(2d-1), and rho divides R.
+      * Finite places: take ||P||_q = 1.  Then rho X^(2d-1) =
+        G0 (rho A1) + G1 (rho A2) and likewise for Y, so
+        ||G(P)||_q >= |rho|_q.  Euler's identity gives
+        det DG(P) / d = G1(P) dG0/dx(P) - G0(P) dG1/dx(P) after a GL_2(Z_q)
+        change of coordinates moving P to (0, 1), so |det DG(P) / d|_q
+        <= ||G(P)||_q and f^#(P) = |det DG(P) / d|_q / ||G(P)||_q^2
+        <= 1 / ||G(P)||_q <= |rho|_q^(-1).  By the chain rule along the
+        cycle, |lambda(beta)|_q = (f^n)^#(beta) <= |rho|_q^(-n) at every q,
+        so rho^n lambda(beta) is an algebraic integer and T_k = rho^(nk) S_k
+        is a rational integer.  This is the paper's bound
+        M_1(f)_q <= |Res f|_q^(-1) with rho in place of R, never looser.
       * Archimedean place: likewise |lambda(beta)| <= Lip^n for any
         Lip >= sup f^# (``chordal_lipschitz_bound``), hence
-        |T_k| <= deg Phi*_n (Lip R)^(nk).
+        |T_k| <= deg Phi*_n (Lip rho)^(nk).
     Residues of T_k modulo primes p that divide neither R nor the leading
     coefficient of Phi*_n are combined until their product M
     exceeds twice that bound; the symmetric residue mod M is then T_k
-    itself, and S_k = T_k / R^(nk) is exact by construction.
+    itself, and S_k = T_k / rho^(nk) is exact by construction.
     """
     from . import bivariate
 
     phi_lc = phi_int[-1]
     num, den = ([r[0] if r else 0 for r in rows] for rows in bivariate.lift_rows(fmap, n))
     res = primitive_lift(fmap).res
-    growth = _arch_lipschitz(fmap) * res
+    rho = _reduced_resultant(fmap)
+    growth = _arch_lipschitz(fmap) * rho
     bound = (len(phi_int) - 1) * max(growth**n, growth ** (n * count))
     modulus = 1
     residues = [0] * count
@@ -453,20 +495,20 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
                     "derivative denominator shares a root with the dynatomic polynomial"
                 )
             continue
-        res_n = pow(res, n, p)
+        rho_n = pow(rho, n, p)
         scale = 1
         inv_m = pow(modulus, -1, p)
         for k, s in enumerate(sums):
-            scale = scale * res_n % p
+            scale = scale * rho_n % p
             x = residues[k]
             residues[k] = x + modulus * ((s * scale - x) * inv_m % p)
         modulus *= p
     out = []
     half = modulus // 2
-    res_n = res**n
+    rho_n = rho**n
     scale = 1
     for x in residues:
-        scale *= res_n
+        scale *= rho_n
         out.append(Fraction(x - modulus if x > half else x, scale))
     return out
 

@@ -1,13 +1,14 @@
 """The multi-modular multiplier engine over Q against the exact field path
 (the trace loop in ``oracles``)."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from dynlyap import multipliers
-from dynlyap.algebra import _int_mul, _pack, _unpack, _unpack_signed, period_count
+from dynlyap import bivariate, heights, multipliers
+from dynlyap.algebra import Poly, _int_mul, _pack, _unpack, _unpack_signed, period_count
 from dynlyap.errors import DegenerateMap
 from dynlyap.lyapunov import (
     _bezout_lipschitz_bound,
@@ -19,9 +20,11 @@ from dynlyap.multipliers import (
     _arch_lipschitz,
     _engine_prime,
     _modular_power_sums,
+    _power_sums_mod_p,
+    _reduced_resultant,
     dynatomic_divisor,
 )
-from oracles import field_power_sums
+from oracles import field_mod_div, field_power_sums
 
 
 def poly_map(*coeffs_desc):
@@ -79,19 +82,96 @@ def test_engine_matches_field_path(label, fmap, periods):
             assert got == engine_sums(fmap, n, field_path=True), (label, n)
 
 
-@pytest.mark.parametrize("label,fmap,periods", CASES, ids=[c[0] for c in CASES])
+def random_cases():
+    """Seeded random maps with p/q coefficients, for the engine alone."""
+    rng = random.Random(2718)
+    out = [(f"p/q d=2 #{i}", random_map(rng, 2, 5), (1, 2, 3, 4, 5)) for i in range(4)]
+    out += [(f"p/q d=3 #{i}", random_map(rng, 3, 5), (1, 2, 3)) for i in range(3)]
+    return out
+
+
+BOUND_CASES = CASES + random_cases()
+
+
+@pytest.mark.parametrize("label,fmap,periods", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
 def test_cleared_power_sums_within_bound(label, fmap, periods):
-    res = primitive_lift(fmap).res
-    growth = _arch_lipschitz(fmap) * res
+    rho = _reduced_resultant(fmap)
+    assert primitive_lift(fmap).res % rho == 0
+    growth = _arch_lipschitz(fmap) * rho
     for n in periods:
         got = engine_sums(fmap, n)
         if got is None:
             continue
         phi, sums = got
         for k, s in enumerate(sums, 1):
-            t = s * res ** (n * k)
+            t = s * rho ** (n * k)
             assert t.denominator == 1, (label, n, k)
             assert abs(t) <= phi.degree * growth ** (n * k), (label, n, k)
+
+
+def test_reduced_resultant_is_needed(monkeypatch):
+    # the cubic box map: R = |Res| of the primitive lift is 245 = 5 7^2, but
+    # rho = 35 already clears the sums; dropping either prime from rho breaks them
+    fmap = CASES[-1][1]
+    rho, res = _reduced_resultant(fmap), primitive_lift(fmap).res
+    assert (rho, res) == (35, 245)
+    want = engine_sums(fmap, 1, field_path=True)
+    assert engine_sums(fmap, 1) == want
+    for q in (5, 7):
+        monkeypatch.setattr(multipliers, "_reduced_resultant", lambda fm: rho // q)
+        assert engine_sums(fmap, 1) != want, q
+
+
+@pytest.mark.parametrize("label,fmap", [(c[0], c[1]) for c in CASES[1:3]],
+                         ids=[c[0] for c in CASES[1:3]])
+def test_lambda_from_the_fixed_point_identity(label, fmap):
+    # on Phi*_n, which divides A - z B, (A' B - A B') / B^2 = (A' - z B') / B
+    for n in (2, 3):
+        div = dynatomic_divisor(fmap, n)
+        phi = div.star_poly.monic()
+        lift = fmap.iterate_lift_cached(n)
+        num, den = lift.poly0(), lift.poly1()
+        z = Poly([F(0), F(1)])
+        classic = field_mod_div((num.derivative() * den - num * den.derivative()) % phi,
+                                (den * den) % phi, phi)
+        assert field_mod_div((num.derivative() - z * den.derivative()) % phi,
+                             den % phi, phi) == classic
+        # the engine's traces at one prime are the oracle's sums mod p
+        count = period_count(fmap.d, n) // n
+        want = field_power_sums(fmap, n, phi, count, F(1))
+        phi_int = [r[0] if r else 0 for r in div.rows]
+        rows = bivariate.lift_rows(fmap, n)
+        num_int, den_int = ([r[0] if r else 0 for r in part] for part in rows)
+        p = _engine_prime(1)
+        got = _power_sums_mod_p(phi_int, phi_int[-1], num_int, den_int, count, p)
+        assert got == [s.numerator * pow(s.denominator, -1, p) % p for s in want]
+
+
+def test_one_bezout_solve_per_map(monkeypatch):
+    calls = []
+    inner = heights._bezout_cofactors
+
+    def spy(lift, res):
+        calls.append(res)
+        return inner(lift, res)
+
+    monkeypatch.setattr(heights, "_bezout_cofactors", spy)
+    fmap = new_map(3, (0, -3, 0, -2), (-1, 1, -3, 3))
+    rho = _reduced_resultant(fmap)
+    lip = _arch_lipschitz(fmap)
+    sup_t = heights._map_sup_t_bound(fmap)
+    northcott = heights._northcott_bound(fmap)
+    assert len(calls) == 1
+    # each value is the one a solve of its own gives
+    prim = primitive_lift(fmap)
+    monkeypatch.setattr(heights, "_bezout_cofactors", inner)
+    assert sup_t == heights._arch_sup_t_bound(fmap.lift, fmap.resultant)
+    assert northcott == (heights._arch_sup_t_bound(prim.lift, prim.res)
+                         + math.log(prim.res)) / (fmap.d - 1) + 1e-6
+    assert lip == chordal_lipschitz_bound(fmap.lift, fmap.resultant,
+                                          inner(fmap.lift, fmap.resultant))
+    cofactors = inner(prim.lift, prim.res)
+    assert all((c * rho / prim.res).denominator == 1 for part in cofactors for c in part)
 
 
 def test_engine_primes_carry_proth_certificates():
@@ -105,7 +185,7 @@ def test_engine_primes_carry_proth_certificates():
 
 
 def test_non_unit_prime_is_skipped(monkeypatch):
-    # Den^2 of the primitive lift is a unit modulo every prime that divides
+    # Den of the primitive lift is a unit modulo every prime that divides
     # neither R nor lc(Phi*_n); a failed inversion at the first prime stands
     # in for one where it is not, and that prime is skipped
     calls = []
@@ -128,20 +208,23 @@ def test_non_unit_prime_is_skipped(monkeypatch):
 
 @pytest.mark.parametrize("label,fmap,periods", CASES[1:], ids=[c[0] for c in CASES[1:]])
 def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
-    lip = chordal_lipschitz_bound(fmap.lift, fmap.resultant)
+    cofactors = heights._bezout_cofactors(fmap.lift, fmap.resultant)
+    lip = chordal_lipschitz_bound(fmap.lift, fmap.resultant, cofactors)
     grid, _ = _sup_chordal_derivative(fmap, grid=96)
     assert grid <= lip * (1 + 1e-12)
-    assert lip <= _bezout_lipschitz_bound(fmap.lift, fmap.resultant)
+    assert lip <= _bezout_lipschitz_bound(fmap.lift, fmap.resultant, cofactors)
 
 
 def test_lipschitz_closed_form_and_fallback():
     # sup of z^2's chordal derivative 2|z|(1+|z|^2)/(1+|z|^4) is 2, at |z| = 1
-    lip = chordal_lipschitz_bound(poly_map(1, 0, 0).lift, 1)
+    square = poly_map(1, 0, 0).lift
+    lip = chordal_lipschitz_bound(square, 1, heights._bezout_cofactors(square, 1))
     assert 2 <= lip <= F(5, 2)
     # coefficients beyond the float range: the exact Bezout bound stands alone
     huge = poly_map(1, 0, 10**400)
-    assert chordal_lipschitz_bound(huge.lift, huge.resultant) == _bezout_lipschitz_bound(
-        huge.lift, huge.resultant)
+    cofactors = heights._bezout_cofactors(huge.lift, huge.resultant)
+    assert chordal_lipschitz_bound(huge.lift, huge.resultant, cofactors) == _bezout_lipschitz_bound(
+        huge.lift, huge.resultant, cofactors)
 
 
 def test_pack_round_trips():

@@ -373,6 +373,81 @@ def test_row_division_recovers_from_too_few_points(monkeypatch):
     assert False in checks and checks[-1] is True
 
 
+def test_row_division_stops_at_its_cramer_caps(monkeypatch):
+    # a check that never passes: the points stop doubling at the cap, and
+    # primes stop being added once their product passes the modulus cap
+    made = spy_images(monkeypatch)
+    taken = []
+    inner = bivariate._Images.reconstruct
+
+    def spy(self, points):
+        taken.append(points)
+        return inner(self, points)
+
+    monkeypatch.setattr(bivariate._Images, "reconstruct", spy)
+    monkeypatch.setattr(bivariate, "_exact_check", lambda *args: False)
+    ring, a, b = z2_minus_1_ring((1,)), ([[1]], 1, 0), ([[0, -1], [1]], 1, 0)
+    max_points, max_modulus = bivariate._division_caps(ring, Z2_MINUS_1, a, b)
+    with pytest.raises(NonExactDivision, match="Cramer"):
+        bivariate._row_mod_div(ring, Z2_MINUS_1, a, b)
+    assert max(taken) == max_points
+    primes = [im.p for im in made]
+    assert math.prod(primes[:-1]) <= max_modulus < math.prod(primes)
+
+
+@pytest.mark.parametrize("label,fmap,n,euclid", DIVISION_CASES,
+                         ids=[c[0] for c in DIVISION_CASES])
+def test_row_division_within_its_caps(label, fmap, n, euclid, monkeypatch):
+    # the points each division reconstructs at, against that division's cap
+    divisions, taken = [], []
+    reconstruct, divide = bivariate._Images.reconstruct, bivariate._row_mod_div
+
+    def spy_reconstruct(self, points):
+        taken.append(points)
+        return reconstruct(self, points)
+
+    def spy_divide(ring, phi, a, b):
+        taken.clear()
+        out = divide(ring, phi, a, b)
+        divisions.append((bivariate._division_caps(ring, phi, a, b)[0], list(taken)))
+        return out
+
+    monkeypatch.setattr(bivariate._Images, "reconstruct", spy_reconstruct)
+    monkeypatch.setattr(bivariate, "_row_mod_div", spy_divide)
+    row_divisions(fmap, n, monkeypatch)
+    assert divisions
+    for max_points, points in divisions:
+        assert points and max(points) <= max_points
+
+
+def old_normal(ring, rows, e):
+    """The L-power cancellation of ``_ZtQuotient.normal``, one power at a time."""
+    while e:
+        out = []
+        for r in rows:
+            q = bivariate._exact_div_int(r, ring.L) if r else r
+            if q is None:
+                return rows, e
+            out.append(q)
+        rows, e = out, e - 1
+    return rows, e
+
+
+@pytest.mark.parametrize("L", [[0, 1], [1, 9], [0, 2, 3]])
+def test_normal_cancels_the_common_power_at_once(L):
+    rng = random.Random(31)
+    ring = z2_minus_1_ring(L)
+    for _ in range(300):
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            r = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [rng.choice((0, 1, -3))]
+            rows.append(bivariate._int_mul(r, ring.lpow(rng.randint(0, 3))) if any(r) else [])
+        rows.append(ring.lpow(rng.randint(0, 3)))
+        e = rng.randint(0, 4)
+        got_rows, c, got_e = ring.normal(rows, 1, e)
+        assert (got_rows, got_e) == old_normal(ring, rows, e) and c == 1
+
+
 def test_denominator_base_radical():
     coeffs = [RatFunc(Poly([F(1)]), Poly([F(2, 3), F(1)]) ** 3), 1 / (T * T), ONE]
     assert _radical_base([c.den for c in coeffs]) == [0, 2, 3]
