@@ -454,39 +454,6 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
     return quot
 
 
-def _fp_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _fp_poly_inv(b: list, phi: list, p: int):
-    """Inverse of b modulo (phi, p) by extended Euclid; None if not coprime."""
-    r0, r1 = _fp_trim(list(phi)), _fp_trim(list(b))
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        inv_lc = pow(r1[-1], -1, p)
-        n1 = len(r1)
-        r = r0[:]
-        q = [0] * (len(r0) - n1 + 1)
-        for k in range(len(r0) - n1, -1, -1):
-            c = r[k + n1 - 1] * inv_lc % p
-            if c:
-                q[k] = c
-                r[k : k + n1] = [(x - c * y) % p for x, y in zip(r[k : k + n1], r1)]
-        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
-        n_s = len(s1)
-        for k, c in enumerate(q):
-            if c:
-                s[k : k + n_s] = [(x - c * y) % p for x, y in zip(s[k : k + n_s], s1)]
-        r0, r1 = r1, _fp_trim(r[: n1 - 1])
-        s0, s1 = s1, _fp_trim(s)
-    if not r1:
-        return None
-    inv_lc = pow(r1[0], -1, p)
-    return [c * inv_lc % p for c in s1]
-
-
 _SQUAREFREE_PRIME = (1 << 61) - 1
 
 
@@ -501,10 +468,12 @@ def squarefree_parts(p: Poly) -> list:
     """
     dp = p.derivative()
     if p.degree > 0 and _all_fractions(p.coeffs):
+        from . import fp  # fp imports this module
+
         ints, _ = _clear_fractions(p.coeffs)
         q = _SQUAREFREE_PRIME
         dints = [i * c % q for i, c in enumerate(ints)][1:]
-        if ints[-1] % q and _fp_poly_inv(dints, [c % q for c in ints], q) is not None:
+        if ints[-1] % q and fp.inverse(dints, [c % q for c in ints], q) is not None:
             return [(p, 1)]
     g = poly_gcd(p, dp)
     if g.degree < 1:
@@ -950,7 +919,3 @@ def field_zero(sample: FieldElem) -> FieldElem:
 
 def field_one(sample: FieldElem) -> FieldElem:
     return sample * 0 + 1
-
-
-def is_rational(x: FieldElem) -> bool:
-    return isinstance(x, (int, Fraction))

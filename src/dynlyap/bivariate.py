@@ -17,7 +17,8 @@ runs on such rows from start to end:
   engine (``multipliers._modular_power_sums``) reads the same rows.  When
   the multiplier lambda = a / b needs a division, ``_row_mod_div`` forms it
   from F_p images at points t0, Cauchy interpolation, rational number
-  reconstruction and an exact check in the ring;
+  reconstruction and an exact check in the ring, with the F_p arithmetic
+  of ``fp``;
 * Newton's identities.  ``_monic_from_power_sums`` turns the power sums
   into p_{d,n} on integer rows over one denominator.
 
@@ -39,14 +40,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import gcd as _gcd, isqrt, prod
+from math import gcd as _gcd, prod
 
-from . import multipliers
+from . import fp, multipliers
 from .algebra import (
     Poly,
     RatFunc,
     _clear_fractions,
-    _fp_poly_inv,
     _int_content,
     _half_offset,
     _int_mul,
@@ -139,7 +139,7 @@ class _ZtQuotient:
     rows in Z[t][z], c a positive integer and L a primitive polynomial of
     Z[t] whose powers, times integers, clear every denominator met.  A
     product is one packed integer product (``_bi_dot``).  Remainders come
-    from Barrett's method as in ``_FpQuotient``: with phi = Phi / (c_phi L^E)
+    from Barrett's method as in ``fp.Quotient``: with phi = Phi / (c_phi L^E)
     and the inverse series of rev(phi), to the precision that products and
     inputs of up to max_len rows need, written as H / (c_h L^A), the
     quotient of P by phi is Q' / (c_h L^A) for Q' read off rev(P) H, and
@@ -259,16 +259,8 @@ class _ZtQuotient:
 
     def dot(self, form, u):
         """Tr(w u) = sum_a form_a u_a from form = trace_form(w), as
-        (numerator in Z[t], c, e): with every row packed on its own, the
-        sum of the products of packed rows is the numerator packed."""
-        pairs = [(a, b) for a, b in zip(form[0], u[0]) if a and b]
-        num = []
-        if pairs:
-            bits = _row_bits([a for a, _ in pairs]) + _row_bits([b for _, b in pairs])
-            size = max(len(a) + len(b) for a, b in pairs) - 1
-            width = (bits + (len(pairs) * size).bit_length() + 8) // 8
-            total = sum(_pack(a, width) * _pack(b, width) for a, b in pairs)
-            num = _unpack_rows(total, 0, 1, size, width)[0]
+        (numerator in Z[t], c, e): one packed product per pair of rows."""
+        num = _bi_dot([([a], [b]) for a, b in zip(form[0], u[0])], 0, 1)[0]
         return num, form[1] * u[1], form[2] + u[2]
 
 
@@ -521,95 +513,6 @@ def _trace_ring(phi: list, extra: list, max_len: int):
 # ---------------------------------------------------------------------------
 
 _START_POINTS = 8   # evaluation points per prime in the first round
-_MAX_SKIPS = 32     # points t0 skipped for one prime before giving up
-
-
-def _fp_horner(row: list, x: int, p: int) -> int:
-    v = 0
-    for c in reversed(row):
-        v = (v * x + c) % p
-    return v
-
-
-def _fp_mul(a: list, b: list, p: int) -> list:
-    return [c % p for c in _int_mul(a, b)]
-
-
-def _fp_divmod(a: list, b: list, p: int):
-    """(q, r) with a = q b + r over F_p, b with a nonzero last entry."""
-    r = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] * inv % p
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-    r = r[:db]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _fp_sub(a: list, b: list, p: int) -> list:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _fp_cauchy(xs: list, vanish: list, u: list, p: int):
-    """(num, den) over F_p, den monic, with num / den = u at the points xs,
-    deg num < k and deg den <= len(xs) - k for k = ceil(len(xs) / 2); None
-    if there is no such fraction.  u is the interpolating polynomial of the
-    values and vanish = prod (t - x); the fraction is the first remainder of
-    their Euclid of degree below k, over its cofactor."""
-    k = (len(xs) + 1) // 2
-    r0, r1 = vanish, u
-    s0, s1 = [], [1]
-    while len(r1) > k:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-    if len(s1) - 1 > len(xs) - k or any(_fp_horner(s1, x, p) == 0 for x in xs):
-        return None
-    inv = pow(s1[-1], -1, p)
-    return [c * inv % p for c in r1], [c * inv % p for c in s1]
-
-
-def _fp_interpolate(xs: list, ys: list, invs: list, p: int) -> list:
-    """The polynomial of degree < len(xs) through the values ys, by
-    Newton's divided differences; invs[j][i] = 1 / (xs[i + j] - xs[i])."""
-    c = list(ys)
-    n = len(xs)
-    for j in range(1, n):
-        inv = invs[j]
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv[i - j] % p
-    u = [c[-1]]
-    for i in range(n - 2, -1, -1):  # u <- u (t - x_i) + c_i
-        x = xs[i]
-        u = [(lo - x * hi) % p for lo, hi in zip([c[i]] + u, u + [0])]
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _rat_recon(u: int, m: int):
-    """The fraction x / y = u mod m with |x|, y <= sqrt(m / 2), or None
-    (Wang's rational number reconstruction)."""
-    bound = isqrt(m // 2)
-    r0, r1, s0, s1 = m, u % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not s1 or abs(s1) > bound or _gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
 
 
 class _Images:
@@ -634,25 +537,20 @@ class _Images:
         while len(self.xs) < points:
             x = self.next
             self.next += 1
-            lx = _fp_horner(self.L, x, p)
-            phi = [_fp_horner(r, x, p) for r in self.phi]
+            lx = fp.horner(self.L, x, p)
+            phi = [fp.horner(r, x, p) for r in self.phi]
             lam = None
             if lx and phi[-1]:
                 inv_lc = pow(phi[-1], -1, p)
-                phi = [c * inv_lc % p for c in phi]
-                inv = _fp_poly_inv([_fp_horner(r, x, p) for r in self.b], phi, p)
-                if inv is not None:
-                    s = self.scale * pow(lx, self.e, p) % p
-                    lam = [c * s % p for c in _fp_divmod(
-                        _fp_mul([_fp_horner(r, x, p) for r in self.a], inv, p), phi, p)[1]]
+                ring = fp.Quotient([c * inv_lc % p for c in phi], p, 0)
+                lam = multipliers._mod_div([fp.horner(r, x, p) for r in self.a],
+                                           [fp.horner(r, x, p) for r in self.b], ring)
             if lam is None:
-                self.skips += 1
-                if self.skips > _MAX_SKIPS:
-                    raise NonExactDivision(
-                        "derivative denominator shares a root with the dynatomic polynomial")
+                self.skips = multipliers._count_non_unit(self.skips)
                 continue
+            s = self.scale * pow(lx, self.e, p) % p
             self.xs.append(x)
-            self.values.append(lam + [0] * (len(phi) - 1 - len(lam)))
+            self.values.append([c * s % p for c in lam] + [0] * (len(phi) - 1 - len(lam)))
         return self.xs[:points], self.values[:points]
 
     def reconstruct(self, points: int):
@@ -671,19 +569,19 @@ class _Images:
         invs = [[inv.get(x - y) for x, y in zip(xs[j:], xs)] for j in range(len(xs))]
         vanish = [1]
         for x in xs:
-            vanish = _fp_mul(vanish, [-x, 1], p)
+            vanish = fp.mul(vanish, [-x, 1], p)
         delta, nums = [1], []
         dx = [1] * len(xs)
         for col in zip(*values):
-            u = _fp_interpolate(xs, [v * d % p for v, d in zip(col, dx)], invs, p)
-            frac = _fp_cauchy(xs, vanish, u, p)
+            u = fp.interpolate(xs, [v * d % p for v, d in zip(col, dx)], invs, p)
+            frac = fp.cauchy(xs, vanish, u, p)
             if frac is None:
                 return None
             num, den = frac
             if len(den) > 1:
-                nums = [_fp_mul(c, den, p) for c in nums]
-                delta = _fp_mul(delta, den, p)
-                dx = [_fp_horner(delta, x, p) for x in xs]
+                nums = [fp.mul(c, den, p) for c in nums]
+                delta = fp.mul(delta, den, p)
+                dx = [fp.horner(delta, x, p) for x in xs]
             nums.append(num)
         return delta, nums
 
@@ -695,7 +593,7 @@ def _row_mod_div(ring, phi: list, a, b):
     the monic Phi*_n = phi / phi[-1]) and b a unit.
 
     The images of lambda at points t0 mod engine primes p
-    (``multipliers._engine_prime``) are interpolated to fractions over one
+    (``fp.engine_prime``) are interpolated to fractions over one
     monic den per prime (Cauchy interpolation, ``_Images.reconstruct``);
     the coefficients are lifted from the CRT of the primes that agree on
     the degrees to Q by rational reconstruction and cleared to integers.
@@ -710,7 +608,7 @@ def _row_mod_div(ring, phi: list, a, b):
     if not a[0]:
         return [], [1]
     bad = a[1] * b[1] * _int_content(phi[-1])
-    primes = (p for p in map(multipliers._engine_prime, count()) if bad % p)
+    primes = (p for p in map(fp.engine_prime, count()) if bad % p)
     images = [_Images(ring, phi, a, b, next(primes))]
     points, last = _START_POINTS, None
     max_points, max_modulus = _division_caps(ring, phi, a, b)
@@ -777,23 +675,18 @@ def _lift_fractions(used):
     """(rows, den) over Z from the F_p forms (delta, nums) of several primes,
     by CRT and rational reconstruction; None if some coefficient has no
     fraction within Wang's bound."""
-    m, acc = 1, None
-    for p, (delta, nums) in used:
-        flat = delta + [x for c in nums for x in c]
-        if acc is None:
-            acc = flat
-        else:
-            inv = pow(m, -1, p)
-            acc = [x + m * ((y - x) * inv % p) for x, y in zip(acc, flat)]
+    delta, nums = used[0][1]
+    m, acc = 1, [0] * (len(delta) + sum(map(len, nums)))
+    for p, (d, cs) in used:
+        acc = fp.crt(acc, m, d + [x for c in cs for x in c], p)
         m *= p
     fracs = []
     for x in acc:
-        f = _rat_recon(x, m)
+        f = fp.rat_recon(x, m)
         if f is None:
             return None
         fracs.append(f)
     ints, _ = _clear_fractions(fracs)
-    delta, nums = used[0][1]
     flat = iter(ints)
     den = list(islice(flat, len(delta)))
     rows = [list(islice(flat, len(c))) for c in nums]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import _clear_fractions, period_count, sigma2, squarefree_parts
+from .algebra import period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
 from .heights import _arch_green, _map_sup_t_bound, _to_complex
 from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
@@ -206,9 +206,10 @@ _SQRT2_UP = 1.4142135623731  # > sqrt(2): half-diagonal over half-width of a box
 
 def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     """Certified upper bound on sup over P^1(C) of the chordal derivative
-    f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms); ``res``
-    is Res(F) of this lift and ``cofactors`` its Bezout cofactors
-    (``heights._bezout_cofactors``).
+    f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms), for
+    ``lift`` the primitive integer lift F of a map over Q
+    (``maps.primitive_lift``); ``res`` is Res(F) and ``cofactors`` its
+    Bezout cofactors (``heights._bezout_cofactors``).
 
     The exact ``_bezout_lipschitz_bound`` is capped by a branch and bound
     over boxes covering the two charts (z, 1) and (1, w), |z|, |w| <= 1,
@@ -224,10 +225,9 @@ def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     """
     d = lift.d
     bezout = _bezout_lipschitz_bound(lift, res, cofactors)
-    ints, _ = _clear_fractions(list(lift.a) + list(lift.b))
+    ints = [c.numerator for c in lift.a + lift.b]
     f0, f1 = ints[d::-1], ints[: d : -1]  # F0(z, 1), F1(z, 1), ascending in z
-    prim = HomLift(d, tuple(ints[: d + 1]), tuple(ints[d + 1 :]))
-    jac = [int(c) for c in critical_divisor(prim).affine_poly.coeffs]  # det DF(z, 1)
+    jac = [c.numerator for c in critical_divisor(lift).affine_poly.coeffs]  # det DF(z, 1)
     jac += [0] * (2 * d - 1 - len(jac))  # a form of degree 2d - 2
     e = max(abs(c).bit_length() for c in ints)
     if any(c and abs(c).bit_length() < e - _LIP_RANGE_BITS for c in ints) or any(

@@ -166,7 +166,3 @@ def parse_place(s: str) -> Place:
             return Place.ff_infinity()
         return Place.ff_point(parse_fraction(rest))
     raise ParseError(f"unknown place syntax {s!r} (want arch, p:2, t=0, t=inf)")
-
-
-def format_place(v: Place) -> str:
-    return str(v)

@@ -19,42 +19,37 @@ iterated lift (``_infinity_cycle_data``).  The Fraction or RatFunc
 ``star_poly`` is formed only when a caller reads it.
 
 Over Q the power sums S_k come from a multi-modular engine
-(``_modular_power_sums``).  For each prime p below 2^127 it reduces Phi*_n
-and the rows f^n = A / B of G^(n) mod p, forms lambda = (f^n)' =
-(A' - z B') / B in F_p[z]/(Phi*_n), where A = z B because Phi*_n divides
-A - z B, and takes the traces Tr(lambda^k) by baby and giant steps;
-products are Kronecker-packed and reduced by Barrett's method.  The
-per-place Lipschitz bound of the paper fixes how many primes are needed,
-with the reduced resultant rho in place of R = |Res G|: rho is the lcm of
-the denominators of the Bezout cofactors of X^(2d-1) and Y^(2d-1) for the
-primitive integer lift G (``_reduced_resultant``), and divides R.  Then
-|lambda|_p <= |rho|_p^(-n) at every prime and |lambda| <= Lip^n at
-infinity for a certified Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``),
-so rho^(nk) S_k is an integer of absolute value at most
-deg Phi*_n (Lip rho)^(nk).  The CRT over
-primes whose product exceeds twice that bound returns it exactly, with no
-rational reconstruction and no verification.
+(``_modular_power_sums``).  For each engine prime p below 2^127 it reduces
+Phi*_n and the rows f^n = A / B of G^(n) mod p, forms lambda = (f^n)' =
+(A' - z B') / B in F_p[z]/(Phi*_n) (``_mod_div``), where A = z B because
+Phi*_n divides A - z B, and takes the traces Tr(lambda^k) by baby and
+giant steps.  The per-place Lipschitz bound of the paper fixes how many
+primes are needed, with the reduced resultant rho in place of
+R = |Res G|: rho is the lcm of the denominators of the Bezout cofactors
+of X^(2d-1) and Y^(2d-1) for the primitive integer lift G
+(``_reduced_resultant``), and divides R.  Then |lambda|_p <= |rho|_p^(-n)
+at every prime and |lambda| <= Lip^n at infinity for a certified
+Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``), so rho^(nk) S_k is
+an integer of absolute value at most deg Phi*_n (Lip rho)^(nk).  The CRT
+over primes whose product exceeds twice that bound returns it exactly,
+with no rational reconstruction and no verification.
 
 Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
-(``bivariate._ratfunc_power_sums``, ``bivariate._ZtQuotient``).  An element
-is kept as U(t, z) / (c L(t)^e) with U in Z[t][z], c an integer and L the
-primitive polynomial whose roots are the poles of the monic Phi*_n, that is
-the roots of its leading coefficient; for the Laurent families L = t.  A
-product is one integer product of nested Kronecker packings (t-slots
-inside z-slots), remainders come from Barrett's method with the inverse
-series of rev(Phi*_n), and each result sheds the integer content and the
-power of L it shares with its denominator.  The traces Tr(lambda^k) use the
-same baby and giant steps as the modular engine (``_trace_powers``), and
-only the final S_k become elements of Q(t).  When den^2 is not constant in
-z, lambda = a / b is formed on rows from its images mod (Phi*_n(t0), p)
-at points t0 and engine primes p: Cauchy interpolation over F_p, rational
-number reconstruction over the CRT of the primes, and an exact check
-lambda b = a in the ring that makes the result exact by construction
-(``_field_mod_div``, ``bivariate._row_mod_div``).  Newton's identities
-over Q(t) run on integer rows over one denominator.  Both engines are tested
-against the trace loop in k[z]/(Phi*_n) over the base field, and the rows
-of Phi*_n against composition of lifts over the base field; both oracles
-live in the test suite.
+on elements U(t, z) / (c L(t)^e) (``bivariate._ratfunc_power_sums``,
+``bivariate._ZtQuotient``), with the same baby and giant steps
+(``_trace_powers``); only the final S_k become elements of Q(t).  When
+den^2 is not constant in z, lambda = a / b is formed on rows from its
+images mod (Phi*_n(t0), p), each divided by ``_mod_div``, at points t0
+and engine primes p: Cauchy interpolation over F_p, rational number
+reconstruction over the CRT of the primes, and an exact check lambda b = a
+in the ring that makes the result exact by construction
+(``_field_mod_div``, ``bivariate._row_mod_div``).
+
+The F_p arithmetic of both engines, from the engine primes to the
+Barrett ring, the extended Euclid and the CRT, is in ``fp``.  Both
+engines are tested against the trace loop in k[z]/(Phi*_n) over the base
+field, and the rows of Phi*_n against composition of lifts over the base
+field; both oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -63,19 +58,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul as _mul
 
 from .algebra import (
     Poly,
     RatFunc,
-    _fp_poly_inv,
     _int_mul,
-    _pack,
     _primitive_factor,
-    _unpack,
     divisors,
     field_one,
-    is_prime,
     mobius,
     period_count,
 )
@@ -245,126 +235,23 @@ def power_roots_poly(p: Poly, s: int) -> Poly:
 # multi-modular trace engine over Q
 # ---------------------------------------------------------------------------
 
-_PRIMES: list = []        # proven primes k 2^64 + 1 below 2^127, descending; filled on demand
-_PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_MAX_BAD_PRIMES = 32      # primes at which Den is no unit before giving up
+_MAX_NON_UNITS = 32  # primes p or points t0 at which a denominator is no unit, before giving up
 
 
-def _engine_prime(i: int) -> int:
-    """The i-th prime p = k 2^64 + 1 with a Proth witness, counting k down
-    from 2^63, so p < 2^127.
-
-    Proth's theorem (k < 2^64): p is prime when a^((p-1)/2) = -1 mod p for
-    some a.  Each kept p has such a witness among _PROTH_BASES, so it is
-    proven prime; Miller-Rabin only skips composites quickly.
-    """
-    while len(_PRIMES) <= i:
-        k = _PRIMES[-1] >> 64 if _PRIMES else 1 << 63
-        while True:
-            k -= 1
-            p = (k << 64) + 1
-            if is_prime(p) and any(pow(a, (p - 1) // 2, p) == p - 1 for a in _PROTH_BASES):
-                break
-        _PRIMES.append(p)
-    return _PRIMES[i]
+def _count_non_unit(count: int) -> int:
+    """count + 1 for one more prime or point at which the denominator of
+    lambda is no unit; NonExactDivision past _MAX_NON_UNITS of them."""
+    if count >= _MAX_NON_UNITS:
+        raise NonExactDivision("derivative denominator shares a root with the dynatomic polynomial")
+    return count + 1
 
 
-class _FpQuotient:
-    """F_p[z]/(phi) for a monic phi of degree >= 1, on lists of residues.
+def _mod_div(a: list, b: list, ring):
+    """lambda = a / b in F_p[z]/(phi) for ring an ``fp.Quotient``; None if
+    b is not a unit there."""
+    from . import fp
 
-    Products are Kronecker-packed into whole-byte slots (``_pack``) and
-    remainders come from Barrett's method: for c of length deg + m, the
-    reversed quotient is rev(c)_(<m) * rev(phi)^(-1) mod z^m, with the
-    inverse series computed once by Newton iteration.  ``traces`` holds
-    Tr(z^i), i < 2 deg - 1: rev(phi) times their series is rev(phi'), of
-    degree < deg, so the first deg are rev(phi') / rev(phi) mod z^deg and
-    the next deg - 1 are -1 / rev(phi) times the coefficients deg ..
-    2 deg - 2 of rev(phi) times the first deg (``_ZtQuotient.traces``).
-
-    Precision and slot width.  ``reduce`` takes inputs of up to max_len
-    residues, and products of two reduced elements have 2 deg - 1, so the
-    series is needed to precision max(deg, max_len - deg).  Every packed
-    product multiplies two residue lists, one of them of at most
-    max(deg + 1, max_len - deg) <= max_len entries (max_len > deg): its
-    digits are below max_len p^2 and fit the slots without carries.
-    """
-
-    def __init__(self, phi: list, p: int, max_len: int):
-        self.p = p
-        self.phi = phi
-        self.deg = deg = len(phi) - 1
-        max_len = max(max_len, deg + 1)
-        self.width = (2 * p.bit_length() + max_len.bit_length() + 7) // 8
-        self.phi_low = self.pack(phi[:deg])
-        self.inv = self._series_inverse(phi[::-1], max(max_len - deg, deg))
-        self._inv_packed = {}
-        dphi = [i * c % p for i, c in enumerate(phi)][1:]
-        low = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv[:deg]), deg)
-        mid = self.digits((self.pack(phi[::-1]) * self.pack(low)) >> (8 * self.width * deg),
-                          deg - 1)
-        high = self.digits(self.pack(self.inv[: deg - 1]) * self.pack(mid), deg - 1)
-        self.traces = low + [(-x) % p for x in high]
-        self._traces_packed = self.pack(self.traces)
-        self.one = [1]
-        self.unit_form = low
-
-    def pack(self, coeffs: list) -> int:
-        return _pack(coeffs, self.width)
-
-    def digits(self, packed: int, keep: int) -> list:
-        """The first ``keep`` coefficients of a packed product, mod p."""
-        p = self.p
-        low = packed & ((1 << (8 * self.width * keep)) - 1)
-        return [c % p for c in _unpack(low, keep, self.width)]
-
-    def _series_inverse(self, h: list, n: int) -> list:
-        """1/h mod z^n for h[0] = 1, by Newton's iteration g <- g (2 - h g)."""
-        p = self.p
-        g = [1]
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            e = [(-x) % p for x in self.digits(self.pack(h[:prec]) * self.pack(g), prec)]
-            e[0] = (e[0] + 2) % p
-            g = self.digits(self.pack(g) * self.pack(e), prec)
-        return g
-
-    def reduce(self, c: list) -> list:
-        """c mod phi, for a residue list c of length at most max_len."""
-        deg = self.deg
-        m = len(c) - deg
-        if m <= 0:
-            return c
-        inv = self._inv_packed.get(m)
-        if inv is None:
-            inv = self._inv_packed[m] = self.pack(self.inv[:m])
-        rev_q = self.digits(self.pack(c[: deg - 1 : -1]) * inv, m)
-        qphi = self.digits(self.pack(rev_q[::-1]) * self.phi_low, deg)
-        p = self.p
-        return [(x - y) % p for x, y in zip(c, qphi)]
-
-    def mul(self, a: list, b: list) -> list:
-        """a * b mod phi."""
-        if not a or not b:
-            return []
-        return self.reduce(self.digits(self.pack(a) * self.pack(b), len(a) + len(b) - 1))
-
-    def trace_form(self, u: list) -> list:
-        """[Tr(u z^a) for a < deg] = [sum_b u_b Tr(z^(a+b))], the middle
-        product of rev(u) and the traces; Tr(u v) is then its dot product with v."""
-        deg = self.deg
-        rev_u = (u + [0] * (deg - len(u)))[::-1]
-        prod = self.pack(rev_u) * self._traces_packed
-        return self.digits(prod >> (8 * self.width * (deg - 1)), deg)
-
-    def dot(self, form: list, u: list) -> int:
-        """Tr(w u) from form = trace_form(w)."""
-        return sum(map(_mul, form, u)) % self.p
-
-
-def _mod_div(a: list, b: list, ring: _FpQuotient):
-    """lambda = a / b in F_p[z]/(phi); None if b is not a unit there."""
-    inv = _fp_poly_inv(b, ring.phi, ring.p)
+    inv = fp.inverse(b, ring.phi, ring.p)
     if inv is None:
         return None
     return ring.mul(a, inv)
@@ -378,9 +265,11 @@ def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: i
     derivative (num' den - num den') / den^2 equals (num' - z den') / den
     there: the numerator needs no product, and only den is inverted.
     """
+    from . import fp
+
     inv_lc = pow(phi_lc, -1, p)
     top = max(len(num) - 1, len(den))
-    ring = _FpQuotient([c * inv_lc % p for c in phi_int], p, top)
+    ring = fp.Quotient([c * inv_lc % p for c in phi_int], p, top)
     u = [0] * top  # num' - z den'
     for i in range(1, len(num)):
         u[i - 1] = i * num[i]
@@ -393,8 +282,8 @@ def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: i
 
 
 def _trace_powers(ring, lam, count: int) -> list:
-    """[Tr(lambda^k) for k = 1..count] in a quotient ring (_FpQuotient or
-    _ZtQuotient), by baby steps lambda^i, i <= m, and giant steps G^j,
+    """[Tr(lambda^k) for k = 1..count] in a quotient ring (``fp.Quotient`` or
+    ``bivariate._ZtQuotient``), by baby steps lambda^i, i <= m, and giant steps G^j,
     j <= J, with G = lambda^m: Tr(lambda^(jm+i)) is the trace form of G^j
     against lambda^i.  m and J minimize the cost of the m - 1 + max(J - 1, 0)
     ring products (three packed products each) and J trace forms (one
@@ -425,9 +314,9 @@ def _arch_lipschitz(fmap: RationalMap) -> Fraction:
     key = ("arch_lipschitz", 1)
     lip = fmap._iterates.get(key)
     if lip is None:
-        res = fmap.resultant
+        prim = primitive_lift(fmap)
         lip = fmap._iterates[key] = chordal_lipschitz_bound(
-            fmap.lift, res, _map_cofactors(fmap, res))
+            prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
     return lip
 
 
@@ -471,7 +360,7 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     exceeds twice that bound; the symmetric residue mod M is then T_k
     itself, and S_k = T_k / rho^(nk) is exact by construction.
     """
-    from . import bivariate
+    from . import bivariate, fp
 
     phi_lc = phi_int[-1]
     num, den = ([r[0] if r else 0 for r in rows] for rows in bivariate.lift_rows(fmap, n))
@@ -483,25 +372,16 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     residues = [0] * count
     i = bad = 0
     while modulus <= 2 * bound:
-        p = _engine_prime(i)
+        p = fp.engine_prime(i)
         i += 1
         if phi_lc % p == 0 or res % p == 0:
             continue
         sums = _power_sums_mod_p(phi_int, phi_lc, num, den, count, p)
         if sums is None:
-            bad += 1
-            if bad > _MAX_BAD_PRIMES:
-                raise NonExactDivision(
-                    "derivative denominator shares a root with the dynatomic polynomial"
-                )
+            bad = _count_non_unit(bad)
             continue
-        rho_n = pow(rho, n, p)
-        scale = 1
-        inv_m = pow(modulus, -1, p)
-        for k, s in enumerate(sums):
-            scale = scale * rho_n % p
-            x = residues[k]
-            residues[k] = x + modulus * ((s * scale - x) * inv_m % p)
+        scaled = [s * pow(rho, n * k, p) for k, s in enumerate(sums, 1)]
+        residues = fp.crt(residues, modulus, scaled, p)
         modulus *= p
     out = []
     half = modulus // 2

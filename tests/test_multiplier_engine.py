@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynlyap import bivariate, heights, multipliers
+from dynlyap import bivariate, fp, heights, multipliers
 from dynlyap.algebra import Poly, _int_mul, _pack, _unpack, _unpack_signed, period_count
 from dynlyap.errors import DegenerateMap
+from dynlyap.fp import engine_prime
 from dynlyap.lyapunov import (
     _bezout_lipschitz_bound,
     _sup_chordal_derivative,
@@ -18,7 +19,6 @@ from dynlyap.lyapunov import (
 from dynlyap.maps import new_map, primitive_lift
 from dynlyap.multipliers import (
     _arch_lipschitz,
-    _engine_prime,
     _modular_power_sums,
     _power_sums_mod_p,
     _reduced_resultant,
@@ -44,7 +44,7 @@ def random_map(rng, d, den):
 def cases():
     """(label, map, periods): seeded random maps and the special cases."""
     rng = random.Random(4242)
-    p0 = _engine_prime(0)
+    p0 = engine_prime(0)
     out = [
         # monic Phi*_7 has denominators 2^63
         ("z^2+1/2", poly_map(1, 0, F(1, 2)), (7,)),
@@ -142,7 +142,7 @@ def test_lambda_from_the_fixed_point_identity(label, fmap):
         phi_int = [r[0] if r else 0 for r in div.rows]
         rows = bivariate.lift_rows(fmap, n)
         num_int, den_int = ([r[0] if r else 0 for r in part] for part in rows)
-        p = _engine_prime(1)
+        p = engine_prime(1)
         got = _power_sums_mod_p(phi_int, phi_int[-1], num_int, den_int, count, p)
         assert got == [s.numerator * pow(s.denominator, -1, p) % p for s in want]
 
@@ -168,15 +168,14 @@ def test_one_bezout_solve_per_map(monkeypatch):
     assert sup_t == heights._arch_sup_t_bound(fmap.lift, fmap.resultant)
     assert northcott == (heights._arch_sup_t_bound(prim.lift, prim.res)
                          + math.log(prim.res)) / (fmap.d - 1) + 1e-6
-    assert lip == chordal_lipschitz_bound(fmap.lift, fmap.resultant,
-                                          inner(fmap.lift, fmap.resultant))
     cofactors = inner(prim.lift, prim.res)
+    assert lip == chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
     assert all((c * rho / prim.res).denominator == 1 for part in cofactors for c in part)
 
 
 def test_engine_primes_carry_proth_certificates():
     # Proth: p = k 2^64 + 1 with k < 2^64 is prime if a^((p-1)/2) = -1 mod p
-    primes = [_engine_prime(i) for i in range(40)]
+    primes = [engine_prime(i) for i in range(40)]
     assert primes == sorted(set(primes), reverse=True)
     for p in primes:
         k, r = divmod(p - 1, 1 << 64)
@@ -190,7 +189,7 @@ def test_non_unit_prime_is_skipped(monkeypatch):
     # in for one where it is not, and that prime is skipped
     calls = []
     inner = multipliers._power_sums_mod_p
-    invert = multipliers._fp_poly_inv
+    invert = fp.inverse
 
     def spy(*args):
         out = inner(*args)
@@ -198,33 +197,35 @@ def test_non_unit_prime_is_skipped(monkeypatch):
         return out
 
     monkeypatch.setattr(multipliers, "_power_sums_mod_p", spy)
-    monkeypatch.setattr(multipliers, "_fp_poly_inv",
-                        lambda b, phi, p: None if p == _engine_prime(0) else invert(b, phi, p))
-    fmap = new_map(2, (_engine_prime(0), 0, F(_engine_prime(0), 2)), (0, 0, _engine_prime(0)))
+    monkeypatch.setattr(fp, "inverse",
+                        lambda b, phi, p: None if p == engine_prime(0) else invert(b, phi, p))
+    fmap = new_map(2, (engine_prime(0), 0, F(engine_prime(0), 2)), (0, 0, engine_prime(0)))
     assert engine_sums(fmap, 3) == engine_sums(fmap, 3, field_path=True)
-    assert calls[0] == (_engine_prime(0), True)
+    assert calls[0] == (engine_prime(0), True)
     assert not any(bad for _, bad in calls[1:])
 
 
 @pytest.mark.parametrize("label,fmap,periods", CASES[1:], ids=[c[0] for c in CASES[1:]])
 def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
-    cofactors = heights._bezout_cofactors(fmap.lift, fmap.resultant)
-    lip = chordal_lipschitz_bound(fmap.lift, fmap.resultant, cofactors)
+    prim = primitive_lift(fmap)
+    cofactors = heights._bezout_cofactors(prim.lift, prim.res)
+    lip = chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
     grid, _ = _sup_chordal_derivative(fmap, grid=96)
     assert grid <= lip * (1 + 1e-12)
-    assert lip <= _bezout_lipschitz_bound(fmap.lift, fmap.resultant, cofactors)
+    assert lip <= _bezout_lipschitz_bound(prim.lift, prim.res, cofactors)
 
 
 def test_lipschitz_closed_form_and_fallback():
     # sup of z^2's chordal derivative 2|z|(1+|z|^2)/(1+|z|^4) is 2, at |z| = 1
-    square = poly_map(1, 0, 0).lift
-    lip = chordal_lipschitz_bound(square, 1, heights._bezout_cofactors(square, 1))
+    square = primitive_lift(poly_map(1, 0, 0))
+    lip = chordal_lipschitz_bound(square.lift, square.res,
+                                  heights._bezout_cofactors(square.lift, square.res))
     assert 2 <= lip <= F(5, 2)
     # coefficients beyond the float range: the exact Bezout bound stands alone
-    huge = poly_map(1, 0, 10**400)
-    cofactors = heights._bezout_cofactors(huge.lift, huge.resultant)
-    assert chordal_lipschitz_bound(huge.lift, huge.resultant, cofactors) == _bezout_lipschitz_bound(
-        huge.lift, huge.resultant, cofactors)
+    huge = primitive_lift(poly_map(1, 0, 10**400))
+    cofactors = heights._bezout_cofactors(huge.lift, huge.res)
+    assert chordal_lipschitz_bound(huge.lift, huge.res, cofactors) == _bezout_lipschitz_bound(
+        huge.lift, huge.res, cofactors)
 
 
 def test_pack_round_trips():

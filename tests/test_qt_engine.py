@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynlyap import bivariate, multipliers
+from dynlyap import bivariate, fp, multipliers
 from dynlyap.algebra import Poly, RatFunc, period_count, poly_gcd
 from dynlyap.bivariate import _clear_rows, _pack_rows, _radical_base, _unpack_rows
 from dynlyap.cli import run
@@ -331,7 +331,7 @@ SINGULAR_CASES = [
 
 @pytest.mark.parametrize("label,b,a,L,want", SINGULAR_CASES, ids=[c[0] for c in SINGULAR_CASES])
 def test_row_division_skips_a_singular_point(label, b, a, L, want):
-    images = bivariate._Images(z2_minus_1_ring(L), Z2_MINUS_1, a, b, multipliers._engine_prime(0))
+    images = bivariate._Images(z2_minus_1_ring(L), Z2_MINUS_1, a, b, fp.engine_prime(0))
     xs, values = images.take(3)
     assert xs == [2, 3, 4] and images.skips == 1
     p = images.p
