@@ -77,16 +77,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    if n < 2:
-        return 2
-    n += 1 if n % 2 == 0 else 2
-    while not is_prime(n):
-        n += 2
-    return n
-
-
 def factor_int(n: int, bound: int = 10**8) -> dict[int, int]:
     """Prime factorization by trial division; ResourceLimit past the bound."""
     from .errors import ResourceLimit
@@ -401,14 +391,6 @@ def _clear_fractions(coeffs) -> tuple[list[int], int]:
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _primitive_factor(coeffs) -> Fraction:
-    """s with s * coeffs coprime integers and the last nonzero one positive,
-    for a Fraction sequence not all zero."""
-    ints, den = _clear_fractions(coeffs)
-    s = Fraction(den, _int_content(ints))
-    return s if next(c for c in reversed(ints) if c) > 0 else -s
 
 
 def _trailing_zeros(p: Poly) -> int:

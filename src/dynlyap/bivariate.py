@@ -1,4 +1,5 @@
-"""Exact arithmetic in Q(t)[z] and Q(t)[z]/(phi) on integer rows.
+"""Exact arithmetic in Q(t)[z] and Q(t)[z]/(phi) on integer rows, and the
+boundary between rows and the base field for Q and Q(t).
 
 An element of Z[t][z] is a list of integer t-coefficient rows, one per
 power of z; a map over Q is rows of t-degree 0.  The multiplier spectrum
@@ -12,21 +13,26 @@ runs on such rows from start to end:
   product of the primitive parts with mu(n/m) = 1 by that of those with
   mu(n/m) = -1 in one packed integer division (``_exact_quotient``), so
   Phi*_n = prod_{m | n} P_m^mu(n/m) comes out primitive (Gauss's lemma);
-* the traces.  ``_ratfunc_power_sums`` takes Phi*_n and the rows of G^(n)
-  straight into the quotient ring ``_ZtQuotient``; over Q the modular
-  engine (``multipliers._modular_power_sums``) reads the same rows.  When
-  the multiplier lambda = a / b needs a division, ``_row_mod_div`` forms it
+* the traces.  For f^n = num / den, both engines take the multiplier as
+  lambda = (num' - z den') / den, which holds modulo Phi*_n because
+  Phi*_n divides num - z den, with the numerator from
+  ``lambda_numerator``.  ``_ratfunc_power_sums`` takes Phi*_n and the rows
+  of G^(n) straight into the quotient ring ``_ZtQuotient``; over Q the
+  modular engine (``multipliers._modular_power_sums``) reads the same
+  rows.  When den is not constant in z, ``_row_mod_div`` forms lambda
   from F_p images at points t0, Cauchy interpolation, rational number
   reconstruction and an exact check in the ring, with the F_p arithmetic
   of ``fp``;
 * Newton's identities.  ``_monic_from_power_sums`` turns the power sums
-  into p_{d,n} on integer rows over one denominator.
+  into p_{d,n} on integer rows over one denominator, and ``_poly_power``
+  forms q_n = p_{d,n}^n, over Q as over Q(t).
 
-Elements of Q(t) become rows in one way: ``_clear_rows`` writes them as
-integer rows over one den in Z[t], the lcm of their denominators.  The
-lift, q_n = p^n (``_ratfunc_poly_power``), the power sums of Newton's
-identities, ``multipliers._normalize_proj`` and ``heights.bad_places`` all
-clear through it.
+Elements of Q and Q(t) become rows in one way: ``_clear_rows`` writes them
+as integer rows over one den in Z[t], the lcm of their denominators (rows
+of t-degree 0 over one integer for Q).  The lift, q_n, the power sums of
+Newton's identities, ``multipliers._normalize_proj`` and
+``heights.bad_places`` all clear through it.  Rows become elements of the
+base field in one way, ``_field``: a Fraction over Q, a RatFunc over Q(t).
 
 In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
 positive integer, and L a primitive polynomial of Z[t] whose powers, times
@@ -56,7 +62,7 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import DegenerateMap, NonExactDivision
-from .maps import BASE_Q, RationalMap, primitive_lift
+from .maps import BASE_Q, RationalMap
 
 
 def _signed_digits(packed: int, start: int, n: int, width: int) -> list[int]:
@@ -278,9 +284,13 @@ def _radical_base(polys) -> list:
 
 
 def _clear_rows(coeffs):
-    """(rows, den) with coeffs[i] = rows[i] / den for elements of Q(t):
+    """(rows, den) with coeffs[i] = rows[i] / den for elements of Q or Q(t):
     integer t-rows over the lcm of the denominators, which is cleared of
-    fractions with them, so den in Z[t] has a positive leading coefficient."""
+    fractions with them, so den in Z[t] has a positive leading coefficient.
+    Elements of Q clear to rows of t-degree 0 ([] for zero) over one integer."""
+    if not any(isinstance(c, RatFunc) for c in coeffs):
+        ints, den = _clear_fractions(coeffs)
+        return [[x] if x else [] for x in ints], [den]
     coeffs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
     dens = dict.fromkeys(c.den for c in coeffs)
     lcm = Poly((Fraction(1),))
@@ -293,27 +303,34 @@ def _clear_rows(coeffs):
     return rows[:-1], rows[-1]
 
 
-def _from_rows(rows: list, den: list) -> list:
-    """The elements rows[i] / den of Q(t); one normalization each."""
-    den = Poly.from_ints(den)
-    return [RatFunc(Poly.from_ints(r), den) for r in rows]
+def _field(num: list, den: list, base: str):
+    """The element num / den of the base field for num, den in Z[t]: a
+    Fraction over Q, where both have t-degree 0, and a RatFunc over Q(t)."""
+    if base == BASE_Q:
+        return Fraction(num[0] if num else 0, den[0])
+    return RatFunc(Poly.from_ints(num), Poly.from_ints(den))
 
 
-def _ratfunc_poly_power(p: Poly, n: int) -> Poly:
-    """p^n for p over Q(t): with the coefficients cleared to integer rows
-    over one den (``_clear_rows``), p^n is rows^n / den^n, taken by packed
-    integer products."""
+def _from_rows(rows: list, den: list, base: str) -> list:
+    """The elements rows[i] / den of the base field; one normalization each."""
+    return [_field(r, den, base) for r in rows]
+
+
+def _poly_power(p: Poly, n: int, base: str) -> Poly:
+    """p^n for p over the base field: with the coefficients cleared to
+    integer rows over one den (``_clear_rows``), p^n is rows^n / den^n,
+    taken by packed integer products."""
     rows, den = _clear_rows(p.coeffs)
     out, out_den = rows, den
     for _ in range(n - 1):
         out = _mul_rows(out, rows)
         out_den = _int_mul(out_den, den)
-    return Poly(_from_rows(out, out_den))
+    return Poly(_from_rows(out, out_den, base))
 
 
-def _monic_from_power_sums(psums, degree: int) -> Poly:
-    """The monic polynomial over Q(t) of the given degree with the given
-    first power sums, by Newton's identities on integer rows.  With
+def _monic_from_power_sums(psums, degree: int, base: str) -> Poly:
+    """The monic polynomial over the base field of the given degree with the
+    given first power sums, by Newton's identities on integer rows.  With
     psums[i] = P_(i+1) / D over one den (``_clear_rows``), the elementary
     symmetric functions are e_k = E_k / (k! D^k) for E_0 = 1 and
     E_k = sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! D^(i-1) E_(k-i) P_i in Z[t],
@@ -336,8 +353,8 @@ def _monic_from_power_sums(psums, degree: int) -> Poly:
     coeffs, fact = [], 1
     for j, e in enumerate(elem):
         fact *= j or 1
-        coeffs.append(RatFunc(Poly.from_ints(e if j % 2 == 0 else [-x for x in e]),
-                              Poly.from_ints([fact * x for x in dpow[j]])))
+        coeffs.append(_field(e if j % 2 == 0 else [-x for x in e],
+                             [fact * x for x in dpow[j]], base))
     return Poly(coeffs[::-1])
 
 
@@ -390,15 +407,10 @@ def primitive_rows(fmap: RationalMap):
     got = fmap._iterates.get(key)
     if got is None:
         d = fmap.d
-        if fmap.base == BASE_Q:
-            prim = primitive_lift(fmap)
-            rows = [[c.numerator] if c else [] for c in prim.lift.a[::-1] + prim.lift.b[::-1]]
-            lam = 1 / prim.scale
-        else:
-            rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
-            content = _zt_content(rows)
-            rows = _divide_content(rows, content)
-            lam = RatFunc(Poly.from_ints(content), Poly.from_ints(den))
+        rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
+        content = _zt_content(rows)
+        rows = _divide_content(rows, content)
+        lam = _field(content, den, fmap.base)
         got = fmap._iterates[key] = (_trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam)
     return got
 
@@ -436,21 +448,25 @@ def lift_rows(fmap: RationalMap, n: int):
     return got
 
 
+def _sub_z_times(a: list, b: list) -> list:
+    """Rows of a - z b for a, b in Z[t][z], without trailing zero rows."""
+    rows = [list(r) for r in a] + [[] for _ in range(len(b) + 1 - len(a))]
+    for row, r in zip(rows[1:], b):
+        row.extend([0] * (len(r) - len(row)))
+        for j, x in enumerate(r):
+            row[j] -= x
+        while row and not row[-1]:
+            row.pop()
+    return _trim(rows)
+
+
 def fixed_rows(fmap: RationalMap, m: int):
     """(primitive part, content in Z[t]) of P_m = F0 - z F1 for F = G^(m),
     with a positive content; cached on the map."""
     key = ("fixed_rows", m)
     got = fmap._iterates.get(key)
     if got is None:
-        f0, f1 = lift_rows(fmap, m)
-        rows = [list(r) for r in f0] + [[] for _ in range(len(f1) + 1 - len(f0))]
-        for row, r in zip(rows[1:], f1):
-            row.extend([0] * (len(r) - len(row)))
-            for j, x in enumerate(r):
-                row[j] -= x
-            while row and not row[-1]:
-                row.pop()
-        rows = _trim(rows)
+        rows = _sub_z_times(*lift_rows(fmap, m))
         if not rows:
             raise DegenerateMap("f^n is the identity; not a degree >= 2 map")
         content = _zt_content(rows)
@@ -693,51 +709,48 @@ def _lift_fractions(used):
     return rows, den
 
 
+def lambda_numerator(num: list, den: list) -> list:
+    """Rows of num' - z den' for f^n = num / den in Z[t][z].  Phi*_n divides
+    num - z den, so num = z den modulo Phi*_n, and there the multiplier
+    (num' den - num den') / den^2 is (num' - z den') / den: both spectrum
+    engines divide these rows by den."""
+    dnum, dden = ([[i * x for x in r] for i, r in enumerate(rows)][1:] for rows in (num, den))
+    return _sub_z_times(dnum, dden)
+
+
 def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
     k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
 
     phi is Phi*_n as primitive rows, and f^n = num / den is read off the
-    rows of the iterated primitive lift (``lift_rows``).  With den = g D
-    for the content g of den in Z[t], lambda = a / b for
-    a = (num' D - num D') / g and b = D^2, both reduced mod phi in a ring
-    whose L is the radical of g times the leading row of Phi*_n, so that L
-    covers the poles of the monic Phi*_n and of a.  When b is constant in
-    z, b is divided out of the final sums: S_k = Tr(a^k) / b^k.  Otherwise
-    lambda = a / b is formed once on rows, over one denominator in lowest
-    terms (``multipliers._field_mod_div``, ``_row_mod_div``), and the sums
-    are taken in a ring whose L is the radical of that denominator times
-    the leading row of Phi*_n (``_trace_ring`` builds both rings).
-    Each S_k becomes an element of Q(t), with one normalization, only at
-    the end.
+    rows of the iterated primitive lift (``lift_rows``).  lambda = u / (g D)
+    for the rows u of num' - z den' (``lambda_numerator``), with g = den
+    and D = 1 when den is constant in z, else with g the content of den in
+    Z[t] and D = den / g.  u / g is reduced mod phi in a ring whose L is the
+    radical of g times the leading row of Phi*_n, so that L covers the
+    poles of the monic Phi*_n and of u / g.  When D = 1 that is lambda.
+    Otherwise lambda = (u / g) / D is formed once on rows, over one
+    denominator in lowest terms (``multipliers._field_mod_div``,
+    ``_row_mod_div``), and the sums are taken in a ring whose L is the
+    radical of that denominator times the leading row of Phi*_n
+    (``_trace_ring`` builds both rings).  Each S_k becomes an element of
+    Q(t), with one normalization, only at the end.
     """
     num, den = lift_rows(fmap, n)
-    content = _zt_content(den)
-    den = _divide_content(den, content)
-    a_len = max(len(num) + len(den) - 2, 1)
-    ring, (cof, c, e) = _trace_ring(phi, content, max(a_len, 2 * len(den) - 1))
-    dnum = [[i * x for x in r] for i, r in enumerate(num)][1:]
-    neg_dden = [[-i * x for x in r] for i, r in enumerate(den)][1:]
-    a = _bi_dot([(dnum, den), (num, neg_dden)], 0, a_len)
-    lam = ring.reduce(a if cof == [1] else _mul_rows([cof], a), c, e)  # a / content
-    b = ring.reduce(_mul_rows(den, den), 1, 0)
-    if not b[0]:
-        raise NonExactDivision("vanishing denominator in multiplier computation")
-    norm = [1], 1, 0
-    if len(b[0]) == 1:
-        norm = b[0][0], b[1], b[2]
+    u = lambda_numerator(num, den)
+    if len(den) == 1:  # den is constant in z: lambda = u / den
+        content, den = den[0], [[1]]
     else:
+        content = _zt_content(den)
+        den = _divide_content(den, content)
+    ring, (cof, c, e) = _trace_ring(phi, content, max(len(u), len(den)))
+    lam = ring.reduce(u if cof == [1] else _mul_rows([cof], u), c, e)  # u / g
+    if den != [[1]]:
+        b = ring.reduce(den, 1, 0)
+        if not b[0]:
+            raise NonExactDivision("vanishing denominator in multiplier computation")
         rows, lam_den = multipliers._field_mod_div(ring, phi, lam, b)
         ring, (cof, c, e) = _trace_ring(phi, lam_den, 0)
         lam = ring.normal([_int_mul(r, cof) for r in rows], c, e)
-    out = []
-    norm_num, norm_c, norm_e = [1], 1, 0  # norm^k = norm_num / (norm_c L^norm_e)
-    for num, c, e in multipliers._trace_powers(ring, lam, count):
-        # S_k = num / (c L^e) / norm^k, with norm = b when b is constant
-        norm_num = _int_mul(norm_num, norm[0])
-        norm_c, norm_e = norm_c * norm[1], norm_e + norm[2]
-        e -= norm_e
-        num = _int_mul([norm_c * x for x in num], ring.lpow(max(-e, 0)))
-        den = _int_mul([c * x for x in norm_num], ring.lpow(max(e, 0)))
-        out.append(RatFunc(Poly.from_ints(num), Poly.from_ints(den)))
-    return out
+    return [_field(num, [c * x for x in ring.lpow(e)], fmap.base)
+            for num, c, e in multipliers._trace_powers(ring, lam, count)]

@@ -16,7 +16,8 @@ from .algebra import (
     FieldElem,
     Poly,
     RatFunc,
-    _primitive_factor,
+    _clear_fractions,
+    _int_content,
     field_one,
     field_zero,
     poly_gcd,
@@ -370,7 +371,8 @@ def primitive_lift(fmap: RationalMap) -> PrimitiveLift:
     key = ("primitive_lift",)
     prim = fmap._iterates.get(key)
     if prim is None:
-        s = abs(_primitive_factor(fmap.lift.a + fmap.lift.b))
+        ints, den = _clear_fractions(fmap.lift.a + fmap.lift.b)
+        s = Fraction(den, _int_content(ints))
         res = abs(fmap.resultant) * s ** (2 * fmap.d)  # Res is homogeneous of degree 2d
         if res.denominator != 1:
             raise NonExactDivision("resultant of the primitive lift is not an integer")
@@ -405,30 +407,25 @@ def orbit(fmap: RationalMap, point, length: int) -> list:
 
 
 def cycle_multiplier(fmap: RationalMap, point, q: int) -> FieldElem:
-    """Multiplier of f^q along the exact q-cycle through ``point``.
+    """Multiplier of f^q along the exact q-cycle through ``point``, by the
+    homogeneous chain rule; exact in the base field, infinity included.
 
-    The whole map is conjugated so the cycle avoids infinity, then the
-    chain rule is applied in the affine chart; exact in the base field.
+    With P_0 the normalized point and P_(i+1) = F(P_i) unnormalized,
+    P_q = c P_0.  The lift F^q of degree d^q has P_0 as an eigenvector of
+    D(F^q)(P_0) with eigenvalue d^q c (Euler's identity), and c lambda on
+    the tangent line of P^1, so det D(F^q)(P_0) = d^q c^2 lambda, while the
+    chain rule makes it prod_(i<q) det DF(P_i).  det DF is the form of
+    degree 2d - 2 whose affine part is ``critical_divisor(lift)``.
     """
-    pts = orbit(fmap, point, q)
-    if pts[q] != pts[0]:
+    jac = critical_divisor(fmap.lift).affine_poly.coeffs  # det DF(z, 1)
+    top = 2 * fmap.d - 2
+    start = normalize_point(*point)
+    x, y = start
+    det = field_one(fmap.resultant)
+    for _ in range(q):
+        det = det * sum(c * x**k * y ** (top - k) for k, c in enumerate(jac))
+        x, y = fmap.lift.evaluate(x, y)
+    if x * start[1] != y * start[0]:
         raise ValueError("point is not q-periodic")
-    cycle = pts[:q]
-    one = field_one(fmap.resultant)
-    if any(not y for _, y in cycle):  # infinity on the cycle: move it away
-        shift = 0
-        while any(y and x / y == shift * one for x, y in cycle):
-            shift += 1
-        m = Mobius2(field_zero(one), one, one, -shift * one)  # z -> 1/(z - shift)
-        g = conjugate(fmap, m)
-        new_pts = [normalize_point(*m.apply(x, y)) for x, y in cycle]
-        return cycle_multiplier(g, new_pts[0], q)
-    num, den = multiplier_rational_function(fmap, 1)
-    lam = one
-    for x, y in cycle:
-        z = x / y
-        dval = den.evaluate(z)
-        if not dval:
-            raise ZeroDivisionError("derivative pole on a finite cycle")
-        lam = lam * num.evaluate(z) / dval
-    return lam
+    c = y if start[1] else x  # P_q = c P_0
+    return det / (fmap.d**q * c * c)

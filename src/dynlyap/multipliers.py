@@ -16,16 +16,20 @@ in Z[t][z] (a map over Q is rows of t-degree 0), Phi*_n as the exact
 quotient of the primitive parts of the P_m (``dynatomic_divisor``), and
 the multiplier at a periodic infinity read off the coefficients of the
 iterated lift (``_infinity_cycle_data``).  The Fraction or RatFunc
-``star_poly`` is formed only when a caller reads it.
+``star_poly`` is formed only when a caller reads it.  Both engines take
+lambda = (f^n)' for f^n = A / B as (A' - z B') / B, since A = z B modulo
+Phi*_n, with the numerator from ``bivariate.lambda_numerator``.  Past the
+traces, Newton's identities and q_n = p_{d,n}^n run on integer rows for
+both fields, and rows come back to the base field through
+``bivariate._field``.
 
 Over Q the power sums S_k come from a multi-modular engine
 (``_modular_power_sums``).  For each engine prime p below 2^127 it reduces
-Phi*_n and the rows f^n = A / B of G^(n) mod p, forms lambda = (f^n)' =
-(A' - z B') / B in F_p[z]/(Phi*_n) (``_mod_div``), where A = z B because
-Phi*_n divides A - z B, and takes the traces Tr(lambda^k) by baby and
-giant steps.  The per-place Lipschitz bound of the paper fixes how many
-primes are needed, with the reduced resultant rho in place of
-R = |Res G|: rho is the lcm of the denominators of the Bezout cofactors
+Phi*_n and the rows of f^n = A / B and of A' - z B' mod p, forms
+lambda = (A' - z B') / B in F_p[z]/(Phi*_n) (``_mod_div``), and takes the
+traces Tr(lambda^k) by baby and giant steps.  The per-place Lipschitz
+bound of the paper fixes how many primes are needed, with the reduced
+resultant rho in place of R = |Res G|: rho is the lcm of the denominators of the Bezout cofactors
 of X^(2d-1) and Y^(2d-1) for the primitive integer lift G
 (``_reduced_resultant``), and divides R.  Then |lambda|_p <= |rho|_p^(-n)
 at every prime and |lambda| <= Lip^n at infinity for a certified
@@ -37,8 +41,8 @@ with no rational reconstruction and no verification.
 Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
 on elements U(t, z) / (c L(t)^e) (``bivariate._ratfunc_power_sums``,
 ``bivariate._ZtQuotient``), with the same baby and giant steps
-(``_trace_powers``); only the final S_k become elements of Q(t).  When
-den^2 is not constant in z, lambda = a / b is formed on rows from its
+(``_trace_powers``); only the final S_k become elements of Q(t).  When B
+is not constant in z, lambda = a / b is formed on rows from its
 images mod (Phi*_n(t0), p), each divided by ``_mod_div``, at points t0
 and engine primes p: Cauchy interpolation over F_p, rational number
 reconstruction over the CRT of the primes, and an exact check lambda b = a
@@ -61,16 +65,14 @@ from math import lcm
 
 from .algebra import (
     Poly,
-    RatFunc,
     _int_mul,
-    _primitive_factor,
     divisors,
     field_one,
     mobius,
     period_count,
 )
 from .errors import NonExactDivision
-from .maps import BASE_Q, RationalMap, primitive_lift
+from .maps import BASE_Q, RationalMap, _coerce_field, primitive_lift
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,7 @@ class DynatomicDivisor:
     rows: tuple
     star_mult_infinity: int
     scale: object  # Fraction or RatFunc
+    base: str
 
     @property
     def degree(self) -> int:
@@ -94,10 +97,11 @@ class DynatomicDivisor:
 
     @cached_property
     def star_poly(self) -> Poly:
-        s = self.scale
-        if isinstance(s, RatFunc):
-            return Poly([RatFunc(Poly.from_ints(r) * s.num, s.den) for r in self.rows])
-        return Poly([s * r[0] if r else s * 0 for r in self.rows])
+        from . import bivariate
+
+        (num,), den = bivariate._clear_rows([self.scale])
+        return Poly(bivariate._from_rows([_int_mul(list(r), num) for r in self.rows],
+                                         den, self.base))
 
     def total_degree(self) -> int:
         return self.degree + self.star_mult_infinity
@@ -161,11 +165,8 @@ def dynatomic_divisor(fmap: RationalMap, n: int) -> DynatomicDivisor:
     if inf_mult < 0:
         raise NonExactDivision("negative multiplicity at infinity in dynatomic divisor")
     lam = bivariate.primitive_rows(fmap)[2]
-    if fmap.base == BASE_Q:
-        scale = lam**exp * Fraction(c_num[0], c_den[0])
-    else:
-        scale = lam**exp * RatFunc(Poly.from_ints(c_num), Poly.from_ints(c_den))
-    div = DynatomicDivisor(n, tuple(map(tuple, star)), inf_mult, scale)
+    scale = lam**exp * bivariate._field(c_num, c_den, fmap.base)
+    div = DynatomicDivisor(n, tuple(map(tuple, star)), inf_mult, scale, fmap.base)
     if div.total_degree() != period_count(fmap.d, n):
         raise NonExactDivision(
             f"dynatomic degree {div.total_degree()} != d_n = {period_count(fmap.d, n)}"
@@ -196,39 +197,18 @@ def power_sums_from_monic(p: Poly, count: int):
     return out
 
 
-def monic_from_power_sums(psums, degree: int, one) -> Poly:
-    """Monic polynomial of the given degree with the given first power sums.
-    Over Q(t) the identities run on integer rows over one denominator
+def power_roots_poly(p: Poly, s: int, base: str) -> Poly:
+    """Monic polynomial over the base field whose roots are the s-th powers
+    of the roots of p; Newton's identities run on integer rows
     (``bivariate._monic_from_power_sums``)."""
-    if isinstance(one, RatFunc):
-        from . import bivariate
-
-        return bivariate._monic_from_power_sums(psums, degree)
-    elem = [one]
-    for k in range(1, degree + 1):
-        acc = one * 0
-        for i in range(1, k):
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            term = elem[k - i] * psums[i - 1]
-            acc = acc + (term if sign == 1 else -term)
-        tail = psums[k - 1] if (k - 1) % 2 == 0 else -psums[k - 1]
-        elem.append((acc + tail) / k)
-    coeffs = [one * 0] * (degree + 1)
-    for j in range(degree + 1):
-        coeffs[degree - j] = elem[j] * (-1 if j % 2 else 1)
-    return Poly(coeffs)
-
-
-def power_roots_poly(p: Poly, s: int) -> Poly:
-    """Monic polynomial whose roots are the s-th powers of the roots of p."""
-    if s == 1:
-        return p
     deg = len(p.coeffs) - 1
-    one = field_one(p.lc())
-    if deg == 0:
+    if s == 1 or deg == 0:
         return p
+    from . import bivariate
+
     ps = power_sums_from_monic(p, s * deg)
-    return monic_from_power_sums([ps[s * k - 1] for k in range(1, deg + 1)], deg, one)
+    # the k-th power sum of the s-th powers is the (k s)-th power sum of p
+    return bivariate._monic_from_power_sums(ps[s - 1 :: s], deg, base)
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +237,14 @@ def _mod_div(a: list, b: list, ring):
     return ring.mul(a, inv)
 
 
-def _power_sums_mod_p(phi_int: list, phi_lc: int, num: list, den: list, count: int, p: int):
+def _power_sums_mod_p(phi_int: list, phi_lc: int, u: list, den: list, count: int, p: int):
     """Tr(lambda^k) mod p for k = 1..count in F_p[z]/(phi_int / phi_lc), for
-    lambda = (num / den)' = (num' - z den') / den; None if den is not a unit there.
-
-    phi_int divides num - z den, so num = z den in the ring and the
-    derivative (num' den - num den') / den^2 equals (num' - z den') / den
-    there: the numerator needs no product, and only den is inverted.
-    """
+    lambda = (f^n)' = u / den with u = num' - z den' for f^n = num / den
+    (``bivariate.lambda_numerator``); None if den is not a unit there."""
     from . import fp
 
     inv_lc = pow(phi_lc, -1, p)
-    top = max(len(num) - 1, len(den))
-    ring = fp.Quotient([c * inv_lc % p for c in phi_int], p, top)
-    u = [0] * top  # num' - z den'
-    for i in range(1, len(num)):
-        u[i - 1] = i * num[i]
-    for i in range(1, len(den)):
-        u[i] -= i * den[i]
+    ring = fp.Quotient([c * inv_lc % p for c in phi_int], p, max(len(u), len(den)))
     lam = _mod_div(ring.reduce([c % p for c in u]), ring.reduce([c % p for c in den]), ring)
     if lam is None:
         return None
@@ -363,7 +333,9 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     from . import bivariate, fp
 
     phi_lc = phi_int[-1]
-    num, den = ([r[0] if r else 0 for r in rows] for rows in bivariate.lift_rows(fmap, n))
+    num, den = bivariate.lift_rows(fmap, n)
+    u = [r[0] if r else 0 for r in bivariate.lambda_numerator(num, den)]
+    den = [r[0] if r else 0 for r in den]
     res = primitive_lift(fmap).res
     rho = _reduced_resultant(fmap)
     growth = _arch_lipschitz(fmap) * rho
@@ -376,7 +348,7 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
         i += 1
         if phi_lc % p == 0 or res % p == 0:
             continue
-        sums = _power_sums_mod_p(phi_int, phi_lc, num, den, count, p)
+        sums = _power_sums_mod_p(phi_int, phi_lc, u, den, count, p)
         if sums is None:
             bad = _count_non_unit(bad)
             continue
@@ -435,10 +407,8 @@ def _infinity_cycle_data(fmap: RationalMap, n: int):
         f0, f1 = bivariate.lift_rows(fmap, q)
         top = fmap.d**q
         if len(f1) <= top:
-            a0, b1 = f0[top], f1[top - 1] if len(f1) == top else ()
-            if fmap.base == BASE_Q:
-                return q, Fraction(b1[0] if b1 else 0, a0[0])
-            return q, RatFunc(Poly.from_ints(b1), Poly.from_ints(a0))
+            b1 = f1[top - 1] if len(f1) == top else []
+            return q, bivariate._field(b1, f0[top], fmap.base)
     return None, None
 
 
@@ -473,7 +443,9 @@ def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
         for k in range(k_cycles):
             sums[k] = sums[k] + div.star_mult_infinity * power
             power = power * lam_inf
-    p_dn = monic_from_power_sums([s / n for s in sums], k_cycles, one)
+    from . import bivariate
+
+    p_dn = bivariate._monic_from_power_sums([s / n for s in sums], k_cycles, fmap.base)
     fmap._iterates[key] = p_dn
     return p_dn
 
@@ -485,13 +457,9 @@ def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
     cached = fmap._iterates.get(key)
     if cached is not None:
         return cached
-    p_dn = cycle_polynomial(fmap, n)
-    if fmap.base == BASE_Q:
-        q_n = p_dn**n
-    else:
-        from . import bivariate
+    from . import bivariate
 
-        q_n = bivariate._ratfunc_poly_power(p_dn, n)
+    q_n = bivariate._poly_power(cycle_polynomial(fmap, n), n, fmap.base)
     fmap._iterates[key] = q_n
     return q_n
 
@@ -536,7 +504,7 @@ def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
         return chi
     for m in divisors(n):
         q_m = fixstar_multiplier_charpoly(fmap, m)
-        factor = power_roots_poly(q_m, n // m)
+        factor = power_roots_poly(q_m, n // m, fmap.base)
         chi = factor if chi is None else chi * factor
     if len(chi.coeffs) - 1 != fmap.d**n + 1:
         raise NonExactDivision("full multiplier charpoly has wrong degree")
@@ -559,19 +527,14 @@ def _normalize_proj(coords) -> tuple:
     """Projective coordinates over Q as coprime integers, over Q(t) as coprime
     polynomials with coprime integer coefficients; the last nonzero
     coordinate has a positive leading coefficient."""
-    vals = list(coords)
-    if all(isinstance(c, (int, Fraction)) for c in vals):
-        vals = [Fraction(c) for c in vals]
-        s = _primitive_factor(vals)
-        return tuple(c * s for c in vals)
     from . import bivariate
 
+    vals, base = _coerce_field(coords)
     rows, _ = bivariate._clear_rows(vals)
     rows = bivariate._divide_content(rows, bivariate._zt_content(rows))
     if next(r for r in reversed(rows) if r)[-1] < 0:
         rows = [[-x for x in r] for r in rows]
-    one = Poly((Fraction(1),))
-    return tuple(RatFunc(Poly.from_ints(r), one, _normalized=True) for r in rows)
+    return tuple(bivariate._from_rows(rows, [1], base))
 
 
 def lambda_tilde_point(fmap: RationalMap, n: int) -> ProjPoint:

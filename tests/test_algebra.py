@@ -12,7 +12,6 @@ from dynlyap.algebra import (
     factor_int,
     is_prime,
     mobius,
-    next_prime,
     period_count,
     poly_exact_div,
     poly_gcd,
@@ -55,7 +54,6 @@ class TestNumberTheory:
 
     def test_primes(self):
         assert is_prime(2) and is_prime(2**31 - 1) and not is_prime(1)
-        assert next_prime(1) == 2 and next_prime(2) == 3 and next_prime(10**6) == 1000003
         assert factor_int(600) == {2: 3, 3: 1, 5: 2}
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from dynlyap import bivariate, fp, heights, multipliers
-from dynlyap.algebra import Poly, _int_mul, _pack, _unpack, _unpack_signed, period_count
+from dynlyap.algebra import Poly, RatFunc, _int_mul, _pack, _unpack, _unpack_signed, period_count
 from dynlyap.errors import DegenerateMap
 from dynlyap.fp import engine_prime
 from dynlyap.lyapunov import (
@@ -16,7 +16,7 @@ from dynlyap.lyapunov import (
     _sup_chordal_derivative,
     chordal_lipschitz_bound,
 )
-from dynlyap.maps import new_map, primitive_lift
+from dynlyap.maps import BASE_Q, new_map, primitive_lift
 from dynlyap.multipliers import (
     _arch_lipschitz,
     _modular_power_sums,
@@ -122,28 +122,41 @@ def test_reduced_resultant_is_needed(monkeypatch):
         assert engine_sums(fmap, 1) != want, q
 
 
-@pytest.mark.parametrize("label,fmap", [(c[0], c[1]) for c in CASES[1:3]],
-                         ids=[c[0] for c in CASES[1:3]])
-def test_lambda_from_the_fixed_point_identity(label, fmap):
-    # on Phi*_n, which divides A - z B, (A' B - A B') / B^2 = (A' - z B') / B
-    for n in (2, 3):
+T, ONE, ZERO = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+LAMBDA_CASES = [(c[0], c[1], (2, 3)) for c in CASES[1:3]] + [
+    ("(z^2+t)/z", new_map(2, (ONE, ZERO, T), (ZERO, ONE, ZERO)), (1, 2)),
+    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2)),
+    ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("label,fmap,periods", LAMBDA_CASES, ids=[c[0] for c in LAMBDA_CASES])
+def test_lambda_from_the_fixed_point_identity(label, fmap, periods):
+    # on Phi*_n, which divides A - z B, (A' B - A B') / B^2 = (A' - z B') / B,
+    # with A' - z B' from the rows of the primitive lift (``lambda_numerator``)
+    for n in periods:
         div = dynatomic_divisor(fmap, n)
+        if div.degree <= 0:
+            continue
         phi = div.star_poly.monic()
         lift = fmap.iterate_lift_cached(n)
         num, den = lift.poly0(), lift.poly1()
-        z = Poly([F(0), F(1)])
         classic = field_mod_div((num.derivative() * den - num * den.derivative()) % phi,
                                 (den * den) % phi, phi)
-        assert field_mod_div((num.derivative() - z * den.derivative()) % phi,
-                             den % phi, phi) == classic
+        rows = bivariate.lift_rows(fmap, n)
+        u = bivariate.lambda_numerator(*rows)
+        u_poly, den_poly = (Poly(bivariate._from_rows(part, [1], fmap.base))
+                            for part in (u, rows[1]))
+        assert field_mod_div(u_poly % phi, den_poly % phi, phi) == classic
+        if fmap.base != BASE_Q:
+            continue
         # the engine's traces at one prime are the oracle's sums mod p
         count = period_count(fmap.d, n) // n
         want = field_power_sums(fmap, n, phi, count, F(1))
         phi_int = [r[0] if r else 0 for r in div.rows]
-        rows = bivariate.lift_rows(fmap, n)
-        num_int, den_int = ([r[0] if r else 0 for r in part] for part in rows)
+        u_int, den_int = ([r[0] if r else 0 for r in part] for part in (u, rows[1]))
         p = engine_prime(1)
-        got = _power_sums_mod_p(phi_int, phi_int[-1], num_int, den_int, count, p)
+        got = _power_sums_mod_p(phi_int, phi_int[-1], u_int, den_int, count, p)
         assert got == [s.numerator * pow(s.denominator, -1, p) % p for s in want]
 
 

@@ -5,7 +5,16 @@ import pytest
 
 from dynlyap.algebra import Poly, RatFunc, divisors, field_one, period_count, poly_resultant
 from dynlyap.errors import DegenerateMap
-from dynlyap.maps import Mobius2, conjugate, fixed_point_divisor, multiplier_rational_function, new_map
+from dynlyap.bivariate import _monic_from_power_sums
+from dynlyap.maps import (
+    BASE_Q,
+    BASE_QT,
+    Mobius2,
+    conjugate,
+    fixed_point_divisor,
+    multiplier_rational_function,
+    new_map,
+)
 from dynlyap.multipliers import (
     charpoly_multipliers_full,
     dynatomic_divisor,
@@ -15,7 +24,6 @@ from dynlyap.multipliers import (
     multiplier_polynomial,
     power_roots_poly,
     power_sums_from_monic,
-    monic_from_power_sums,
     sigma_display_poly,
     _infinity_cycle_data,
 )
@@ -112,17 +120,26 @@ class TestDynatomic:
 class TestNewtonHelpers:
     def test_power_sum_round_trip(self):
         rng = random.Random(77)
+        t = RatFunc.t()
         for _ in range(30):
             deg = rng.randint(1, 6)
             p = Poly([F(rng.randint(-3, 3)) for _ in range(deg)] + [F(1)])
             ps = power_sums_from_monic(p, deg)
-            assert monic_from_power_sums(ps, deg, F(1)) == p
+            assert _monic_from_power_sums(ps, deg, BASE_Q) == p
+        # over Q(t), with poles in the coefficients and zero coefficients
+        for _ in range(10):
+            deg = rng.randint(1, 4)
+            cs = [rng.choice((0, 1, F(-2, 3), t, 1 / t, (t + 1) / (t * t - 2), t * t - F(1, 2)))
+                  for _ in range(deg)]
+            p = Poly([c * RatFunc.const(1) for c in cs] + [RatFunc.const(1)])
+            ps = power_sums_from_monic(p, deg)
+            assert _monic_from_power_sums(ps, deg, BASE_QT) == p
 
     def test_power_roots(self):
         p = Poly.from_ints([-2, 1]) * Poly.from_ints([-3, 1])  # roots 2, 3
-        q = power_roots_poly(p, 2)  # roots 4, 9
+        q = power_roots_poly(p, 2, BASE_Q)  # roots 4, 9
         assert q == Poly.from_ints([36, -13, 1])
-        assert power_roots_poly(p, 1) == p
+        assert power_roots_poly(p, 1, BASE_Q) == p
 
 
 class TestSpectra:

@@ -19,7 +19,7 @@ from dynlyap.algebra import Poly, RatFunc, period_count, poly_gcd
 from dynlyap.bivariate import _clear_rows, _pack_rows, _radical_base, _unpack_rows
 from dynlyap.cli import run
 from dynlyap.errors import DegenerateMap, NonExactDivision, ResourceLimit
-from dynlyap.maps import cycle_multiplier, new_map, orbit
+from dynlyap.maps import BASE_Q, BASE_QT, cycle_multiplier, new_map, orbit
 from dynlyap.multipliers import (
     _infinity_cycle_data,
     _multiplier_power_sums,
@@ -261,7 +261,7 @@ def row_divisions(fmap, n, monkeypatch):
 
 def ring_poly(ring, x):
     rows, c, e = x
-    return Poly(bivariate._from_rows(rows, [c * v for v in ring.lpow(e)]))
+    return Poly(bivariate._from_rows(rows, [c * v for v in ring.lpow(e)], BASE_QT))
 
 
 DIVISION_CASES = [
@@ -279,8 +279,8 @@ def test_row_division_inverts(label, fmap, n, euclid, monkeypatch):
     divisions = row_divisions(fmap, n, monkeypatch)
     assert divisions
     for ring, phi, a, b, (rows, den) in divisions:
-        phi_poly = Poly(bivariate._from_rows(phi, phi[-1]))
-        lam = Poly(bivariate._from_rows(rows, den))
+        phi_poly = Poly(bivariate._from_rows(phi, phi[-1], BASE_QT))
+        lam = Poly(bivariate._from_rows(rows, den, BASE_QT))
         a_poly, b_poly = ring_poly(ring, a), ring_poly(ring, b)
         assert ((lam * b_poly - a_poly) % phi_poly).is_zero()
         # lowest terms: den is the lcm of the denominators, up to a constant
@@ -302,7 +302,7 @@ def z2_minus_1_ring(L):
 def divide_mod_z2_minus_1(b, a=([[1]], 1, 0), L=(1,)):
     """a / b modulo z^2 - 1, for elements (rows, c, e) of the ring with base L."""
     rows, den = bivariate._row_mod_div(z2_minus_1_ring(L), Z2_MINUS_1, a, b)
-    return Poly(bivariate._from_rows(rows, den))
+    return Poly(bivariate._from_rows(rows, den, BASE_QT))
 
 
 def spy_images(monkeypatch):
@@ -461,6 +461,10 @@ CLEAR_CASES = [
     [1 / T, (T * T + 1) / (T * T * T), F(1, 7) / (2 * T - 1), ZERO],
     # poles off the rational points of the t-line, and Fraction coefficients
     [RatFunc(Poly([F(-5, 3), F(0), F(1, 2)])) / (T * T + 1), T / 3, (T + F(1, 2)) / (T * T + 1)],
+    # elements of Q only, which clear without RatFunc
+    [F(3, 4), F(0), F(-5, 6), F(2)],
+    [F(0), F(0)],
+    [F(-7, 12), F(5, 18), F(1, 1)],
 ]
 
 
@@ -471,6 +475,9 @@ def test_clear_rows_rebuilds_its_input(coeffs):
     assert all(isinstance(x, int) for r in rows + [den] for x in r)
     for r, c in zip(rows, coeffs):
         assert RatFunc(Poly.from_ints(r), Poly.from_ints(den)) == c + ZERO
+    if not any(isinstance(c, RatFunc) for c in coeffs):
+        # the same rows and den as the same values as elements of Q(t)
+        assert (rows, den) == _clear_rows([RatFunc.const(c) for c in coeffs])
     # den is the lcm of the denominators, up to an integer factor
     lcm = Poly([F(1)])
     for c in coeffs:
@@ -492,11 +499,15 @@ def test_clear_rows_random():
         assert [RatFunc(Poly.from_ints(r), Poly.from_ints(den)) for r in rows] == coeffs
 
 
-def test_ratfunc_poly_power_matches_field_power():
+def test_poly_power_matches_field_power():
     for p in (Poly([T, ZERO, ONE]), Poly([1 / T, F(2, 3) * T, (T + 1) / (T * T - 2), ONE]),
               Poly([ZERO, (T - 2) / (T + 1), F(3, 2) * T, 1 / ((T + 1) * (T + 1))])):
         for n in (1, 2, 3, 5):
-            assert bivariate._ratfunc_poly_power(p, n) == p**n
+            assert bivariate._poly_power(p, n, BASE_QT) == p**n
+    for p in (Poly([F(1, 2), F(0), F(1)]), Poly([F(-3), F(2, 3), F(0), F(5, 4)]),
+              Poly([F(0), F(7, 6)])):
+        for n in (1, 2, 3, 5):
+            assert bivariate._poly_power(p, n, BASE_Q) == p**n
 
 
 # values pinned before _normalize_proj cleared through _clear_rows
