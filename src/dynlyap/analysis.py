@@ -207,6 +207,8 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
         raise ValueError("degeneration slopes concern Q(t) families")
     if not center.is_function_field():
         raise ValueError("center must be a function-field place")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1: the slope is extrapolated from alpha_(n_max)")
     _check_poles_only_at(fmap, center)
     alphas = []
     for n in range(1, n_max + 1):

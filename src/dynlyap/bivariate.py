@@ -7,7 +7,7 @@ runs on such rows from start to end:
 
 * the lift.  ``primitive_rows`` holds a primitive integer lift G of f, and
   ``lift_rows`` iterates it, G^(n) = G o G^(n-1), with packed products
-  (``_bi_dot``), caching every iterate on the map;
+  (``_bi_dot``), each iterate computed once per map;
 * Phi*_n.  ``fixed_rows`` splits P_m = G0^(m) - z G1^(m) into its content
   and primitive part, and ``multipliers.dynatomic_divisor`` divides the
   product of the primitive parts with mu(n/m) = 1 by that of those with
@@ -62,7 +62,7 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import DegenerateMap, NonExactDivision
-from .maps import BASE_Q, RationalMap
+from .maps import BASE_Q, RationalMap, per_map
 
 
 def _signed_digits(packed: int, start: int, n: int, width: int) -> list[int]:
@@ -399,20 +399,17 @@ def _divide_content(rows: list, content: list) -> list:
     return [_exact_div_int(r, content) if r else r for r in rows]
 
 
+@per_map("primitive_rows")
 def primitive_rows(fmap: RationalMap):
     """(G0, G1, lam): rows of G0(z, 1) and G1(z, 1) for a primitive lift G
     of f in Z[t][z], and lam with F = lam G for the map's own lift F;
-    cached on the map."""
-    key = ("primitive_rows",)
-    got = fmap._iterates.get(key)
-    if got is None:
-        d = fmap.d
-        rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
-        content = _zt_content(rows)
-        rows = _divide_content(rows, content)
-        lam = _field(content, den, fmap.base)
-        got = fmap._iterates[key] = (_trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam)
-    return got
+    computed once per map."""
+    d = fmap.d
+    rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
+    content = _zt_content(rows)
+    rows = _divide_content(rows, content)
+    lam = _field(content, den, fmap.base)
+    return _trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam
 
 
 def _compose_rows(outer, inner, d: int) -> tuple:
@@ -429,22 +426,18 @@ def _compose_rows(outer, inner, d: int) -> tuple:
                  for g in outer[:2])
 
 
+@per_map("lift_rows")
 def lift_rows(fmap: RationalMap, n: int):
     """(F0, F1): rows of F0(z, 1) and F1(z, 1) for F = G^(n), the n-th
-    iterate of the primitive lift, each iterate cached on the map.  The
+    iterate of the primitive lift, each iterate computed once per map.  The
     budget is checked as ``maps.iterate_lift`` checks it: the period
     first, then the coefficient bits of every new iterate."""
-    key = ("lift_rows", n)
-    got = fmap._iterates.get(key)
-    if got is None:
-        fmap.budget.check_period(fmap.d, n)
-        if n == 1:
-            got = primitive_rows(fmap)[:2]
-        else:
-            got = _compose_rows(primitive_rows(fmap), lift_rows(fmap, n - 1), fmap.d)
-            bits = sum(x.bit_length() for rows in got for r in rows for x in r)
-            fmap.budget.check_bits(bits, "iterated lift")
-        fmap._iterates[key] = got
+    fmap.budget.check_period(fmap.d, n)
+    if n == 1:
+        return primitive_rows(fmap)[:2]
+    got = _compose_rows(primitive_rows(fmap), lift_rows(fmap, n - 1), fmap.d)
+    bits = sum(x.bit_length() for rows in got for r in rows for x in r)
+    fmap.budget.check_bits(bits, "iterated lift")
     return got
 
 
@@ -460,18 +453,15 @@ def _sub_z_times(a: list, b: list) -> list:
     return _trim(rows)
 
 
+@per_map("fixed_rows")
 def fixed_rows(fmap: RationalMap, m: int):
     """(primitive part, content in Z[t]) of P_m = F0 - z F1 for F = G^(m),
-    with a positive content; cached on the map."""
-    key = ("fixed_rows", m)
-    got = fmap._iterates.get(key)
-    if got is None:
-        rows = _sub_z_times(*lift_rows(fmap, m))
-        if not rows:
-            raise DegenerateMap("f^n is the identity; not a degree >= 2 map")
-        content = _zt_content(rows)
-        got = fmap._iterates[key] = (_divide_content(rows, content), content)
-    return got
+    with a positive content; computed once per map."""
+    rows = _sub_z_times(*lift_rows(fmap, m))
+    if not rows:
+        raise DegenerateMap("f^n is the identity; not a degree >= 2 map")
+    content = _zt_content(rows)
+    return _divide_content(rows, content), content
 
 
 def _exact_quotient(num: list, den: list) -> list:

@@ -4,7 +4,8 @@ Subcommands: multipliers | lyapunov | canonical-height | crit-height |
 ff-analyze | slope | consistency | verify-bounds.  Reports are
 deterministic JSON: exact rationals as decimal strings, local logarithms
 as {"q": "p/q", "base": "log2" | "unit"}, floats in fixed shortest-repr
-form.  Exit codes: 0 success, 2 input error, 3 resource limit (with a
+form.  Exit codes: 0 success, 2 input error (malformed input, or an
+argument outside the subcommand's domain), 3 resource limit (with a
 partial report).
 """
 
@@ -314,9 +315,11 @@ def run(argv) -> int:
         report["input"] = format_map(fmap)
         report["base_field"] = fmap.base
         report["result"] = _HANDLERS[args.command](fmap, args)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
+        # the library raises ValueError for an argument outside a function's
+        # domain, such as a period below 1 or a place of the other base field
         report["error"] = {"kind": "input", "message": str(exc)}
-        if exc.position is not None:
+        if getattr(exc, "position", None) is not None:
             report["error"]["position"] = exc.position
         _emit(report, getattr(args, "out", None))
         return 2

@@ -28,6 +28,7 @@ from .maps import (
     minimal_lift,
     minimal_resultant_valuation,
     normalize_point,
+    per_map,
     primitive_lift,
     resultant_of_lift,
 )
@@ -190,14 +191,11 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
     return LocalLogValue.from_float(x, err + tail_float)
 
 
+@per_map("arch_sup_t")
 def _map_sup_t_bound(fmap: RationalMap) -> float:
     """_arch_sup_t_bound of the map's lift, computed once per map."""
-    key = ("arch_sup_t",)
-    sup_t = fmap._iterates.get(key)
-    if sup_t is None:
-        res = fmap.resultant
-        sup_t = fmap._iterates[key] = _arch_sup_t_bound(fmap.lift, res, _map_cofactors(fmap, res))
-    return sup_t
+    res = fmap.resultant
+    return _arch_sup_t_bound(fmap.lift, res, _map_cofactors(fmap, res))
 
 
 def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
@@ -279,19 +277,21 @@ def _bezout_cofactors(lift: HomLift, res):
     return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
 
 
+@per_map("bezout")
+def _unit_cofactors(fmap: RationalMap):
+    """``_bezout_cofactors`` of the lift F of a map over Q with right-hand
+    side 1, computed once per map."""
+    return _bezout_cofactors(fmap.lift, Fraction(1))
+
+
 def _map_cofactors(fmap: RationalMap, res, s=1):
     """``_bezout_cofactors`` of s F, for F the lift of a map over Q and
-    res = Res(s F).  The system for F with right-hand side 1 is solved
-    once per map and cached; s F times (cofactors of F) / s is F times the
-    cofactors of F, so the cofactors of s F are that solution times res / s.
-    The scaling is exact, so every value read off them is the same as
-    from a solve of its own."""
-    key = ("bezout",)
-    unit = fmap._iterates.get(key)
-    if unit is None:
-        unit = fmap._iterates[key] = _bezout_cofactors(fmap.lift, Fraction(1))
+    res = Res(s F).  s F times (cofactors of F) / s is F times the
+    cofactors of F, so the cofactors of s F are the unit solution
+    (``_unit_cofactors``) times res / s.  The scaling is exact, so every
+    value read off them is the same as from a solve of its own."""
     scale = Fraction(res) / s
-    return tuple([c * scale for c in part] for part in unit)
+    return tuple([c * scale for c in part] for part in _unit_cofactors(fmap))
 
 
 def _solve_field(rows, rhs):
@@ -491,18 +491,16 @@ def bad_places(fmap: RationalMap) -> list[Place]:
     places are the poles of lam (where a zero of Res G can cancel) and the
     zeros and poles of Res F.
     """
+    from .bivariate import primitive_rows  # G in Z[t][z], over Q and Q(t)
+
+    lam, res = primitive_rows(fmap)[2], fmap.resultant
     if fmap.base == "Q":
         primes: set[int] = set()
-        s, res = primitive_lift(fmap).scale, fmap.resultant  # lam = 1 / s
-        for n in (s.numerator, abs(res.numerator), res.denominator):
+        for n in (lam.denominator, abs(res.numerator), res.denominator):
             if n > 1:
                 primes |= set(factor_int(n))
         return [Place.prime(p) for p in sorted(primes)]
-    # function field: the rational points among those places, with G in
-    # Z[t][z] (``bivariate.primitive_rows``)
-    from .bivariate import primitive_rows
-
-    lam, res = primitive_rows(fmap)[2], fmap.resultant
+    # function field: the rational points among those places
     res = res if isinstance(res, RatFunc) else RatFunc.const(res)
     pts: set[Fraction] = set()
     for p in (lam.den, res.num, res.den):
@@ -518,9 +516,10 @@ def _rational_zero_set(p: Poly) -> set[Fraction]:
     return {r for r, _ in roots}
 
 
+@per_map("northcott")
 def _northcott_bound(fmap: RationalMap) -> float:
     """C >= |h^(P) - h_2(P)| on P^1(Q), h_2 the Weil height with the
-    Euclidean norm at infinity; cached per map.
+    Euclidean norm at infinity; computed once per map.
 
     h^ - h_2 is the sum of the Green functions of any lift; for the primitive
     integer lift F' they are bounded by sup|T_F'|/(d-1) at infinity and by
@@ -528,22 +527,19 @@ def _northcott_bound(fmap: RationalMap) -> float:
     factoring.  inf when floats could overflow: the coefficients, Res F'
     and the Bezout cofactors (minors) are below 2^(2d(bits + d)) (Hadamard).
     """
-    bound = fmap._iterates.get(("northcott",))
-    if bound is None:
-        d, prim = fmap.d, primitive_lift(fmap)
-        bits = max(abs(c.numerator) for c in prim.lift.a + prim.lift.b).bit_length()
-        bound = math.inf
-        if 2 * d * (bits + d) <= 1000:
-            cofactors = _map_cofactors(fmap, prim.res, prim.scale)
-            sup_t = _arch_sup_t_bound(prim.lift, prim.res, cofactors)
-            bound = (sup_t + math.log(prim.res)) / (d - 1) + 1e-6
-        fmap._iterates[("northcott",)] = bound
-    return bound
+    d, prim = fmap.d, primitive_lift(fmap)
+    bits = max(abs(c.numerator) for c in prim.lift.a + prim.lift.b).bit_length()
+    if 2 * d * (bits + d) > 1000:
+        return math.inf
+    cofactors = _map_cofactors(fmap, prim.res, prim.scale)
+    sup_t = _arch_sup_t_bound(prim.lift, prim.res, cofactors)
+    return (sup_t + math.log(prim.res)) / (d - 1) + 1e-6
 
 
+@per_map("ff_northcott")
 def _ff_northcott_bound(fmap: RationalMap) -> Fraction:
     """C with h(P) > C => h^(P) > 0 on P^1(Q(t)), h the t-degree height;
-    cached per map.
+    computed once per map.
 
     Let G be the primitive lift in Z[t][z] (``bivariate.primitive_rows``)
     and e the largest t-degree of its coefficients.  For coprime
@@ -555,14 +551,11 @@ def _ff_northcott_bound(fmap: RationalMap) -> Fraction:
     + (d - 1) h(P) + (2d - 1) e; together h(G(P)) >= d h(P) - (2d - 1) e.
     Telescoping, h^(P) >= h(P) - (2d - 1) e / (d - 1).
     """
-    bound = fmap._iterates.get(("ff_northcott",))
-    if bound is None:
-        from .bivariate import primitive_rows
+    from .bivariate import primitive_rows
 
-        g0, g1, _ = primitive_rows(fmap)
-        e = max(len(r) - 1 for r in g0 + g1 if r)
-        bound = fmap._iterates[("ff_northcott",)] = Fraction((2 * fmap.d - 1) * e, fmap.d - 1)
-    return bound
+    g0, g1, _ = primitive_rows(fmap)
+    e = max(len(r) - 1 for r in g0 + g1 if r)
+    return Fraction((2 * fmap.d - 1) * e, fmap.d - 1)
 
 
 def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:

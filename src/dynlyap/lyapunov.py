@@ -114,6 +114,8 @@ def lyapunov_nonarch_sequence(fmap: RationalMap, v: Place, n_max: int) -> list[L
     """L_n(f, eps_{d^n})_v for n = 1..n_max, with surrogate-based bounds."""
     if v.is_archimedean():
         raise ArchimedeanPlace("use lyapunov_arch at the archimedean place")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1: the bounds are read off L_(n_max)")
     d = fmap.d
     raw = []
     for n in range(1, n_max + 1):

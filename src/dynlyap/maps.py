@@ -8,6 +8,7 @@ exactly; infinity bookkeeping therefore stays uniform across the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -16,8 +17,6 @@ from .algebra import (
     FieldElem,
     Poly,
     RatFunc,
-    _clear_fractions,
-    _int_content,
     field_one,
     field_zero,
     poly_gcd,
@@ -145,6 +144,22 @@ class RationalMap:
         if n not in self._iterates:
             self._iterates[n] = iterate_lift(self.lift, n, self.budget)
         return self._iterates[n]
+
+
+def per_map(kind: str):
+    """Decorator that computes ``fn(fmap, *args)`` once per map: the value
+    is kept in ``fmap._iterates`` under the key ``(kind, *args)``.  An
+    exception is not kept, so a call that failed runs again."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(fmap, *args):
+            key = (kind, *args)
+            store = fmap._iterates
+            if key not in store:
+                store[key] = fn(fmap, *args)
+            return store[key]
+        return cached
+    return decorate
 
 
 def new_map(d: int, a_coeffs, b_coeffs, budget: Optional[Budget] = None) -> RationalMap:
@@ -366,18 +381,18 @@ class PrimitiveLift:
     res: int         # |Res(s F)|
 
 
+@per_map("primitive_lift")
 def primitive_lift(fmap: RationalMap) -> PrimitiveLift:
-    """The primitive integer lift of a map over Q, computed once per map."""
-    key = ("primitive_lift",)
-    prim = fmap._iterates.get(key)
-    if prim is None:
-        ints, den = _clear_fractions(fmap.lift.a + fmap.lift.b)
-        s = Fraction(den, _int_content(ints))
-        res = abs(fmap.resultant) * s ** (2 * fmap.d)  # Res is homogeneous of degree 2d
-        if res.denominator != 1:
-            raise NonExactDivision("resultant of the primitive lift is not an integer")
-        prim = fmap._iterates[key] = PrimitiveLift(s, fmap.lift.scale(s), res.numerator)
-    return prim
+    """The primitive integer lift of a map over Q, computed once per map:
+    s F = G for G and F = lam G from ``bivariate.primitive_rows``."""
+    # loaded on first use: starting the CLI and parsing maps never compile it
+    from .bivariate import primitive_rows
+
+    s = 1 / primitive_rows(fmap)[2]
+    res = abs(fmap.resultant) * s ** (2 * fmap.d)  # Res is homogeneous of degree 2d
+    if res.denominator != 1:
+        raise NonExactDivision("resultant of the primitive lift is not an integer")
+    return PrimitiveLift(s, fmap.lift.scale(s), res.numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ from .algebra import (
     period_count,
 )
 from .errors import NonExactDivision
-from .maps import BASE_Q, RationalMap, _coerce_field, primitive_lift
+from .maps import BASE_Q, RationalMap, _coerce_field, per_map, primitive_lift
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ class ProjPoint:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
 
+@per_map("dynatomic")
 def dynatomic_divisor(fmap: RationalMap, n: int) -> DynatomicDivisor:
     """Phi*_n as an exact Moebius quotient of the fixed-point divisors, on rows.
 
@@ -137,10 +138,7 @@ def dynatomic_divisor(fmap: RationalMap, n: int) -> DynatomicDivisor:
     fixed-point polynomials is scale Phi*_n for
     scale = lam^E prod c_m^mu(n/m), E = sum mu(n/m) (d^m - 1)/(d - 1).
     """
-    key = ("dynatomic", n)
-    cached = fmap._iterates.get(key)
-    if cached is not None:
-        return cached
+    fmap.budget.check_period(fmap.d, n)
     # loaded on first use: starting the CLI and parsing maps never compile it
     from . import bivariate
 
@@ -171,7 +169,6 @@ def dynatomic_divisor(fmap: RationalMap, n: int) -> DynatomicDivisor:
         raise NonExactDivision(
             f"dynatomic degree {div.total_degree()} != d_n = {period_count(fmap.d, n)}"
         )
-    fmap._iterates[key] = div
     return div
 
 
@@ -276,25 +273,23 @@ def _trace_powers(ring, lam, count: int) -> list:
     return out
 
 
+@per_map("arch_lipschitz")
 def _arch_lipschitz(fmap: RationalMap) -> Fraction:
-    """Certified sup of f^# over P^1(C), cached on the map."""
+    """Certified sup of f^# over P^1(C), computed once per map."""
     from .heights import _map_cofactors  # heights and lyapunov import this module
     from .lyapunov import chordal_lipschitz_bound
 
-    key = ("arch_lipschitz", 1)
-    lip = fmap._iterates.get(key)
-    if lip is None:
-        prim = primitive_lift(fmap)
-        lip = fmap._iterates[key] = chordal_lipschitz_bound(
-            prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
-    return lip
+    prim = primitive_lift(fmap)
+    return chordal_lipschitz_bound(prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
 
 
+@per_map("reduced_resultant")
 def _reduced_resultant(fmap: RationalMap) -> int:
     """rho = lcm of the denominators of the cofactors A1, A2, B1, B2 in
     G0 A1 + G1 A2 = X^(2d-1) and G0 B1 + G1 B2 = Y^(2d-1), for G the
     primitive integer lift of a map over Q; rho divides Res G, since
-    Res G times each cofactor is integral (``heights._bezout_cofactors``)."""
+    Res G times each cofactor is integral (``heights._bezout_cofactors``);
+    computed once per map."""
     from .heights import _map_cofactors
 
     cofactors = _map_cofactors(fmap, 1, primitive_lift(fmap).scale)
@@ -412,9 +407,11 @@ def _infinity_cycle_data(fmap: RationalMap, n: int):
     return None, None
 
 
+@per_map("p_dn")
 def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
     """Monic p_{d,n} = prod over the formal n-cycles of (T - lambda), of
-    degree d_n / n, via power-sum traces and Newton's identities; cached.
+    degree d_n / n, via power-sum traces and Newton's identities; computed
+    once per map.
 
     It is the primary object of the spectrum: q_n = p_{d,n}^n
     (``fixstar_multiplier_charpoly``) is formed only when a caller reads the
@@ -423,10 +420,6 @@ def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
     the heights and valuations of sigma* are read off p_{d,n} directly
     (``analysis.ff_degree_sequence``, ``analysis.degeneration_slope``).
     """
-    key = ("p_dn", n)
-    cached = fmap._iterates.get(key)
-    if cached is not None:
-        return cached
     div = dynatomic_divisor(fmap, n)
     d_n = period_count(fmap.d, n)
     if d_n % n:
@@ -445,23 +438,16 @@ def cycle_polynomial(fmap: RationalMap, n: int) -> Poly:
             power = power * lam_inf
     from . import bivariate
 
-    p_dn = bivariate._monic_from_power_sums([s / n for s in sums], k_cycles, fmap.base)
-    fmap._iterates[key] = p_dn
-    return p_dn
+    return bivariate._monic_from_power_sums([s / n for s in sums], k_cycles, fmap.base)
 
 
+@per_map("fixstar_charpoly")
 def fixstar_multiplier_charpoly(fmap: RationalMap, n: int) -> Poly:
     """Monic q_n = prod over Fix*(f^n) of (T - (f^n)'(z)) = p_{d,n}^n, of
-    degree d_n; cached."""
-    key = ("fixstar_charpoly", n)
-    cached = fmap._iterates.get(key)
-    if cached is not None:
-        return cached
+    degree d_n; computed once per map."""
     from . import bivariate
 
-    q_n = bivariate._poly_power(cycle_polynomial(fmap, n), n, fmap.base)
-    fmap._iterates[key] = q_n
-    return q_n
+    return bivariate._poly_power(cycle_polynomial(fmap, n), n, fmap.base)
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +478,21 @@ def _elementary_symmetric(charpoly: Poly) -> list:
     return sigma
 
 
+@per_map("chi_full")
 def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
     """Monic chi_n(T) = prod over Fix(f^n) of (T - (f^n)'(z)), degree d^n + 1.
 
     Assembled from the formal-period charpolys: a point of exact formal
-    period m contributes its f^m-multiplier raised to the n/m power.
+    period m contributes its f^m-multiplier raised to the n/m power;
+    computed once per map.
     """
-    key = ("chi_full", n)
-    chi = fmap._iterates.get(key)
-    if chi is not None:
-        return chi
+    chi = None
     for m in divisors(n):
         q_m = fixstar_multiplier_charpoly(fmap, m)
         factor = power_roots_poly(q_m, n // m, fmap.base)
         chi = factor if chi is None else chi * factor
     if len(chi.coeffs) - 1 != fmap.d**n + 1:
         raise NonExactDivision("full multiplier charpoly has wrong degree")
-    fmap._iterates[key] = chi
     return chi
 
 

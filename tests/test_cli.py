@@ -241,3 +241,43 @@ class TestBudgetEnv:
         # a period that exceeds the coefficient budget now fails cleanly
         # (z^2 stays sparse forever, so use a map whose iterates fatten)
         assert run(["multipliers", "--map", BASILICA, "--n", "8"]) == 3
+
+
+HALF = '{"d":2,"a":["1","0","1/2"],"b":["0","0","1"]}'  # z^2 + 1/2 over Q
+
+
+class TestDomainErrors:
+    """An argument outside a subcommand's domain is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("cmd, code", [
+        ("multipliers Q --n 0", 2),
+        ("multipliers Q --n -1", 2),
+        ("consistency Q --n 0", 2),
+        ("lyapunov Q --place p:2 --n-max 0", 2),
+        ("slope QT --center t=0 --n-max 0", 2),
+        ("lyapunov QT --place arch", 2),
+        ("slope Q --center t=0", 2),
+        ("slope QT --center p:2", 2),
+        ("ff-analyze Q", 2),
+        ("consistency QT --n 1", 2),
+        ("lyapunov Q --place arch --r 2", 2),
+        ("lyapunov Q --place arch --r 0", 2),
+        # no bound is read off a last term here: an empty sequence is a report
+        ("crit-height Q --n-max 0", 0),
+        ("lyapunov Q --place arch --n-max 0", 0),
+    ])
+    def test_exit_code(self, cmd, code):
+        sub, base, *rest = cmd.split()
+        rep = run_json([sub, "--map", {"Q": HALF, "QT": ZT}[base], *rest], expect=code)
+        if code == 2:
+            assert rep["error"]["kind"] == "input" and rep["error"]["message"]
+        else:
+            assert "error" not in rep
+
+    def test_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynlyap", "multipliers", "--map", HALF, "--n", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout)["error"] == {"kind": "input", "message": "period must be >= 1"}

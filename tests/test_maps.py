@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from dynlyap.maps import (
     minimal_lift,
     multiplier_rational_function,
     new_map,
+    primitive_lift,
     resultant_of_lift,
 )
 from dynlyap.budget import Budget
@@ -283,3 +285,67 @@ class TestCycleMultiplier:
         assert cycle_multiplier(inv, (F(0), F(1)), 2) == 0
         fm = new_map(2, (1, 0, 1), (0, 1, 0))  # (z^2+1)/z, infinity fixed
         assert cycle_multiplier(fm, (F(1), F(0)), 1) == 1
+
+
+class TestPerMap:
+    """Objects derived from a map are computed once per map (``per_map``)."""
+
+    @staticmethod
+    def derived(fm, ff):
+        from dynlyap import bivariate, heights, multipliers
+
+        calls = [
+            (bivariate.primitive_rows, ()), (bivariate.lift_rows, (2,)),
+            (bivariate.fixed_rows, (2,)), (multipliers.dynatomic_divisor, (2,)),
+            (multipliers.cycle_polynomial, (2,)),
+            (multipliers.fixstar_multiplier_charpoly, (2,)),
+            (multipliers.charpoly_multipliers_full, (2,)),
+        ]
+        if ff:
+            return calls + [(heights._ff_northcott_bound, ())]
+        return calls + [
+            (primitive_lift, ()), (multipliers._arch_lipschitz, ()),
+            (multipliers._reduced_resultant, ()), (heights._map_sup_t_bound, ()),
+            (heights._unit_cofactors, ()), (heights._northcott_bound, ()),
+        ]
+
+    @pytest.mark.parametrize("ff", [False, True], ids=["Q", "Q(t)"])
+    def test_second_call_returns_the_same_object(self, ff):
+        t = RatFunc.t()
+        fm = new_map(2, (1, 0, t), (0, 0, 1)) if ff else new_map(2, (1, 0, F(1, 2)), (0, 0, 1))
+        for fn, args in self.derived(fm, ff):
+            first = fn(fm, *args)
+            assert fn(fm, *args) is first, fn.__name__
+
+    def test_an_exception_is_not_kept(self):
+        from dynlyap import bivariate
+
+        # z^2 + 5/3: the rows of G^(2) need 24 bits, those of G^(3) need 86
+        fm = new_map(2, (1, 0, F(5, 3)), (0, 0, 1), budget=Budget(max_total_bits=64))
+        for _ in range(2):
+            with pytest.raises(ResourceLimit):
+                bivariate.lift_rows(fm, 3)
+        assert ("lift_rows", 2) in fm._iterates and ("lift_rows", 3) not in fm._iterates
+
+    def test_primitive_lift_is_the_primitive_rows(self):
+        # one primitive lift: s F over Q has the coefficients of G from the rows
+        from dynlyap.bivariate import primitive_rows
+
+        rng = random.Random(14)
+        for _ in range(30):
+            d = rng.choice((2, 3))
+            cs = [F(rng.randint(-6, 6), rng.randint(1, 6)) * F(rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(2 * d + 2)]
+            try:
+                fm = new_map(d, cs[: d + 1], cs[d + 1 :])
+            except DegenerateMap:
+                continue
+            prim = primitive_lift(fm)
+            g0, g1, lam = primitive_rows(fm)
+            assert all(c.denominator == 1 for c in prim.lift.a + prim.lift.b)
+            # rows ascend in z and are trimmed; the lift's rows descend
+            rows = [(list(g) + [[]] * (d + 1 - len(g)))[::-1] for g in (g0, g1)]
+            ints = [c.numerator for c in prim.lift.a + prim.lift.b]
+            assert ints == [r[0] if r else 0 for part in rows for r in part]
+            assert math.gcd(*ints) == 1 and prim.scale > 0
+            assert prim.scale == 1 / lam and prim.res == abs(fm.resultant) * prim.scale ** (2 * d)
