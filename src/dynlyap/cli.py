@@ -28,7 +28,7 @@ from .analysis import (
 from .budget import default_budget
 from .errors import DynlyapError, ParseError, ResourceLimit
 from .heights import HeightValue, canonical_height, point_of
-from .lyapunov import L_n_local, lyapunov_arch, lyapunov_nonarch_sequence
+from .lyapunov import ARCH_RADIUS, L_n_local, lyapunov_arch, lyapunov_nonarch_sequence
 from .mapio import (
     format_fraction,
     format_map,
@@ -91,13 +91,15 @@ def _cmd_multipliers(fmap: RationalMap, args) -> dict:
 def _cmd_lyapunov(fmap: RationalMap, args) -> dict:
     v = parse_place(args.place)
     if v.is_archimedean():
+        if args.r == "eps":
+            log_r = LocalLogValue.exact(0)
+        else:
+            r = parse_fraction(args.r)
+            if r <= 0:
+                raise ValueError(ARCH_RADIUS)
+            log_r = LocalLogValue.from_float(math.log(r), 1e-15)
         entries = []
         for n in range(1, args.n_max + 1):
-            if args.r == "eps":
-                log_r = LocalLogValue.exact(0)
-            else:
-                r = parse_fraction(args.r)
-                log_r = LocalLogValue.from_float(math.log(r), 1e-15)
             est = L_n_local(fmap, n, log_r, v)
             entries.append({"n": n, "value": _ser_log(est.value), "bound": None,
                             "units": "nat"})

@@ -29,6 +29,9 @@ from .places import Place, LocalLogValue, local_abs, log_max
 from .roots import aberth_roots
 
 
+ARCH_RADIUS = "archimedean truncation radius must satisfy 0 < r <= 1"
+
+
 @dataclass(frozen=True)
 class TruncationRadius:
     place: Place
@@ -77,7 +80,7 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
         r_val, _ = log_r.to_float()
         r = math.exp(r_val)
         if r > 1.0 + 1e-12:
-            raise ValueError("archimedean truncation radius must satisfy r <= 1")
+            raise ValueError(ARCH_RADIUS)
         total = 0.0
         err = 0.0
         # Aberth sees only simple roots: each squarefree part once, its roots
@@ -196,9 +199,11 @@ def _sup_chordal_derivative(fmap: RationalMap, grid: int = 384):
 # certified sup of the chordal derivative
 # ---------------------------------------------------------------------------
 
-# The branch and bound stops within _LIP_RTOL of the sup.  Over Q the bound
-# feeds the multiplier engine, where this slack costs at most
-# n k log2(1 + _LIP_RTOL) bits of CRT modulus: less time than more boxes.
+# A full run of the branch and bound stops within _LIP_RTOL of the sup.  Over
+# Q the bound feeds the multiplier engine, where this slack costs at most
+# n k log2(1 + _LIP_RTOL) bits of CRT modulus: less time than more boxes.  The
+# engine stops the search sooner, once no tighter bound can save a prime
+# (``LipschitzSearch.bound``); _LIP_RTOL only caps how far it may go.
 _LIP_RTOL = 1 / 4
 _LIP_MAX_BOXES = 4000        # past this many boxes the bound reached so far is returned
 _LIP_ROUND = 2.0**-40        # relative allowance for every float rounding below
@@ -206,41 +211,67 @@ _LIP_RANGE_BITS = 400        # wider coefficient ranges are left to the Bezout b
 _SQRT2_UP = 1.4142135623731  # > sqrt(2): half-diagonal over half-width of a box
 
 
-def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
-    """Certified upper bound on sup over P^1(C) of the chordal derivative
+class LipschitzSearch:
+    """Certified upper bounds on sup over P^1(C) of the chordal derivative
     f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms), for
     ``lift`` the primitive integer lift F of a map over Q
     (``maps.primitive_lift``); ``res`` is Res(F) and ``cofactors`` its
-    Bezout cofactors (``heights._bezout_cofactors``).
+    Bezout cofactors (``heights._bezout_cofactors``), refined on demand.
 
-    The exact ``_bezout_lipschitz_bound`` is capped by a branch and bound
-    over boxes covering the two charts (z, 1) and (1, w), |z|, |w| <= 1,
-    that stops when the largest box bound is within _LIP_RTOL of the
-    largest value seen at a box centre.  On a box, |g| for g = det DF / d,
-    F0, F1 is enclosed by the Taylor expansion at the centre c over the
-    disc of radius r through the corners: |g(c)| +- sum_k |g_k(c)| r^k.  Each float step is covered by
-    _LIP_ROUND times the same sums taken over |coefficients|, which bound
-    every rounding error in the Taylor coefficients with a wide margin.
-    Coefficients are converted from the primitive integer lift scaled by a
-    power of 2; when their range does not fit floats the Bezout bound
-    stands alone.
+    ``upper`` starts at the exact ``_bezout_lipschitz_bound`` and is capped
+    by it.  A branch and bound over boxes covering the two charts (z, 1) and
+    (1, w), |z|, |w| <= 1, lowers it box by box (``_branch_and_bound_sup``);
+    ``best`` is the largest value of f^# seen at a box centre, below which
+    no certified bound can fall (up to the rounding of one float
+    evaluation).  On a box, |g| for g = det DF / d, F0, F1 is enclosed
+    by the Taylor expansion at the centre c over the disc of radius r
+    through the corners: |g(c)| +- sum_k |g_k(c)| r^k.  Each float step is
+    covered by _LIP_ROUND times the same sums taken over |coefficients|,
+    which bound every rounding error in the Taylor coefficients with a wide
+    margin.  Coefficients are converted from the primitive integer lift
+    scaled by a power of 2; when their range does not fit floats the Bezout
+    bound stands alone.
     """
-    d = lift.d
-    bezout = _bezout_lipschitz_bound(lift, res, cofactors)
-    ints = [c.numerator for c in lift.a + lift.b]
-    f0, f1 = ints[d::-1], ints[: d : -1]  # F0(z, 1), F1(z, 1), ascending in z
-    jac = [c.numerator for c in critical_divisor(lift).affine_poly.coeffs]  # det DF(z, 1)
-    jac += [0] * (2 * d - 1 - len(jac))  # a form of degree 2d - 2
-    e = max(abs(c).bit_length() for c in ints)
-    if any(c and abs(c).bit_length() < e - _LIP_RANGE_BITS for c in ints) or any(
-        c and abs(c).bit_length() < 2 * e - _LIP_RANGE_BITS for c in jac
-    ):
-        return bezout
-    s1, s2 = 1 << e, d << (2 * e)
-    fz = ([c / s2 for c in jac], [c / s1 for c in f0], [c / s1 for c in f1])
-    charts = (fz, tuple(g[::-1] for g in fz))  # (z, 1) and (1, w) = (1/z, 1) * w^deg
-    sup = _branch_and_bound_sup(charts)
-    return min(Fraction(sup), bezout) if math.isfinite(sup) else bezout
+
+    def __init__(self, lift: HomLift, res, cofactors):
+        self.upper = self._cap = _bezout_lipschitz_bound(lift, res, cofactors)
+        self.best = 0.0
+        self._steps = None
+        d = lift.d
+        ints = [c.numerator for c in lift.a + lift.b]
+        f0, f1 = ints[d::-1], ints[: d : -1]  # F0(z, 1), F1(z, 1), ascending in z
+        jac = [c.numerator for c in critical_divisor(lift).affine_poly.coeffs]  # det DF(z, 1)
+        jac += [0] * (2 * d - 1 - len(jac))  # a form of degree 2d - 2
+        e = max(abs(c).bit_length() for c in ints)
+        if any(c and abs(c).bit_length() < e - _LIP_RANGE_BITS for c in ints) or any(
+            c and abs(c).bit_length() < 2 * e - _LIP_RANGE_BITS for c in jac
+        ):
+            return
+        s1, s2 = 1 << e, d << (2 * e)
+        fz = ([c / s2 for c in jac], [c / s1 for c in f0], [c / s1 for c in f1])
+        charts = (fz, tuple(g[::-1] for g in fz))  # (z, 1) and (1, w) = (1/z, 1) * w^deg
+        self._steps = _branch_and_bound_sup(charts)
+
+    def bound(self, enough=None) -> Fraction:
+        """The certified ``upper`` once ``enough(upper, best)`` holds, or
+        once the search stops (_LIP_RTOL, _LIP_MAX_BOXES); without
+        ``enough``, the bound of a full run.  The search resumes from its
+        boxes, so no box is evaluated twice."""
+        while self._steps is not None and not (enough and enough(self.upper, self.best)):
+            upper, self.best, last = next(self._steps)
+            self.upper = min(Fraction(upper), self._cap) if math.isfinite(upper) else self._cap
+            if last:
+                self._steps = None  # the search has stopped: drop its boxes
+        return self.upper
+
+
+def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
+    """Certified upper bound on sup over P^1(C) of the chordal derivative
+    f^# of the map with primitive integer lift ``lift``: the Bezout bound
+    capped by a full run of the branch and bound of ``LipschitzSearch``,
+    which stops when the largest box bound is within _LIP_RTOL of the
+    largest value seen at a box centre, or past _LIP_MAX_BOXES boxes."""
+    return LipschitzSearch(lift, res, cofactors).bound()
 
 
 def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
@@ -258,11 +289,15 @@ def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     return 2 * sum(abs(c) for c in jac.coeffs) * row**2 / (lift.d * Fraction(res) ** 2)
 
 
-def _branch_and_bound_sup(charts) -> float:
-    """Upper bound on the sup of f^# over the charts' unit discs.
+def _branch_and_bound_sup(charts):
+    """Upper bounds on the sup of f^# over the charts' unit discs.
 
-    A box whose bound is already within _LIP_RTOL of the best centre value
-    is settled: only its bound is kept, since the best value never falls.
+    After each expansion of the box with the largest bound it yields
+    (upper, best, last): upper, the larger of that bound and the settled
+    ones, bounds the sup; best is the largest value seen at a box centre;
+    last is set on the final pair.  It stops when the largest bound is
+    within _LIP_RTOL of best or past _LIP_MAX_BOXES boxes.  A box whose bound is already within _LIP_RTOL of
+    best is settled: only its bound is kept, since best never falls.
     """
     heap = []
     tick = 0
@@ -284,11 +319,11 @@ def _branch_and_bound_sup(charts) -> float:
                 tick += 1
                 heapq.heappush(heap, (-ub, tick, ci, cx, cy, h))
         boxes += len(todo)
-        if not heap:
-            return settled
-        top = -heap[0][0]
-        if top <= best * (1 + _LIP_RTOL) or boxes >= _LIP_MAX_BOXES:
-            return max(top, settled)
+        top = -heap[0][0] if heap else 0.0
+        last = not heap or top <= best * (1 + _LIP_RTOL) or boxes >= _LIP_MAX_BOXES
+        yield max(top, settled), best, last
+        if last:
+            return
         _, _, ci, cx, cy, h = heapq.heappop(heap)
         h /= 2
         todo = [(ci, cx + sx, cy + sy, h) for sx in (-h, h) for sy in (-h, h)]

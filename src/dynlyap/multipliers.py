@@ -33,10 +33,13 @@ resultant rho in place of R = |Res G|: rho is the lcm of the denominators of the
 of X^(2d-1) and Y^(2d-1) for the primitive integer lift G
 (``_reduced_resultant``), and divides R.  Then |lambda|_p <= |rho|_p^(-n)
 at every prime and |lambda| <= Lip^n at infinity for a certified
-Lip >= sup f^# (``lyapunov.chordal_lipschitz_bound``), so rho^(nk) S_k is
+Lip >= sup f^# (``lyapunov.LipschitzSearch``), so rho^(nk) S_k is
 an integer of absolute value at most deg Phi*_n (Lip rho)^(nk).  The CRT
 over primes whose product exceeds twice that bound returns it exactly,
-with no rational reconstruction and no verification.
+with no rational reconstruction and no verification.  Lip only sets the
+prime count, so the branch and bound behind it is refined lazily, once
+per map and resumed from its boxes: only while a tighter Lip could still
+remove a prime.
 
 Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
 on elements U(t, z) / (c L(t)^e) (``bivariate._ratfunc_power_sums``,
@@ -58,10 +61,12 @@ field; both oracles live in the test suite.
 
 from __future__ import annotations
 
+import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .algebra import (
     Poly,
@@ -274,13 +279,15 @@ def _trace_powers(ring, lam, count: int) -> list:
 
 
 @per_map("arch_lipschitz")
-def _arch_lipschitz(fmap: RationalMap) -> Fraction:
-    """Certified sup of f^# over P^1(C), computed once per map."""
+def _arch_lipschitz(fmap: RationalMap):
+    """The search for a certified sup of f^# over P^1(C)
+    (``lyapunov.LipschitzSearch``), kept once per map so that each spectrum
+    resumes it where the last one stopped."""
     from .heights import _map_cofactors  # heights and lyapunov import this module
-    from .lyapunov import chordal_lipschitz_bound
+    from .lyapunov import LipschitzSearch
 
     prim = primitive_lift(fmap)
-    return chordal_lipschitz_bound(prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
+    return LipschitzSearch(prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
 
 
 @per_map("reduced_resultant")
@@ -293,7 +300,14 @@ def _reduced_resultant(fmap: RationalMap) -> int:
     from .heights import _map_cofactors
 
     cofactors = _map_cofactors(fmap, 1, primitive_lift(fmap).scale)
-    return lcm(*(c.denominator for part in cofactors for c in part))
+    return math.lcm(*(c.denominator for part in cofactors for c in part))
+
+
+def _crt_primes(phi_lc: int, res: int):
+    """The engine primes that divide neither R nor lc(Phi*_n), in order."""
+    from . import fp
+
+    return (p for p in map(fp.engine_prime, itertools.count()) if phi_lc % p and res % p)
 
 
 def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) -> list:
@@ -318,8 +332,13 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
         is a rational integer.  This is the paper's bound
         M_1(f)_q <= |Res f|_q^(-1) with rho in place of R, never looser.
       * Archimedean place: likewise |lambda(beta)| <= Lip^n for any
-        Lip >= sup f^# (``chordal_lipschitz_bound``), hence
-        |T_k| <= deg Phi*_n (Lip rho)^(nk).
+        Lip >= sup f^#, hence |T_k| <= deg Phi*_n (Lip rho)^(nk).  Lip is
+        the certified upper bound of the map's branch and bound
+        (``_arch_lipschitz``), refined lazily: the search resumes only
+        until its upper bound and its best centre value, below which no
+        certified Lip can fall, call for the same number of primes.  Any
+        certified Lip gives the same T_k, so stopping early changes the
+        prime count, never the result.
     Residues of T_k modulo primes p that divide neither R nor the leading
     coefficient of Phi*_n are combined until their product M
     exceeds twice that bound; the symmetric residue mod M is then T_k
@@ -333,16 +352,33 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     den = [r[0] if r else 0 for r in den]
     res = primitive_lift(fmap).res
     rho = _reduced_resultant(fmap)
-    growth = _arch_lipschitz(fmap) * rho
-    bound = (len(phi_int) - 1) * max(growth**n, growth ** (n * count))
+    deg = len(phi_int) - 1
+    log_rho = math.log2(rho)
+    sizing = _crt_primes(phi_lc, res)
+    covered = [0.0]  # log2 of the products of the first usable primes
+
+    def primes_for(lip, slack: float) -> int:
+        """How many usable primes the CRT takes for this Lip: their product
+        exceeds 2 deg (Lip rho)^(n max(1, k)), whose log2 is moved by slack."""
+        log_growth = math.log2(lip.numerator) - math.log2(lip.denominator) + log_rho
+        bits = 1 + math.log2(deg) + n * (count if log_growth >= 0 else 1) * log_growth + slack
+        while covered[-1] <= bits:
+            covered.append(covered[-1] + math.log2(next(sizing)))
+        return bisect_right(covered, bits)
+
+    def enough(upper, best) -> bool:
+        # no certified bound falls below best: once best takes as many primes
+        # as upper, more boxes save none
+        return best > 0 and primes_for(upper, 1e-6) == primes_for(Fraction(best), -1e-6)
+
+    growth = _arch_lipschitz(fmap).bound(enough) * rho
+    bound = deg * max(growth**n, growth ** (n * count))
     modulus = 1
     residues = [0] * count
-    i = bad = 0
-    while modulus <= 2 * bound:
-        p = fp.engine_prime(i)
-        i += 1
-        if phi_lc % p == 0 or res % p == 0:
-            continue
+    bad = 0
+    for p in _crt_primes(phi_lc, res):
+        if modulus > 2 * bound:
+            break
         sums = _power_sums_mod_p(phi_int, phi_lc, u, den, count, p)
         if sums is None:
             bad = _count_non_unit(bad)
@@ -486,6 +522,7 @@ def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
     period m contributes its f^m-multiplier raised to the n/m power;
     computed once per map.
     """
+    fmap.budget.check_period(fmap.d, n)  # divisors(n) is empty below 1
     chi = None
     for m in divisors(n):
         q_m = fixstar_multiplier_charpoly(fmap, m)

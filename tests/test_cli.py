@@ -262,6 +262,7 @@ class TestDomainErrors:
         ("consistency QT --n 1", 2),
         ("lyapunov Q --place arch --r 2", 2),
         ("lyapunov Q --place arch --r 0", 2),
+        ("lyapunov Q --place arch --r=-1/2", 2),
         # no bound is read off a last term here: an empty sequence is a report
         ("crit-height Q --n-max 0", 0),
         ("lyapunov Q --place arch --n-max 0", 0),
@@ -273,6 +274,12 @@ class TestDomainErrors:
             assert rep["error"]["kind"] == "input" and rep["error"]["message"]
         else:
             assert "error" not in rep
+
+    @pytest.mark.parametrize("r", ["0", "-1/2", "2"])
+    def test_arch_radius_message(self, r):
+        rep = run_json(["lyapunov", "--map", HALF, "--place", "arch", f"--r={r}"], expect=2)
+        assert rep["error"] == {"kind": "input",
+                                "message": "archimedean truncation radius must satisfy 0 < r <= 1"}
 
     def test_no_traceback(self):
         proc = subprocess.run(

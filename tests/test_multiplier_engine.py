@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynlyap import bivariate, fp, heights, multipliers
+from dynlyap import bivariate, fp, heights, lyapunov, multipliers
 from dynlyap.algebra import Poly, RatFunc, _int_mul, _pack, _unpack, _unpack_signed, period_count
 from dynlyap.errors import DegenerateMap
 from dynlyap.fp import engine_prime
 from dynlyap.lyapunov import (
+    LipschitzSearch,
     _bezout_lipschitz_bound,
     _sup_chordal_derivative,
     chordal_lipschitz_bound,
@@ -95,9 +96,12 @@ BOUND_CASES = CASES + random_cases()
 
 @pytest.mark.parametrize("label,fmap,periods", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
 def test_cleared_power_sums_within_bound(label, fmap, periods):
+    # against the bound of a full search, never above the engine's lazy one
     rho = _reduced_resultant(fmap)
-    assert primitive_lift(fmap).res % rho == 0
-    growth = _arch_lipschitz(fmap) * rho
+    prim = primitive_lift(fmap)
+    assert prim.res % rho == 0
+    growth = chordal_lipschitz_bound(prim.lift, prim.res,
+                                     heights._bezout_cofactors(prim.lift, prim.res)) * rho
     for n in periods:
         got = engine_sums(fmap, n)
         if got is None:
@@ -107,6 +111,78 @@ def test_cleared_power_sums_within_bound(label, fmap, periods):
             t = s * rho ** (n * k)
             assert t.denominator == 1, (label, n, k)
             assert abs(t) <= phi.degree * growth ** (n * k), (label, n, k)
+
+
+def fresh(fmap):
+    """The same map with nothing cached."""
+    return new_map(fmap.d, fmap.lift.a, fmap.lift.b)
+
+
+def spy(monkeypatch, owner, name, calls):
+    """Record the arguments and result of every call of owner.name in calls."""
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        out = inner(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("label,fmap,periods", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_lazy_bound_never_costs_more(label, fmap, periods, monkeypatch):
+    # the engine stops the search once no tighter bound saves a prime: per
+    # period it takes no more primes, and per map no more boxes, than the
+    # bound of a full run
+    boxes, primes = [], []
+    spy(monkeypatch, lyapunov, "_box_bound", boxes)
+    spy(monkeypatch, multipliers, "_power_sums_mod_p", primes)
+    full, lazy = fresh(fmap), fresh(fmap)
+    _arch_lipschitz(full).bound()
+    full_boxes = len(boxes)
+    for n in periods:
+        del primes[:]
+        want = engine_sums(full, n)
+        full_primes = len(primes)
+        del boxes[:], primes[:]
+        assert engine_sums(lazy, n) == want, (label, n)
+        assert len(primes) <= full_primes, (label, n)
+        full_boxes -= len(boxes)
+    assert full_boxes >= 0, label
+
+
+@pytest.mark.parametrize("label,fmap,periods", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_engine_bounds_are_certified(label, fmap, periods, monkeypatch):
+    # the lazy search hands the engine its certified upper bound, never the
+    # best centre value below it
+    bounds = []
+    spy(monkeypatch, LipschitzSearch, "bound", bounds)
+    lazy = fresh(fmap)
+    for n in periods:
+        engine_sums(lazy, n)
+    grid, _ = _sup_chordal_derivative(lazy, grid=96)
+    assert bounds
+    for (search, *_), lip in bounds:
+        assert grid <= lip * (1 + 1e-12), label
+        assert search.best <= lip
+
+
+@pytest.mark.parametrize("label,fmap,periods", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_search_resumes_across_periods(label, fmap, periods, monkeypatch):
+    # periods asked in increasing order end with the prime count of one call
+    # for the largest period, at a bound no larger
+    primes = []
+    spy(monkeypatch, multipliers, "_power_sums_mod_p", primes)
+    warm, cold = fresh(fmap), fresh(fmap)
+    for n in periods:
+        del primes[:]
+        got = engine_sums(warm, n)
+    warm_primes = len(primes)
+    del primes[:]
+    assert engine_sums(cold, periods[-1]) == got
+    assert len(primes) == warm_primes, label
+    assert _arch_lipschitz(warm).upper <= _arch_lipschitz(cold).upper
 
 
 def test_reduced_resultant_is_needed(monkeypatch):
@@ -171,7 +247,7 @@ def test_one_bezout_solve_per_map(monkeypatch):
     monkeypatch.setattr(heights, "_bezout_cofactors", spy)
     fmap = new_map(3, (0, -3, 0, -2), (-1, 1, -3, 3))
     rho = _reduced_resultant(fmap)
-    lip = _arch_lipschitz(fmap)
+    lip = _arch_lipschitz(fmap).bound()
     sup_t = heights._map_sup_t_bound(fmap)
     northcott = heights._northcott_bound(fmap)
     assert len(calls) == 1
@@ -239,6 +315,17 @@ def test_lipschitz_closed_form_and_fallback():
     cofactors = heights._bezout_cofactors(huge.lift, huge.res)
     assert chordal_lipschitz_bound(huge.lift, huge.res, cofactors) == _bezout_lipschitz_bound(
         huge.lift, huge.res, cofactors)
+
+
+def test_finished_search_keeps_no_boxes():
+    # a caller satisfied by the search's last pair leaves no suspended heap
+    # behind: the search is done, whatever the caller asks next
+    prim = primitive_lift(poly_map(1, 0, F(1, 2)))
+    cofactors = heights._bezout_cofactors(prim.lift, prim.res)
+    search = LipschitzSearch(prim.lift, prim.res, cofactors)
+    lip = search.bound(lambda upper, best: upper <= best * (1 + lyapunov._LIP_RTOL))
+    assert search._steps is None
+    assert lip == chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
 
 
 def test_pack_round_trips():

@@ -223,6 +223,12 @@ class TestCharpolyFull:
         for n in (1, 2, 3):
             assert charpoly_multipliers_full(fm, n).degree == 2**n + 1
 
+    @pytest.mark.parametrize("fn", [charpoly_multipliers_full, lambda_point])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_period_below_one(self, fn, n):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            fn(poly_map(1, 0, F(1, 2)), n)
+
 
 class TestLambdaPoints:
     def test_spec_examples(self):
