@@ -7,7 +7,10 @@ runs on such rows from start to end:
 
 * the lift.  ``primitive_rows`` holds a primitive integer lift G of f, and
   ``lift_rows`` iterates it, G^(n) = G o G^(n-1), with packed products
-  (``_bi_dot``), each iterate computed once per map;
+  (``_bi_dot``), each iterate computed once per map.  ``_compose_rows`` is
+  the one composition of lifts: ``maps.iterate_lift``, ``maps._compose``
+  and ``maps.conjugate`` run on it too, and ``_lift_from_rows`` turns
+  rows times a scale back into a ``HomLift``;
 * Phi*_n.  ``fixed_rows`` splits P_m = G0^(m) - z G1^(m) into its content
   and primitive part, and ``multipliers.dynatomic_divisor`` divides the
   product of the primitive parts with mu(n/m) = 1 by that of those with
@@ -32,7 +35,8 @@ as integer rows over one den in Z[t], the lcm of their denominators (rows
 of t-degree 0 over one integer for Q).  The lift, q_n, the power sums of
 Newton's identities, ``multipliers._normalize_proj`` and
 ``heights.bad_places`` all clear through it.  Rows become elements of the
-base field in one way, ``_field``: a Fraction over Q, a RatFunc over Q(t).
+base field in one way, ``_field``: a Fraction over Q, a RatFunc over Q(t);
+``_scaled_values`` takes rows times a scale there.
 
 In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
 positive integer, and L a primitive polynomial of Z[t] whose powers, times
@@ -62,7 +66,7 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import DegenerateMap, NonExactDivision
-from .maps import BASE_Q, RationalMap, per_map
+from .maps import BASE_Q, HomLift, RationalMap, per_map
 
 
 def _signed_digits(packed: int, start: int, n: int, width: int) -> list[int]:
@@ -399,22 +403,40 @@ def _divide_content(rows: list, content: list) -> list:
     return [_exact_div_int(r, content) if r else r for r in rows]
 
 
-@per_map("primitive_rows")
-def primitive_rows(fmap: RationalMap):
+def _primitive(lift: HomLift, base: str):
     """(G0, G1, lam): rows of G0(z, 1) and G1(z, 1) for a primitive lift G
-    of f in Z[t][z], and lam with F = lam G for the map's own lift F;
-    computed once per map."""
-    d = fmap.d
-    rows, den = _clear_rows(fmap.lift.a[::-1] + fmap.lift.b[::-1])
+    in Z[t][z] with lift = lam G, lam in the base field."""
+    d = lift.d
+    rows, den = _clear_rows(lift.a[::-1] + lift.b[::-1])
     content = _zt_content(rows)
     rows = _divide_content(rows, content)
-    lam = _field(content, den, fmap.base)
-    return _trim(rows[: d + 1]), _trim(rows[d + 1 :]), lam
+    return _trim(rows[: d + 1]), _trim(rows[d + 1 :]), _field(content, den, base)
+
+
+@per_map("primitive_rows")
+def primitive_rows(fmap: RationalMap):
+    """``_primitive`` of the map's own lift F = lam G, computed once per map."""
+    return _primitive(fmap.lift, fmap.base)
+
+
+def _scaled_values(rows: list, scale, base: str) -> list:
+    """The elements scale * rows[i] of the base field for rows in Z[t]:
+    scale is cleared once (``_clear_rows``), each value normalized once."""
+    (num,), den = _clear_rows([scale])
+    return _from_rows([_int_mul(list(r), num) for r in rows], den, base)
+
+
+def _lift_from_rows(rows, degree: int, scale, base: str) -> HomLift:
+    """The lift of the given degree whose forms, at (z, 1), are scale times
+    the rows (F0, F1) of Z[t][z]."""
+    f0, f1 = (list(r) + [[]] * (degree + 1 - len(r)) for r in rows)
+    vals = _scaled_values(f0 + f1, scale, base)
+    return HomLift(degree, tuple(vals[degree::-1]), tuple(vals[:degree:-1]))
 
 
 def _compose_rows(outer, inner, d: int) -> tuple:
-    """outer o inner for lifts of degree d and its iterate, as rows of
-    their affine parts: outer_k(h0, h1) = sum_i outer_k[i] h0^i h1^(d-i)."""
+    """outer o inner for a lift outer of degree d, as rows of their affine
+    parts: outer_k(h0, h1) = sum_i outer_k[i] h0^i h1^(d-i)."""
     h0, h1 = inner
     p0, p1 = [[[1]], h0], [[[1]], h1]
     for _ in range(d - 1):
@@ -426,19 +448,25 @@ def _compose_rows(outer, inner, d: int) -> tuple:
                  for g in outer[:2])
 
 
+def _next_iterate(g, cur, d: int, budget) -> tuple:
+    """g o cur on rows for g of degree d, with the coefficient bits of the
+    new iterate checked against the budget."""
+    got = _compose_rows(g, cur, d)
+    budget.check_bits(sum(x.bit_length() for rows in got for r in rows for x in r),
+                      "iterated lift")
+    return got
+
+
 @per_map("lift_rows")
 def lift_rows(fmap: RationalMap, n: int):
     """(F0, F1): rows of F0(z, 1) and F1(z, 1) for F = G^(n), the n-th
-    iterate of the primitive lift, each iterate computed once per map.  The
-    budget is checked as ``maps.iterate_lift`` checks it: the period
-    first, then the coefficient bits of every new iterate."""
+    iterate of the primitive lift, each iterate computed once per map.
+    The budget is checked as in ``maps.iterate_lift``, which composes the
+    same rows: the period first, then each new iterate (``_next_iterate``)."""
     fmap.budget.check_period(fmap.d, n)
     if n == 1:
         return primitive_rows(fmap)[:2]
-    got = _compose_rows(primitive_rows(fmap), lift_rows(fmap, n - 1), fmap.d)
-    bits = sum(x.bit_length() for rows in got for r in rows for x in r)
-    fmap.budget.check_bits(bits, "iterated lift")
-    return got
+    return _next_iterate(primitive_rows(fmap), lift_rows(fmap, n - 1), fmap.d, fmap.budget)
 
 
 def _sub_z_times(a: list, b: list) -> list:

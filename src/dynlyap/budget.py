@@ -44,11 +44,11 @@ class Budget:
 
 
 def default_budget() -> Budget:
-    """Budget honouring the DYNLYAP_BUDGET_BITS environment variable."""
+    """Budget honouring the DYNLYAP_BUDGET_BITS environment variable; a
+    value that is not a positive integer is a ValueError."""
     bits = os.environ.get(ENV_BUDGET_BITS)
     if bits is None:
         return Budget()
-    try:
-        return Budget(max_total_bits=int(bits))
-    except ValueError:
-        raise ResourceLimit(f"invalid {ENV_BUDGET_BITS}={bits!r}") from None
+    if not bits.strip().isdecimal() or int(bits) < 1:
+        raise ValueError(f"{ENV_BUDGET_BITS} must be a positive integer, got {bits!r}")
+    return Budget(max_total_bits=int(bits))

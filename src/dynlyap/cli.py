@@ -220,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multiplier spectra, Lyapunov approximants and heights "
         "for rational maps over Q and Q(t)",
     )
-    top.add_argument("--threads", type=int, default=1,
-                     help="cap on worker parallelism (execution is serial and "
-                     "deterministic; any cap >= 1 is honored)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -304,15 +301,10 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     report = {
         "subcommand": args.command,
-        "provenance": {
-            "tool": "dynlyap",
-            "version": __version__,
-            "budget_bits": default_budget().max_total_bits,
-        },
+        "provenance": {"tool": "dynlyap", "version": __version__},
     }
     try:
-        if args.threads < 1:
-            raise ParseError("--threads must be >= 1")
+        report["provenance"]["budget_bits"] = default_budget().max_total_bits
         fmap = parse_map(args.map)
         report["input"] = format_map(fmap)
         report["base_field"] = fmap.base

@@ -265,15 +265,6 @@ class LipschitzSearch:
         return self.upper
 
 
-def chordal_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
-    """Certified upper bound on sup over P^1(C) of the chordal derivative
-    f^# of the map with primitive integer lift ``lift``: the Bezout bound
-    capped by a full run of the branch and bound of ``LipschitzSearch``,
-    which stops when the largest box bound is within _LIP_RTOL of the
-    largest value seen at a box centre, or past _LIP_MAX_BOXES boxes."""
-    return LipschitzSearch(lift, res, cofactors).bound()
-
-
 def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
     """2 ||det DF||_1 row^2 / (d Res^2) >= sup f^#, exactly.
 

@@ -2,8 +2,10 @@
 
 A lift F = (F0, F1) is stored by its coefficient rows a, b with
 F0(p0, p1) = sum_j a[j] p0^(d-j) p1^j (a[0] multiplies p0^d), so the affine
-chart is z = p0/p1 and f(z) = F0(z,1)/F1(z,1).  Iteration composes lifts
-exactly; infinity bookkeeping therefore stays uniform across the package.
+chart is z = p0/p1 and f(z) = F0(z,1)/F1(z,1).  Iteration and conjugation
+compose lifts exactly, on integer rows (``bivariate._compose_rows``, the
+one composition of lifts); infinity bookkeeping therefore stays uniform
+across the package.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ class HomLift:
         return HomLift(self.d, tuple(c * alpha for c in self.a), tuple(c * alpha for c in self.b))
 
     def coefficient_bits(self) -> int:
+        """Bit size of the coefficients' numerators and denominators.  The
+        budget counts row bits (``bivariate._next_iterate``); this is kept
+        for the benchmark tracer's ``maps.lift_bits_max`` (``iterate_lift``)."""
         bits = 0
         for c in list(self.a) + list(self.b):
             if isinstance(c, Fraction):
@@ -141,8 +146,14 @@ class RationalMap:
         return self.lift.d
 
     def iterate_lift_cached(self, n: int) -> HomLift:
+        """lam^E G^(n), E = 1 + d + ... + d^(n-1), for F = lam G: the lift
+        of f^n on the spectrum's rows, formed once and kept under the key n."""
         if n not in self._iterates:
-            self._iterates[n] = iterate_lift(self.lift, n, self.budget)
+            from . import bivariate
+
+            rows, d = bivariate.lift_rows(self, n), self.d
+            lam = bivariate.primitive_rows(self)[2] ** sum(d**k for k in range(n))
+            self._iterates[n] = bivariate._lift_from_rows(rows, d**n, lam, self.base)
         return self._iterates[n]
 
 
@@ -185,37 +196,34 @@ def map_from_affine(num: Poly, den: Poly, budget: Optional[Budget] = None) -> Ra
 
 
 def iterate_lift(lift: HomLift, n: int, budget: Optional[Budget] = None) -> HomLift:
-    """Exact homogeneous lift of f^n (degree d^n) by repeated composition."""
+    """Exact homogeneous lift of f^n (degree d^n): lam^E G^(n) as in
+    ``RationalMap.iterate_lift_cached``, for lift = lam G with G primitive
+    (``bivariate._primitive``), budget checked as ``bivariate.lift_rows`` does."""
     if n < 1:
         raise ValueError("iterate count must be >= 1")
     budget = budget or default_budget()
     budget.check_period(lift.d, n)
-    cur = lift
+    from . import bivariate
+
+    d, base = lift.d, _coerce_field(lift.a + lift.b)[1]
+    g0, g1, lam = bivariate._primitive(lift, base)
+    rows = (g0, g1)
     for _ in range(n - 1):
-        cur = _compose(lift, cur)
-        budget.check_bits(cur.coefficient_bits(), "iterated lift")
-    return cur
+        rows = bivariate._next_iterate((g0, g1), rows, d, budget)
+    return bivariate._lift_from_rows(rows, d**n, lam ** sum(d**k for k in range(n)), base)
 
 
 def _compose(outer: HomLift, inner: HomLift) -> HomLift:
-    """outer o inner as homogeneous pairs, via univariate convolution."""
-    g0 = Poly(tuple(reversed(inner.a)))
-    g1 = Poly(tuple(reversed(inner.b)))
-    d = outer.d
-    deg_out = d * (len(inner.a) - 1)
-    pow1 = [None] * (d + 1)
-    pow1[0] = Poly.const(outer.one())
-    for j in range(1, d + 1):
-        pow1[j] = pow1[j - 1] * g1
-    comp0 = Poly()
-    comp1 = Poly()
-    for j in range(d + 1):  # Horner in g0 with precomputed g1 powers
-        comp0 = comp0 * g0 + Poly.const(outer.a[j]) * pow1[j]
-        comp1 = comp1 * g0 + Poly.const(outer.b[j]) * pow1[j]
-    zero = field_zero(outer.one())
-    c0 = list(comp0.coeffs) + [zero] * (deg_out + 1 - len(comp0.coeffs))
-    c1 = list(comp1.coeffs) + [zero] * (deg_out + 1 - len(comp1.coeffs))
-    return HomLift(deg_out, tuple(reversed(c0)), tuple(reversed(c1)))
+    """outer o inner, of degree outer.d * inner.d, on integer rows: for
+    outer = lam G and inner = mu H with G, H primitive,
+    outer o inner = lam mu^(outer.d) G o H."""
+    from . import bivariate
+
+    base = _coerce_field(outer.a + outer.b + inner.a + inner.b)[1]
+    g0, g1, lam = bivariate._primitive(outer, base)
+    h0, h1, mu = bivariate._primitive(inner, base)
+    rows = bivariate._compose_rows((g0, g1), (h0, h1), outer.d)
+    return bivariate._lift_from_rows(rows, outer.d * inner.d, lam * mu**outer.d, base)
 
 
 # ---------------------------------------------------------------------------
@@ -306,35 +314,19 @@ class Mobius2:
     def adjugate(self) -> "Mobius2":
         return Mobius2(self.m11, -self.m01, -self.m10, self.m00)
 
+    def lift(self) -> HomLift:
+        """The matrix as a lift of degree 1."""
+        return HomLift(1, (self.m00, self.m01), (self.m10, self.m11))
+
     def apply(self, x, y):
         return self.m00 * x + self.m01 * y, self.m10 * x + self.m11 * y
 
 
 def conjugate(fmap: RationalMap, m: Mobius2) -> RationalMap:
-    """Exact lift of M o f o M^{-1} (adjugate used for the inverse)."""
-    adj = m.adjugate()
-    d = fmap.d
-    one = fmap.lift.one()
-    # linear forms u = adj . (Z, W)
-    u = Poly((adj.m01 * one, adj.m00 * one))  # ascending in z: u(z,1) = m00 z + m01
-    v = Poly((adj.m11 * one, adj.m10 * one))
-    pow_u = [Poly.const(one)]
-    pow_v = [Poly.const(one)]
-    for _ in range(d):
-        pow_u.append(pow_u[-1] * u)
-        pow_v.append(pow_v[-1] * v)
-    f0 = Poly()
-    f1 = Poly()
-    for j in range(d + 1):
-        term = pow_u[d - j] * pow_v[j]
-        f0 = f0 + term.scale(fmap.lift.a[j])
-        f1 = f1 + term.scale(fmap.lift.b[j])
-    g0 = f0.scale(m.m00) + f1.scale(m.m01)
-    g1 = f0.scale(m.m10) + f1.scale(m.m11)
-    zero = field_zero(one)
-    c0 = list(g0.coeffs) + [zero] * (d + 1 - len(g0.coeffs))
-    c1 = list(g1.coeffs) + [zero] * (d + 1 - len(g1.coeffs))
-    return new_map(d, tuple(reversed(c0)), tuple(reversed(c1)), fmap.budget)
+    """Exact lift of M o f o M^{-1}: M o F o adj M (``_compose``), the
+    adjugate standing in for the inverse."""
+    g = _compose(m.lift(), _compose(fmap.lift, m.adjugate().lift()))
+    return new_map(fmap.d, g.a, g.b, fmap.budget)
 
 
 # ---------------------------------------------------------------------------

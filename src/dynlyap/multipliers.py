@@ -102,11 +102,9 @@ class DynatomicDivisor:
 
     @cached_property
     def star_poly(self) -> Poly:
-        from . import bivariate
+        from .bivariate import _scaled_values
 
-        (num,), den = bivariate._clear_rows([self.scale])
-        return Poly(bivariate._from_rows([_int_mul(list(r), num) for r in self.rows],
-                                         den, self.base))
+        return Poly(_scaled_values(self.rows, self.scale, self.base))
 
     def total_degree(self) -> int:
         return self.degree + self.star_mult_infinity

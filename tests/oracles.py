@@ -21,7 +21,7 @@ from dynlyap.analysis import (
 )
 from dynlyap.errors import IrrationalCriticalPoint, NonExactDivision
 from dynlyap.heights import critical_height_direct, map_height, naive_height
-from dynlyap.maps import fixed_point_divisor
+from dynlyap.maps import HomLift
 from dynlyap.multipliers import (
     fixstar_multiplier_charpoly,
     lambda_tilde_point,
@@ -31,10 +31,55 @@ from dynlyap.multipliers import (
 from dynlyap.places import local_abs, log_max
 
 
+def compose_lifts(outer, inner):
+    """outer o inner as homogeneous pairs over the base field, by Horner in
+    inner's first form with the powers of its second form precomputed."""
+    g0 = Poly(tuple(reversed(inner.a)))
+    g1 = Poly(tuple(reversed(inner.b)))
+    d = outer.d
+    deg_out = d * inner.d
+    one = outer.one()
+    pow1 = [Poly.const(one)]
+    for _ in range(d):
+        pow1.append(pow1[-1] * g1)
+    comp0 = comp1 = Poly()
+    for j in range(d + 1):
+        comp0 = comp0 * g0 + Poly.const(outer.a[j]) * pow1[j]
+        comp1 = comp1 * g0 + Poly.const(outer.b[j]) * pow1[j]
+    zero = one * 0
+    c0 = list(comp0.coeffs) + [zero] * (deg_out + 1 - len(comp0.coeffs))
+    c1 = list(comp1.coeffs) + [zero] * (deg_out + 1 - len(comp1.coeffs))
+    return HomLift(deg_out, tuple(reversed(c0)), tuple(reversed(c1)))
+
+
+def iterate_lift(lift, n: int):
+    """The lift of f^n over the base field, by n - 1 compositions."""
+    cur = lift
+    for _ in range(n - 1):
+        cur = compose_lifts(lift, cur)
+    return cur
+
+
+def conjugate_lift(lift, m):
+    """M o F o adj M over the base field, the lift of M o f o M^{-1}; the
+    entries of M are taken into the field of F first."""
+    one = lift.one()
+    as_lift = lambda x: HomLift(1, (x.m00 * one, x.m01 * one), (x.m10 * one, x.m11 * one))
+    return compose_lifts(as_lift(m), compose_lifts(lift, as_lift(m.adjugate())))
+
+
+def fixed_point_poly(fmap, m: int):
+    """(P_m = F0^(m)(z, 1) - z F1^(m)(z, 1), its multiplicity at infinity)
+    for the base-field iterate F^(m) of the map's own lift."""
+    lift_m = iterate_lift(fmap.lift, m)
+    p = lift_m.poly0() - lift_m.poly1().shift(1)
+    return p, fmap.d**m + 1 - p.degree
+
+
 def dynatomic_poly(fmap, n: int):
     """(Phi*_n, its multiplicity at infinity): the Moebius quotient
     prod_{m | n} P_m^mu(n/m) of the fixed-point polynomials of the map's own
-    lift, composed over the base field (``fixed_point_divisor``) and divided
+    lift, composed over the base field (``fixed_point_poly``) and divided
     by ``poly_exact_div``."""
     num = den = None
     inf_mult = 0
@@ -42,12 +87,12 @@ def dynatomic_poly(fmap, n: int):
         mu = mobius(n // m)
         if mu == 0:
             continue
-        fd = fixed_point_divisor(fmap, m)
-        inf_mult += mu * fd.mult_infinity
+        p, mult = fixed_point_poly(fmap, m)
+        inf_mult += mu * mult
         if mu == 1:
-            num = fd.affine_poly if num is None else num * fd.affine_poly
+            num = p if num is None else num * p
         else:
-            den = fd.affine_poly if den is None else den * fd.affine_poly
+            den = p if den is None else den * p
     return (num if den is None else poly_exact_div(num, den)), inf_mult
 
 
@@ -75,9 +120,10 @@ def field_mod_div(a: Poly, b: Poly, phi: Poly) -> Poly:
 def field_power_sums(fmap, n: int, phi: Poly, count: int, one) -> list:
     """S_k = sum over the roots beta of the monic phi of lambda(beta)^k,
     k = 1..count, lambda = (f^n)', by the trace loop cur = cur * lambda mod phi
-    in k[z]/(phi) over the base field (Fraction or RatFunc coefficients)."""
+    in k[z]/(phi) over the base field (Fraction or RatFunc coefficients),
+    with f^n composed over the base field too (``iterate_lift``)."""
     deg = len(phi.coeffs) - 1
-    lift_n = fmap.iterate_lift_cached(n)
+    lift_n = iterate_lift(fmap.lift, n)
     num = lift_n.poly0()
     den = lift_n.poly1()
     a = (num.derivative() * den - num * den.derivative()) % phi

@@ -281,6 +281,14 @@ class TestDomainErrors:
         assert rep["error"] == {"kind": "input",
                                 "message": "archimedean truncation radius must satisfy 0 < r <= 1"}
 
+    @pytest.mark.parametrize("bits", ["abc", "-5", "0"])
+    def test_budget_bits_env(self, monkeypatch, bits):
+        monkeypatch.setenv("DYNLYAP_BUDGET_BITS", bits)
+        rep = run_json(["multipliers", "--map", HALF, "--n", "2"], expect=2)
+        assert rep["error"] == {
+            "kind": "input",
+            "message": f"DYNLYAP_BUDGET_BITS must be a positive integer, got {bits!r}"}
+
     def test_no_traceback(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dynlyap", "multipliers", "--map", HALF, "--n", "0"],

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynlyap.algebra import Poly, RatFunc
+from dynlyap.algebra import Poly, RatFunc, poly_gcd
 from dynlyap.errors import ArchimedeanPlace, DegenerateMap, ResourceLimit
 from dynlyap.maps import (
     HomLift,
@@ -23,6 +23,7 @@ from dynlyap.maps import (
 )
 from dynlyap.budget import Budget
 from dynlyap.places import Place, local_abs
+import oracles
 from oracles import lift_resultant
 
 
@@ -210,6 +211,103 @@ class TestConjugation:
         fm = Z2()
         g = conjugate(fm, Mobius2(F(1), F(0), F(0), F(1)))
         assert g.lift.poly0().monic() == fm.lift.poly0().monic()
+
+
+def seeded_maps(base, count, seed):
+    """Nondegenerate maps over the base field with some zero coefficients,
+    d = 2 and 3 over Q, d = 2 over Q(t)."""
+    rng = random.Random(f"{seed}{base}")
+    maps = []
+    while len(maps) < count:
+        d = rng.choice((2, 3)) if base == "Q" else 2
+        cs = [random_coeff(rng, base) if rng.random() < 0.7 else 0 for _ in range(2 * d + 2)]
+        try:
+            maps.append(new_map(d, cs[: d + 1], cs[d + 1 :]))
+        except DegenerateMap:
+            continue
+    return maps
+
+
+def row_cases():
+    t = RatFunc.t()
+    return [
+        ("1/z^2", new_map(2, (0, 0, 1), (1, 0, 0)), 3),
+        ("(z+t)/z^2", new_map(2, (0, 1, t), (1, 0, 0)), 3),  # infinity on a 2-cycle
+        ("(z^2+t)/(2tz)", new_map(2, (1, 0, t), (0, 2 * t, 0)), 2),
+        *((f"Q-{i}", fm, 3) for i, fm in enumerate(seeded_maps("Q", 8, 5))),
+        *((f"Q(t)-{i}", fm, 2) for i, fm in enumerate(seeded_maps("Q(t)", 4, 5))),
+    ]
+
+
+ROW_CASES = row_cases()
+# adj M of the last has content 2, so M o (F o adj M) composes a non-primitive inner lift
+MOBIUS = [Mobius2(F(1), F(1), F(0), F(1)), Mobius2(F(2), F(-1), F(1), F(3)), Mobius2(0, 1, 1, 0),
+          Mobius2(F(2), F(4), F(0), F(6))]
+
+
+class TestRowBackedStack:
+    """The iterates, fixed points, multiplier functions and conjugates
+    composed on integer rows equal the base-field composition of
+    ``oracles.compose_lifts`` exactly, dropped degrees and infinity included."""
+
+    @pytest.mark.parametrize("label,fm,n_max", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+    def test_iterates_and_fixed_points(self, label, fm, n_max):
+        for n in range(1, n_max + 1):
+            want = oracles.iterate_lift(fm.lift, n)
+            assert iterate_lift(fm.lift, n) == want
+            assert fm.iterate_lift_cached(n) == want
+            assert fm.iterate_lift_cached(n) is fm._iterates[n]
+            fd = fixed_point_divisor(fm, n)
+            assert (fd.affine_poly, fd.mult_infinity) == oracles.fixed_point_poly(fm, n)
+
+    @pytest.mark.parametrize("label,fm,n_max", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+    def test_multiplier_function(self, label, fm, n_max):
+        # A / B = (num' den - num den') / den^2 in lowest terms, B monic; over
+        # Q(t) one period fewer, for the gcd in RatFunc arithmetic is slow
+        for n in range(1, (n_max if fm.base == "Q" else n_max - 1) + 1):
+            want = oracles.iterate_lift(fm.lift, n)
+            num, den = want.poly0(), want.poly1()
+            a, b = multiplier_rational_function(fm, n)
+            assert a * den * den == b * (num.derivative() * den - num * den.derivative())
+            assert b.lc() == 1 and poly_gcd(a, b).degree <= 0
+
+    @pytest.mark.parametrize("label,fm,n_max", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+    def test_conjugate(self, label, fm, n_max):
+        t = RatFunc.t()
+        mobs = MOBIUS + ([Mobius2(t, 0, 1, t + 1), Mobius2(t * t, 0, t, t * t + t)]
+                         if fm.base != "Q" else [])
+        for m in mobs:
+            g = conjugate(fm, m)
+            assert g.lift == oracles.conjugate_lift(fm.lift, m) and g.base == fm.base
+            assert g.budget is fm.budget
+
+    PARITY_CASES = ROW_CASES[:4] + ROW_CASES[-2:] + [
+        ("6z^2+10", new_map(2, (6, 0, 10), (0, 0, 6)), 0),
+        ("t(z^2+t)", new_map(2, (RatFunc.t(), 0, RatFunc.t() ** 2), (0, 0, RatFunc.t())), 0),
+    ]
+
+    @pytest.mark.parametrize("bits", [40, 120, 400, 2000])
+    @pytest.mark.parametrize("label,fm,n_max", PARITY_CASES, ids=[c[0] for c in PARITY_CASES])
+    def test_budget_parity(self, label, fm, n_max, bits):
+        # iterate_lift and lift_rows count the bits of the same primitive
+        # rows, so one budget stops both at the same period, also for a lift
+        # with a content
+        from dynlyap.bivariate import lift_rows
+
+        budget = Budget(max_total_bits=bits)
+        own = new_map(fm.d, fm.lift.a, fm.lift.b, budget)
+
+        def first_trip(step):
+            for n in range(1, 8):
+                try:
+                    step(n)
+                except ResourceLimit:
+                    return n
+            return None
+
+        got = first_trip(lambda n: iterate_lift(fm.lift, n, budget))
+        assert got == first_trip(lambda n: lift_rows(own, n))
+        assert got == first_trip(own.iterate_lift_cached)
 
 
 class TestMinimalLifts:

@@ -15,7 +15,6 @@ from dynlyap.lyapunov import (
     LipschitzSearch,
     _bezout_lipschitz_bound,
     _sup_chordal_derivative,
-    chordal_lipschitz_bound,
 )
 from dynlyap.maps import BASE_Q, new_map, primitive_lift
 from dynlyap.multipliers import (
@@ -100,8 +99,8 @@ def test_cleared_power_sums_within_bound(label, fmap, periods):
     rho = _reduced_resultant(fmap)
     prim = primitive_lift(fmap)
     assert prim.res % rho == 0
-    growth = chordal_lipschitz_bound(prim.lift, prim.res,
-                                     heights._bezout_cofactors(prim.lift, prim.res)) * rho
+    growth = LipschitzSearch(prim.lift, prim.res,
+                             heights._bezout_cofactors(prim.lift, prim.res)).bound() * rho
     for n in periods:
         got = engine_sums(fmap, n)
         if got is None:
@@ -258,7 +257,7 @@ def test_one_bezout_solve_per_map(monkeypatch):
     assert northcott == (heights._arch_sup_t_bound(prim.lift, prim.res)
                          + math.log(prim.res)) / (fmap.d - 1) + 1e-6
     cofactors = inner(prim.lift, prim.res)
-    assert lip == chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
+    assert lip == LipschitzSearch(prim.lift, prim.res, cofactors).bound()
     assert all((c * rho / prim.res).denominator == 1 for part in cofactors for c in part)
 
 
@@ -298,7 +297,7 @@ def test_non_unit_prime_is_skipped(monkeypatch):
 def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
     prim = primitive_lift(fmap)
     cofactors = heights._bezout_cofactors(prim.lift, prim.res)
-    lip = chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
+    lip = LipschitzSearch(prim.lift, prim.res, cofactors).bound()
     grid, _ = _sup_chordal_derivative(fmap, grid=96)
     assert grid <= lip * (1 + 1e-12)
     assert lip <= _bezout_lipschitz_bound(prim.lift, prim.res, cofactors)
@@ -307,13 +306,13 @@ def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
 def test_lipschitz_closed_form_and_fallback():
     # sup of z^2's chordal derivative 2|z|(1+|z|^2)/(1+|z|^4) is 2, at |z| = 1
     square = primitive_lift(poly_map(1, 0, 0))
-    lip = chordal_lipschitz_bound(square.lift, square.res,
-                                  heights._bezout_cofactors(square.lift, square.res))
+    lip = LipschitzSearch(square.lift, square.res,
+                          heights._bezout_cofactors(square.lift, square.res)).bound()
     assert 2 <= lip <= F(5, 2)
     # coefficients beyond the float range: the exact Bezout bound stands alone
     huge = primitive_lift(poly_map(1, 0, 10**400))
     cofactors = heights._bezout_cofactors(huge.lift, huge.res)
-    assert chordal_lipschitz_bound(huge.lift, huge.res, cofactors) == _bezout_lipschitz_bound(
+    assert LipschitzSearch(huge.lift, huge.res, cofactors).bound() == _bezout_lipschitz_bound(
         huge.lift, huge.res, cofactors)
 
 
@@ -325,7 +324,7 @@ def test_finished_search_keeps_no_boxes():
     search = LipschitzSearch(prim.lift, prim.res, cofactors)
     lip = search.bound(lambda upper, best: upper <= best * (1 + lyapunov._LIP_RTOL))
     assert search._steps is None
-    assert lip == chordal_lipschitz_bound(prim.lift, prim.res, cofactors)
+    assert lip == LipschitzSearch(prim.lift, prim.res, cofactors).bound()
 
 
 def test_pack_round_trips():
