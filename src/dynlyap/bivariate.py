@@ -49,6 +49,7 @@ of L it shares with its denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, count, islice
 from math import gcd as _gcd, prod
 
@@ -176,21 +177,19 @@ class _ZtQuotient:
         self.h_rows, h_c, h_e = self.normal(inv_rows[: prec - 1], inv_c, inv_e)
         self.red_c, self.red_e = h_c * c_phi, h_e + e_phi
         self.red_kappa = [[self.red_c * x for x in self.lpow(self.red_e)]]
-        self._traces = None
 
+    @cached_property
     def traces(self):
         """Tr(z^i) for i < 2 deg - 1.  rev(phi) times their series is
         rev(phi'), of degree < deg, so the traces of z^deg .. z^(2 deg - 2)
         are -1 / rev(phi) times rows deg .. 2 deg - 2 of rev(phi) unit_form."""
-        if self._traces is None:
-            deg = self.deg
-            low, c_low, e_low = self.unit_form
-            mid = _bi_dot([(self.phi_rev, low)], deg, deg - 1)
-            high = _bi_dot([(self.h_rows, mid)], 0, deg - 1)
-            low = _bi_dot([(low, self.red_kappa)], 0, deg)
-            self._traces = self.normal(low + [[-x for x in r] for r in high],
-                                       self.red_c * c_low, self.red_e + e_low)
-        return self._traces
+        deg = self.deg
+        low, c_low, e_low = self.unit_form
+        mid = _bi_dot([(self.phi_rev, low)], deg, deg - 1)
+        high = _bi_dot([(self.h_rows, mid)], 0, deg - 1)
+        low = _bi_dot([(low, self.red_kappa)], 0, deg)
+        return self.normal(low + [[-x for x in r] for r in high],
+                           self.red_c * c_low, self.red_e + e_low)
 
     def lpow(self, k: int) -> list:
         pows = self._lpows
@@ -264,7 +263,7 @@ class _ZtQuotient:
         rows, c, e = u
         deg = self.deg
         rev_u = [[]] * (deg - len(rows)) + rows[::-1]
-        t_rows, t_c, t_e = self.traces()
+        t_rows, t_c, t_e = self.traces
         return self.normal(_bi_dot([(rev_u, t_rows)], deg - 1, deg), c * t_c, e + t_e)
 
     def dot(self, form, u):

@@ -20,6 +20,7 @@ residues, ascending.  The module holds
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from operator import mul as _mul
 
@@ -55,10 +56,12 @@ class Quotient:
     remainders come from Barrett's method: for c of length deg + m, the
     reversed quotient is rev(c)_(<m) * rev(phi)^(-1) mod z^m, with the
     inverse series computed once by Newton iteration.  ``traces`` holds
-    Tr(z^i), i < 2 deg - 1: rev(phi) times their series is rev(phi'), of
-    degree < deg, so the first deg are rev(phi') / rev(phi) mod z^deg and
-    the next deg - 1 are -1 / rev(phi) times the coefficients deg ..
-    2 deg - 2 of rev(phi) times the first deg (``bivariate._ZtQuotient.traces``).
+    Tr(z^i), i < 2 deg - 1, formed on first use like ``unit_form``, since
+    a ring that only divides needs neither: rev(phi) times their series is
+    rev(phi'), of degree < deg, so the first deg are rev(phi') / rev(phi)
+    mod z^deg and the next deg - 1 are -1 / rev(phi) times the coefficients
+    deg .. 2 deg - 2 of rev(phi) times the first deg
+    (``bivariate._ZtQuotient.traces``).
 
     Precision and slot width.  ``reduce`` takes inputs of up to max_len
     residues, and products of two reduced elements have 2 deg - 1, so the
@@ -77,15 +80,26 @@ class Quotient:
         self.phi_low = self.pack(phi[:deg])
         self.inv = self._series_inverse(phi[::-1], max(max_len - deg, deg))
         self._inv_packed = {}
-        dphi = [i * c % p for i, c in enumerate(phi)][1:]
-        low = self.digits(self.pack(dphi[::-1]) * self.pack(self.inv[:deg]), deg)
-        mid = self.digits((self.pack(phi[::-1]) * self.pack(low)) >> (8 * self.width * deg),
+        self.one = [1]
+
+    @cached_property
+    def unit_form(self) -> list:
+        """Tr(z^i), i < deg: rev(phi') / rev(phi) mod z^deg."""
+        p, deg = self.p, self.deg
+        dphi = [i * c % p for i, c in enumerate(self.phi)][1:]
+        return self.digits(self.pack(dphi[::-1]) * self.pack(self.inv[:deg]), deg)
+
+    @cached_property
+    def traces(self) -> list:
+        low, deg = self.unit_form, self.deg
+        mid = self.digits((self.pack(self.phi[::-1]) * self.pack(low)) >> (8 * self.width * deg),
                           deg - 1)
         high = self.digits(self.pack(self.inv[: deg - 1]) * self.pack(mid), deg - 1)
-        self.traces = low + [(-x) % p for x in high]
-        self._traces_packed = self.pack(self.traces)
-        self.one = [1]
-        self.unit_form = low
+        return low + [(-x) % self.p for x in high]
+
+    @cached_property
+    def _traces_packed(self) -> int:
+        return self.pack(self.traces)
 
     def pack(self, coeffs: list) -> int:
         return _pack(coeffs, self.width)

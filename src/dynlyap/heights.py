@@ -118,13 +118,8 @@ def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
     if res_val == 0:
         return LocalLogValue.exact(corr, base if corr else None)
     sup_t = float(res_val)  # sup |T_Fmin| <= |log|Res||_v in log-pi units
-    # iterations for the telescoping bound sup_t/(d^N (d-1)) <= tol
     unit_log = math.log(v.p) if v.kind == "prime" else 1.0
-    n_steps = 1
-    while sup_t * unit_log / (d**n_steps * (d - 1)) > tol:
-        n_steps += 1
-        if n_steps > 4000:
-            raise ResourceLimit("green tolerance unreachable")
+    n_steps = _green_steps(sup_t * unit_log, d, tol, 4000, "green")
     va = [v.valuation(c) if c else None for c in fmin.a]
     vb = [v.valuation(c) if c else None for c in fmin.b]
     x, y = pt
@@ -201,11 +196,7 @@ def _map_sup_t_bound(fmap: RationalMap) -> float:
 def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
     """g_F at the archimedean place; sup_t bounds sup |T_F| (``_arch_sup_t_bound``)."""
     d = lift.d
-    n_steps = 1
-    while sup_t / (d**n_steps * (d - 1)) > tol:
-        n_steps += 1
-        if n_steps > 500:
-            raise ResourceLimit("archimedean green tolerance unreachable")
+    n_steps = _green_steps(sup_t, d, tol, 500, "archimedean green")
     a = [_to_complex(c) for c in lift.a]
     b = [_to_complex(c) for c in lift.b]
     x, y = _to_complex(pt[0]), _to_complex(pt[1])
@@ -220,6 +211,22 @@ def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
         x, y = fx / norm, fy / norm
     err = sup_t / (d**n_steps * (d - 1)) + 5e-14 * (n_steps + 1)
     return LocalLogValue.from_float(total, err)
+
+
+def _green_steps(sup_t: float, d: int, tol: float, cap: int, what: str) -> int:
+    """The least N >= 1 with sup_t / (d^N (d - 1)) <= tol, the telescoping
+    bound on the tail of a Green function's series.  A tol that is not > 0
+    is a ValueError; past ``cap`` steps, or once d^N leaves the float range
+    (d = 2 near N = 1024), the tolerance is unreachable."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    for n_steps in range(1, cap + 1):
+        try:
+            if not sup_t / (d**n_steps * (d - 1)) > tol:
+                return n_steps
+        except OverflowError:
+            break
+    raise ResourceLimit(f"{what} tolerance unreachable")
 
 
 def _eval_form(coeffs, x, y, d):

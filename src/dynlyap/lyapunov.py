@@ -23,8 +23,8 @@ from typing import Optional
 from .algebra import period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
 from .heights import _arch_green, _map_sup_t_bound, _to_complex
-from .maps import HomLift, RationalMap, abs_resultant, critical_divisor
-from .multipliers import cycle_polynomial
+from .maps import BASE_Q, HomLift, RationalMap, abs_resultant, critical_divisor
+from .multipliers import _arch_lipschitz, cycle_polynomial
 from .places import Place, LocalLogValue, local_abs, log_max
 from .roots import aberth_roots
 
@@ -133,66 +133,28 @@ def lyapunov_nonarch_sequence(fmap: RationalMap, v: Place, n_max: int) -> list[L
 
 
 def lipschitz_data(fmap: RationalMap, v: Place) -> LipschitzData:
-    """log M_1(f): 1/|Res(f)|_v at finite places, sup of the chordal
-    derivative at the archimedean one."""
+    """log M_1(f): 1/|Res(f)|_v at finite places; at the archimedean one,
+    log sup f^# over P^1(C), enclosed by the map's certified search
+    (``_sup_chordal_derivative``)."""
     if not v.is_archimedean():
         return LipschitzData(v, -abs_resultant(fmap, v))
     sup, err = _sup_chordal_derivative(fmap)
     return LipschitzData(v, LocalLogValue.from_float(math.log(sup), err / sup + 1e-12))
 
 
-def _sup_chordal_derivative(fmap: RationalMap, grid: int = 384):
-    """Numeric sup of f^# over P^1(C) on a chordal grid with refinement."""
-    d = fmap.d
-    a = [_to_complex(c) for c in fmap.lift.a]
-    b = [_to_complex(c) for c in fmap.lift.b]
-
-    def fsharp(x, y):
-        # |det DF(p)| / (|d| ||F(p)||^2) * ||p||^2, on representatives
-        da0 = sum((d - j) * a[j] * x ** (d - j - 1) * y**j for j in range(d))
-        da1 = sum(j * a[j] * x ** (d - j) * y ** (j - 1) for j in range(1, d + 1))
-        db0 = sum((d - j) * b[j] * x ** (d - j - 1) * y**j for j in range(d))
-        db1 = sum(j * b[j] * x ** (d - j) * y ** (j - 1) for j in range(1, d + 1))
-        det = da0 * db1 - da1 * db0
-        f0 = sum(a[j] * x ** (d - j) * y**j for j in range(d + 1))
-        f1 = sum(b[j] * x ** (d - j) * y**j for j in range(d + 1))
-        np2 = abs(x) ** 2 + abs(y) ** 2
-        nf2 = abs(f0) ** 2 + abs(f1) ** 2
-        if nf2 == 0:
-            return 0.0
-        return abs(det) * np2 / (d * nf2)
-
-    def at(phi, theta):
-        x = math.cos(phi) * complex(math.cos(theta), math.sin(theta))
-        return fsharp(x, math.sin(phi))
-
-    best = 0.0
-    best_par = (0.0, 0.0)
-    for i in range(grid + 1):
-        phi = math.pi / 2 * i / grid
-        for k in range(grid):
-            theta = 2 * math.pi * k / grid
-            val = at(phi, theta)
-            if val > best:
-                best = val
-                best_par = (phi, theta)
-    phi, theta = best_par
-    step = math.pi / grid
-    for _ in range(60):
-        improved = False
-        for dphi in (-step, 0.0, step):
-            for dtheta in (-step, 0.0, step):
-                cand = at(phi + dphi, theta + dtheta)
-                if cand > best:
-                    best = cand
-                    phi, theta = phi + dphi, theta + dtheta
-                    improved = True
-        if not improved:
-            step /= 2
-            if step < 1e-10:
-                break
-    err = best * (2.0 * math.pi / grid) * (d + 1)  # heuristic mesh allowance
-    return best, err
+def _sup_chordal_derivative(fmap: RationalMap):
+    """(best, upper - floor) for sup f^# over P^1(C), from the map's own
+    search (``multipliers._arch_lipschitz``) run to its stop: best is the
+    largest centre value, upper the certified bound and floor a rigorous
+    lower bound of f^# at best's centre, so floor <= sup f^# <= upper."""
+    if fmap.base != BASE_Q:
+        raise ValueError("the archimedean Lipschitz constant needs a map over Q")
+    search = _arch_lipschitz(fmap)
+    upper = search.bound()
+    if search.best_at is None:
+        raise ResourceLimit("coefficient range too wide for a certified sup of f^# "
+                            f"(more than {_LIP_RANGE_BITS} bits)")
+    return search.best, float(upper) - search.floor()
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +183,14 @@ class LipschitzSearch:
     ``upper`` starts at the exact ``_bezout_lipschitz_bound`` and is capped
     by it.  A branch and bound over boxes covering the two charts (z, 1) and
     (1, w), |z|, |w| <= 1, lowers it box by box (``_branch_and_bound_sup``);
-    ``best`` is the largest value of f^# seen at a box centre, below which
-    no certified bound can fall (up to the rounding of one float
-    evaluation).  On a box, |g| for g = det DF / d, F0, F1 is enclosed
-    by the Taylor expansion at the centre c over the disc of radius r
-    through the corners: |g(c)| +- sum_k |g_k(c)| r^k.  Each float step is
-    covered by _LIP_ROUND times the same sums taken over |coefficients|,
-    which bound every rounding error in the Taylor coefficients with a wide
-    margin.  Coefficients are converted from the primitive integer lift
+    ``best`` is the largest value of f^# seen at a box centre and
+    ``best_at`` its (chart, centre); no certified bound can fall below
+    ``floor()``, that value less its rounding allowance.  On a box, |g| for
+    g = det DF / d, F0, F1 is enclosed by the Taylor expansion at the centre
+    c over the disc of radius r through the corners: |g(c)| +- sum_k
+    |g_k(c)| r^k.  Each float step is covered by _LIP_ROUND times the same
+    sums taken over |coefficients|, which bound every rounding error in the
+    Taylor coefficients with a wide margin.  Coefficients are converted from the primitive integer lift
     scaled by a power of 2; when their range does not fit floats the Bezout
     bound stands alone.
     """
@@ -236,6 +198,7 @@ class LipschitzSearch:
     def __init__(self, lift: HomLift, res, cofactors):
         self.upper = self._cap = _bezout_lipschitz_bound(lift, res, cofactors)
         self.best = 0.0
+        self.best_at = None
         self._steps = None
         d = lift.d
         ints = [c.numerator for c in lift.a + lift.b]
@@ -249,8 +212,8 @@ class LipschitzSearch:
             return
         s1, s2 = 1 << e, d << (2 * e)
         fz = ([c / s2 for c in jac], [c / s1 for c in f0], [c / s1 for c in f1])
-        charts = (fz, tuple(g[::-1] for g in fz))  # (z, 1) and (1, w) = (1/z, 1) * w^deg
-        self._steps = _branch_and_bound_sup(charts)
+        self._charts = (fz, tuple(g[::-1] for g in fz))  # (z, 1) and (1, w) = (1/z, 1) * w^deg
+        self._steps = _branch_and_bound_sup(self._charts)
 
     def bound(self, enough=None) -> Fraction:
         """The certified ``upper`` once ``enough(upper, best)`` holds, or
@@ -258,11 +221,21 @@ class LipschitzSearch:
         ``enough``, the bound of a full run.  The search resumes from its
         boxes, so no box is evaluated twice."""
         while self._steps is not None and not (enough and enough(self.upper, self.best)):
-            upper, self.best, last = next(self._steps)
+            upper, self.best, self.best_at, last = next(self._steps)
             self.upper = min(Fraction(upper), self._cap) if math.isfinite(upper) else self._cap
             if last:
                 self._steps = None  # the search has stopped: drop its boxes
         return self.upper
+
+    def floor(self) -> float:
+        """A rigorous lower bound of f^# at best's centre c: f^#(c) with
+        |det DF(c)| lowered and |F0(c)|, |F1(c)| raised by their own rounding
+        allowances (``_disc_bounds`` at r = 0), and the last float steps
+        covered by _LIP_ROUND, as in ``_box_bound``."""
+        ci, c = self.best_at
+        jac, f0, f1 = (_disc_bounds(g, c, 0.0) for g in self._charts[ci])
+        at_c = f0[0] ** 2 + f1[0] ** 2
+        return max(jac[1], 0.0) * (1.0 + abs(c) ** 2) / at_c * (1 - _LIP_ROUND)
 
 
 def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
@@ -284,15 +257,17 @@ def _branch_and_bound_sup(charts):
     """Upper bounds on the sup of f^# over the charts' unit discs.
 
     After each expansion of the box with the largest bound it yields
-    (upper, best, last): upper, the larger of that bound and the settled
-    ones, bounds the sup; best is the largest value seen at a box centre;
-    last is set on the final pair.  It stops when the largest bound is
-    within _LIP_RTOL of best or past _LIP_MAX_BOXES boxes.  A box whose bound is already within _LIP_RTOL of
+    (upper, best, best_at, last): upper, the larger of that bound and the
+    settled ones, bounds the sup; best is the largest value seen at a box
+    centre and best_at its (chart, centre); last is set on the final one.
+    It stops when the largest bound is within _LIP_RTOL of best or past
+    _LIP_MAX_BOXES boxes.  A box whose bound is already within _LIP_RTOL of
     best is settled: only its bound is kept, since best never falls.
     """
     heap = []
     tick = 0
     best = settled = 0.0
+    best_at = None
     todo = [(ci, cx, cy, 0.25) for ci in (0, 1) for cx in (-0.75, -0.25, 0.25, 0.75)
             for cy in (-0.75, -0.25, 0.25, 0.75)]
     boxes = 0
@@ -303,7 +278,8 @@ def _branch_and_bound_sup(charts):
             if abs(c) - r > 1.0 + 1e-9:
                 continue  # every point has |z| > 1, so lies in the other chart's disc
             ub, val = _box_bound(charts[ci], c, r)
-            best = max(best, val)
+            if val > best:
+                best, best_at = val, (ci, c)
             if ub <= best * (1 + _LIP_RTOL):
                 settled = max(settled, ub)
             else:
@@ -312,7 +288,7 @@ def _branch_and_bound_sup(charts):
         boxes += len(todo)
         top = -heap[0][0] if heap else 0.0
         last = not heap or top <= best * (1 + _LIP_RTOL) or boxes >= _LIP_MAX_BOXES
-        yield max(top, settled), best, last
+        yield max(top, settled), best, best_at, last
         if last:
             return
         _, _, ci, cx, cy, h = heapq.heappop(heap)

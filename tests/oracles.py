@@ -1,5 +1,6 @@
 """Slow exact reference paths that the fast engines are tested against."""
 
+import math
 from fractions import Fraction
 
 from dynlyap.algebra import (
@@ -20,7 +21,7 @@ from dynlyap.analysis import (
     _classify,
 )
 from dynlyap.errors import IrrationalCriticalPoint, NonExactDivision
-from dynlyap.heights import critical_height_direct, map_height, naive_height
+from dynlyap.heights import _to_complex, critical_height_direct, map_height, naive_height
 from dynlyap.maps import HomLift
 from dynlyap.multipliers import (
     fixstar_multiplier_charpoly,
@@ -226,3 +227,59 @@ def L_n_local_finite(fmap, n: int, log_r, v):
         if s:
             terms.append(local_abs(s, v) + log_r.scaled(d_n - j))
     return log_max(terms).scaled(Fraction(1, n * d_n))
+
+
+def sup_chordal_grid(fmap, grid: int):
+    """Numeric sup of f^# over P^1(C) on a chordal grid with refinement:
+    a lower bound of the sup with a heuristic mesh allowance, the reference
+    for ``lyapunov.LipschitzSearch``."""
+    d = fmap.d
+    a = [_to_complex(c) for c in fmap.lift.a]
+    b = [_to_complex(c) for c in fmap.lift.b]
+
+    def fsharp(x, y):
+        # |det DF(p)| / (|d| ||F(p)||^2) * ||p||^2, on representatives
+        da0 = sum((d - j) * a[j] * x ** (d - j - 1) * y**j for j in range(d))
+        da1 = sum(j * a[j] * x ** (d - j) * y ** (j - 1) for j in range(1, d + 1))
+        db0 = sum((d - j) * b[j] * x ** (d - j - 1) * y**j for j in range(d))
+        db1 = sum(j * b[j] * x ** (d - j) * y ** (j - 1) for j in range(1, d + 1))
+        det = da0 * db1 - da1 * db0
+        f0 = sum(a[j] * x ** (d - j) * y**j for j in range(d + 1))
+        f1 = sum(b[j] * x ** (d - j) * y**j for j in range(d + 1))
+        np2 = abs(x) ** 2 + abs(y) ** 2
+        nf2 = abs(f0) ** 2 + abs(f1) ** 2
+        if nf2 == 0:
+            return 0.0
+        return abs(det) * np2 / (d * nf2)
+
+    def at(phi, theta):
+        x = math.cos(phi) * complex(math.cos(theta), math.sin(theta))
+        return fsharp(x, math.sin(phi))
+
+    best = 0.0
+    best_par = (0.0, 0.0)
+    for i in range(grid + 1):
+        phi = math.pi / 2 * i / grid
+        for k in range(grid):
+            theta = 2 * math.pi * k / grid
+            val = at(phi, theta)
+            if val > best:
+                best = val
+                best_par = (phi, theta)
+    phi, theta = best_par
+    step = math.pi / grid
+    for _ in range(60):
+        improved = False
+        for dphi in (-step, 0.0, step):
+            for dtheta in (-step, 0.0, step):
+                cand = at(phi + dphi, theta + dtheta)
+                if cand > best:
+                    best = cand
+                    phi, theta = phi + dphi, theta + dtheta
+                    improved = True
+        if not improved:
+            step /= 2
+            if step < 1e-10:
+                break
+    err = best * (2.0 * math.pi / grid) * (d + 1)  # heuristic mesh allowance
+    return best, err

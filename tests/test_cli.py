@@ -244,6 +244,7 @@ class TestBudgetEnv:
 
 
 HALF = '{"d":2,"a":["1","0","1/2"],"b":["0","0","1"]}'  # z^2 + 1/2 over Q
+QUINTIC = '{"d":5,"a":["1","0","0","0","1","1/2"],"b":["0","0","0","0","0","1"]}'  # z^5+z+1/2
 
 
 class TestDomainErrors:
@@ -263,15 +264,31 @@ class TestDomainErrors:
         ("lyapunov Q --place arch --r 2", 2),
         ("lyapunov Q --place arch --r 0", 2),
         ("lyapunov Q --place arch --r=-1/2", 2),
+        # a Green tolerance must be > 0; one whose step count d^N passes the
+        # float range is unreachable
+        ("canonical-height Q --point 1/3 --tol 0", 2),
+        ("canonical-height Q --point 1/3 --tol -1", 2),
+        ("canonical-height Q --point 1/3 --tol nan", 2),
+        ("crit-height Q --tol 0", 2),
+        ("crit-height Q --tol -1", 2),
+        ("lyapunov Q --place arch --tol 0", 2),
+        ("lyapunov Q --place arch --tol nan", 2),
+        ("lyapunov Q5 --place arch --n-max 1 --tol 0", 2),
+        ("canonical-height Q --point 1/3 --tol 1e-320", 3),
+        ("crit-height Q --tol 1e-320", 3),
+        ("lyapunov Q --place arch --tol 1e-320", 3),
+        ("lyapunov Q5 --place arch --n-max 1 --tol 1e-320", 3),
         # no bound is read off a last term here: an empty sequence is a report
         ("crit-height Q --n-max 0", 0),
         ("lyapunov Q --place arch --n-max 0", 0),
     ])
     def test_exit_code(self, cmd, code):
         sub, base, *rest = cmd.split()
-        rep = run_json([sub, "--map", {"Q": HALF, "QT": ZT}[base], *rest], expect=code)
-        if code == 2:
-            assert rep["error"]["kind"] == "input" and rep["error"]["message"]
+        rep = run_json([sub, "--map", {"Q": HALF, "Q5": QUINTIC, "QT": ZT}[base], *rest],
+                       expect=code)
+        if code:
+            kind = {2: "input", 3: "resource_limit"}[code]
+            assert rep["error"]["kind"] == kind and rep["error"]["message"]
         else:
             assert "error" not in rep
 

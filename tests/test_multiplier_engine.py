@@ -9,12 +9,12 @@ import pytest
 
 from dynlyap import bivariate, fp, heights, lyapunov, multipliers
 from dynlyap.algebra import Poly, RatFunc, _int_mul, _pack, _unpack, _unpack_signed, period_count
-from dynlyap.errors import DegenerateMap
+from dynlyap.errors import DegenerateMap, ResourceLimit
 from dynlyap.fp import engine_prime
 from dynlyap.lyapunov import (
     LipschitzSearch,
     _bezout_lipschitz_bound,
-    _sup_chordal_derivative,
+    lipschitz_data,
 )
 from dynlyap.maps import BASE_Q, new_map, primitive_lift
 from dynlyap.multipliers import (
@@ -22,9 +22,11 @@ from dynlyap.multipliers import (
     _modular_power_sums,
     _power_sums_mod_p,
     _reduced_resultant,
+    cycle_polynomial,
     dynatomic_divisor,
 )
-from oracles import field_mod_div, field_power_sums
+from dynlyap.places import Place
+from oracles import field_mod_div, field_power_sums, sup_chordal_grid
 
 
 def poly_map(*coeffs_desc):
@@ -160,7 +162,7 @@ def test_engine_bounds_are_certified(label, fmap, periods, monkeypatch):
     lazy = fresh(fmap)
     for n in periods:
         engine_sums(lazy, n)
-    grid, _ = _sup_chordal_derivative(lazy, grid=96)
+    grid, _ = sup_chordal_grid(lazy, 96)
     assert bounds
     for (search, *_), lip in bounds:
         assert grid <= lip * (1 + 1e-12), label
@@ -298,7 +300,7 @@ def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
     prim = primitive_lift(fmap)
     cofactors = heights._bezout_cofactors(prim.lift, prim.res)
     lip = LipschitzSearch(prim.lift, prim.res, cofactors).bound()
-    grid, _ = _sup_chordal_derivative(fmap, grid=96)
+    grid, _ = sup_chordal_grid(fmap, 96)
     assert grid <= lip * (1 + 1e-12)
     assert lip <= _bezout_lipschitz_bound(prim.lift, prim.res, cofactors)
 
@@ -314,6 +316,72 @@ def test_lipschitz_closed_form_and_fallback():
     cofactors = heights._bezout_cofactors(huge.lift, huge.res)
     assert LipschitzSearch(huge.lift, huge.res, cofactors).bound() == _bezout_lipschitz_bound(
         huge.lift, huge.res, cofactors)
+
+
+def fsharp_squared(fmap, x):
+    """f^#(x)^2 = |F0' F1 - F0 F1'|^2 (1 + |x|^2)^2 / (|F0|^2 + |F1|^2)^2 at
+    x = (re, im), a Gaussian rational, exactly."""
+    def value(coeffs):  # ascending in z, by Horner
+        re = im = F(0)
+        for c in reversed(coeffs):
+            re, im = re * x[0] - im * x[1] + c, re * x[1] + im * x[0]
+        return re, im
+
+    f0, f1 = Poly(fmap.lift.a[::-1]), Poly(fmap.lift.b[::-1])
+    w = value((f0.derivative() * f1 - f0 * f1.derivative()).coeffs)
+    (a0, b0), (a1, b1) = value(f0.coeffs), value(f1.coeffs)
+    norm = a0 * a0 + b0 * b0 + a1 * a1 + b1 * b1
+    return (w[0] ** 2 + w[1] ** 2) * (1 + x[0] ** 2 + x[1] ** 2) ** 2 / norm**2
+
+
+def log_fsharp(fmap, x) -> float:
+    sq = fsharp_squared(fmap, x)
+    return (math.log(sq.numerator) - math.log(sq.denominator)) / 2
+
+
+# f = 3 10^30 z^2 + 3 peaks near i 10^-15, where f(z) is near 0, at about 6e15;
+# a 384-point grid put sup f^# at e^31.24 +- 0.05, below f^#(10^-15) = e^32.72
+WIDE = ("(10^30 z^2+1)/(1/3)", new_map(2, (10**30, 0, 1), (0, 0, F(1, 3))), ())
+ENCLOSURE_CASES = BOUND_CASES + [WIDE]
+
+
+@pytest.mark.parametrize("label,fmap,periods", ENCLOSURE_CASES,
+                         ids=[c[0] for c in ENCLOSURE_CASES])
+def test_lipschitz_data_encloses_the_sup(label, fmap, periods):
+    fmap = fresh(fmap)
+    value, err = lipschitz_data(fmap, Place.arch()).log_m1.to_float()
+    lo, hi = value - err, value + err
+    # the enclosure spans the certified [floor, upper] of the map's own search
+    search = _arch_lipschitz(fmap)
+    assert search.upper == search.bound()
+    assert lo <= math.log(search.floor()) and math.log(search.upper) <= hi, label
+    # f^# at best's centre, exactly: the floor is below it and the upper bound above
+    ci, c = search.best_at
+    x = (F(c.real), F(c.imag))
+    if ci:  # the chart (1, w): the point is z = 1/w
+        x = (x[0] / (x[0] ** 2 + x[1] ** 2), -x[1] / (x[0] ** 2 + x[1] ** 2))
+    at_c = fsharp_squared(fmap, x)
+    assert F(search.floor()) ** 2 <= at_c <= search.upper**2, label
+    # every value of f^# lies below the sup
+    for point in ((F(1, 10**15), F(0)), (F(1, 2), F(-1, 3))):
+        assert log_fsharp(fmap, point) <= hi, (label, point)
+    grid, _ = sup_chordal_grid(fmap, 96)
+    assert math.log(grid) <= hi, label
+    if label != WIDE[0]:  # the grid never sees WIDE's peak
+        assert lo <= math.log(grid), label
+    # the engine's lazy search, resumed, stops where a fresh full one does
+    warm = fresh(fmap)
+    cycle_polynomial(warm, 4)
+    assert lipschitz_data(warm, Place.arch()) == lipschitz_data(fmap, Place.arch()), label
+
+
+def test_lipschitz_data_domain():
+    t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+    with pytest.raises(ValueError):
+        lipschitz_data(new_map(2, (one, zero, t), (zero, zero, one)), Place.arch())
+    # a coefficient range the search cannot take into floats
+    with pytest.raises(ResourceLimit):
+        lipschitz_data(poly_map(1, 0, 10**400), Place.arch())
 
 
 def test_finished_search_keeps_no_boxes():
