@@ -19,13 +19,14 @@ runs on such rows from start to end:
 * the traces.  For f^n = num / den, both engines take the multiplier as
   lambda = (num' - z den') / den, which holds modulo Phi*_n because
   Phi*_n divides num - z den, with the numerator from
-  ``lambda_numerator``.  ``_ratfunc_power_sums`` takes Phi*_n and the rows
-  of G^(n) straight into the quotient ring ``_ZtQuotient``; over Q the
-  modular engine (``multipliers._modular_power_sums``) reads the same
-  rows.  When den is not constant in z, ``_row_mod_div`` forms lambda
-  from F_p images at points t0, Cauchy interpolation, rational number
-  reconstruction and an exact check in the ring, with the F_p arithmetic
-  of ``fp``;
+  ``lambda_numerator``.  Over Q the modular engine
+  (``multipliers._modular_power_sums``) reads these rows, and over Q(t)
+  ``_ratfunc_power_sums`` takes them into one quotient ring
+  ``_ZtQuotient`` per spectrum (``_trace_ring``).  When den is not
+  constant in z, ``_row_mod_div`` forms lambda from its images at points
+  t0, each the one F_p image of both engines (``multipliers._mod_div``),
+  by Cauchy interpolation, rational number reconstruction and an exact
+  check in that ring;
 * Newton's identities.  ``_monic_from_power_sums`` turns the power sums
   into p_{d,n} on integer rows over one denominator, and ``_poly_power``
   forms q_n = p_{d,n}^n, over Q as over Q(t).
@@ -531,59 +532,53 @@ def _power_cofactor(p: list, L: list):
     return [sign * x for x in cof], c, e
 
 
-def _trace_ring(phi: list, extra: list, max_len: int):
-    """(ring, (cof, c, e)): the ring _ZtQuotient modulo the monic Phi*_n,
-    for phi its primitive rows, whose L is the radical of the leading row
-    of phi times the extra denominator, and 1 / extra = cof / (c L^e)."""
-    L = _radical_base([Poly.from_ints(phi[-1]), Poly.from_ints(extra)])
+def _trace_ring(phi: list, rows: list, den: list, max_len: int):
+    """(ring, rows / den): the ring _ZtQuotient modulo the monic Phi*_n, for
+    phi its primitive rows, whose L is the radical of the leading row of phi
+    times den and which reduces inputs of up to max_len rows, and the element
+    rows / den of it, for rows in Z[t][z] and den in Z[t]."""
+    L = _radical_base([Poly.from_ints(phi[-1]), Poly.from_ints(den)])
     cof, c, e = _power_cofactor(phi[-1], L)
     ring = _ZtQuotient(([_int_mul(r, cof) for r in phi], c, e), L, max_len)
-    return ring, _power_cofactor(extra, L)
+    cof, c, e = _power_cofactor(den, L)
+    return ring, ring.reduce(rows if cof == [1] else _mul_rows([cof], rows), c, e)
 
 
 # ---------------------------------------------------------------------------
-# lambda = a / b from F_p images
+# lambda = u / den from F_p images
 # ---------------------------------------------------------------------------
 
 _START_POINTS = 8   # evaluation points per prime in the first round
 
 
 class _Images:
-    """lambda(t0) = a(t0) / b(t0) in F_p[z]/(Phi*_n(t0)) at the points
-    t0 = 1, 2, ... where the leading row of Phi*_n, the denominators of a
-    and b and b(t0) itself are units mod p, for the monic Phi*_n = phi /
-    phi[-1], a = (rows, c, e) and b as elements of ``ring``."""
+    """lambda(t0) = u(t0) / den(t0) in F_p[z]/(Phi*_n(t0)) at the points
+    t0 = 1, 2, ... where the leading row of Phi*_n and den(t0) are units mod
+    p, for phi the primitive rows of Phi*_n and u, den rows of Z[t][z]; each
+    image is the one lambda image of both engines (``multipliers._mod_div``)."""
 
-    def __init__(self, ring, phi: list, a, b, p: int):
+    def __init__(self, phi: list, u: list, den: list, p: int):
         self.p = p
-        self.phi = [[x % p for x in r] for r in phi]
-        self.a = [[x % p for x in r] for r in a[0]]
-        self.b = [[x % p for x in r] for r in b[0]]
-        self.L = [x % p for x in ring.L]
-        self.scale, self.e = b[1] * pow(a[1], -1, p) % p, b[2] - a[2]
+        self.phi, self.u, self.den = ([[x % p for x in r] for r in rows] for rows in (phi, u, den))
         self.xs, self.values = [], []
         self.next, self.skips = 1, 0
 
     def take(self, points: int):
         """(xs, values) at the first good points."""
         p = self.p
+        deg = len(self.phi) - 1
         while len(self.xs) < points:
             x = self.next
             self.next += 1
-            lx = fp.horner(self.L, x, p)
-            phi = [fp.horner(r, x, p) for r in self.phi]
-            lam = None
-            if lx and phi[-1]:
-                inv_lc = pow(phi[-1], -1, p)
-                ring = fp.Quotient([c * inv_lc % p for c in phi], p, 0)
-                lam = multipliers._mod_div([fp.horner(r, x, p) for r in self.a],
-                                           [fp.horner(r, x, p) for r in self.b], ring)
-            if lam is None:
+            phi, u, den = ([fp.horner(r, x, p) for r in part]
+                           for part in (self.phi, self.u, self.den))
+            out = phi[-1] and multipliers._mod_div(phi, u, den, p)
+            if not out:
                 self.skips = multipliers._count_non_unit(self.skips)
                 continue
-            s = self.scale * pow(lx, self.e, p) % p
+            lam = out[1]
             self.xs.append(x)
-            self.values.append([c * s % p for c in lam] + [0] * (len(phi) - 1 - len(lam)))
+            self.values.append(lam + [0] * (deg - len(lam)))
         return self.xs[:points], self.values[:points]
 
     def reconstruct(self, points: int):
@@ -619,18 +614,19 @@ class _Images:
         return delta, nums
 
 
-def _row_mod_div(ring, phi: list, a, b):
-    """lambda = a / b in Q(t)[z]/(Phi*_n) as (rows, den), lambda_i =
-    rows[i] / den with den the lcm of the denominators of the lambda_i in
-    lowest terms, for a and b = (rows, c, e) elements of ``ring`` (modulo
-    the monic Phi*_n = phi / phi[-1]) and b a unit.
+def _row_mod_div(phi: list, u: list, den: list):
+    """(ring, lambda) for lambda = u / den in Q(t)[z]/(Phi*_n), phi the
+    primitive rows of Phi*_n and u, den rows of Z[t][z] with den a unit:
+    lambda is the element rows / lam_den of ``ring``, the trace ring of
+    ``_trace_ring(phi, rows, lam_den, max(len(u), len(den)))``, with lam_den
+    the lcm of the denominators of the lambda_i in lowest terms.
 
     The images of lambda at points t0 mod engine primes p
     (``fp.engine_prime``) are interpolated to fractions over one
     monic den per prime (Cauchy interpolation, ``_Images.reconstruct``);
     the coefficients are lifted from the CRT of the primes that agree on
     the degrees to Q by rational reconstruction and cleared to integers.
-    The result is kept only when lam b = den a holds exactly in the ring,
+    The result is kept only when lambda den = u holds exactly in its ring,
     so it is exact by construction.  A failed reconstruction or check
     doubles the points, unless doubling them last time left the images
     unchanged: then the modulus is too small and a prime is added.  Past
@@ -638,24 +634,25 @@ def _row_mod_div(ring, phi: list, a, b):
     points stop doubling and primes stop being added, and the division
     raises NonExactDivision.
     """
-    if not a[0]:
-        return [], [1]
-    bad = a[1] * b[1] * _int_content(phi[-1])
+    bad = _int_content(phi[-1])
     primes = (p for p in map(fp.engine_prime, count()) if bad % p)
-    images = [_Images(ring, phi, a, b, next(primes))]
+    images = [_Images(phi, u, den, next(primes))]
     points, last = _START_POINTS, None
-    max_points, max_modulus = _division_caps(ring, phi, a, b)
+    max_points, max_modulus = _division_caps(phi, u, den)
     while True:
         recons = [im.reconstruct(points) for im in images]
         if None not in recons:
             shapes = [[len(delta)] + [len(c) for c in nums] for delta, nums in recons]
             used = [(im.p, r) for im, r, s in zip(images, recons, shapes) if s == max(shapes)]
             lifted = _lift_fractions(used)
-            if lifted is not None and _exact_check(ring, *lifted, a, b):
-                return lifted
+            if lifted is not None:
+                rows, lam_den = lifted
+                ring, lam = _trace_ring(phi, rows, lam_den, max(len(u), len(den)))
+                if _exact_check(ring, lam, u, den):
+                    return ring, lam
             # more points changed nothing: the modulus is short
             if recons[0] == last and prod(p for p, _ in used) <= max_modulus:
-                images.append(_Images(ring, phi, a, b, next(primes)))
+                images.append(_Images(phi, u, den, next(primes)))
                 continue
             last = recons[0]
         if points >= max_points:
@@ -664,44 +661,40 @@ def _row_mod_div(ring, phi: list, a, b):
     raise NonExactDivision("no exact quotient within the Cramer bounds of the row division")
 
 
-def _division_caps(ring, phi: list, a, b):
+def _division_caps(phi: list, u: list, den: list):
     """(points, modulus) past which ``_row_mod_div`` cannot succeed.
 
-    Write a = A / (c_a L^e_a) and b = B / (c_b L^e_b).  lambda = a / b
-    solves B lam' - phi q = A in Z[t][z] for lam' = lam c_a L^e_a / (c_b
-    L^e_b) of z-degree < deg phi and q of z-degree < deg_z B: a square
-    system of N = deg phi + deg_z B equations whose entries are
-    coefficients of A, B and phi, of t-degree at most e and with l1 norms
-    summing to at most S = |A|_1 + |B|_1 + |phi|_1 in each row.  By
-    Cramer's rule each lambda_i is a ratio of integer polynomials of
-    t-degree at most D = N e + |e_b - e_a| deg L and l1 norm at most
-    K = c_a c_b |L|_1^|e_b - e_a| S^N.  Cauchy interpolation recovers a
-    ratio of degrees <= D from 2 D + 1 points, so the doubling from
-    _START_POINTS meets that count at some P and checks it at 2 P.  The
-    coefficients of the monic lcm of the denominators and of lambda times
-    it are ratios of coefficients of divisors of those polynomials, each
-    at most H = 2^D K by Mignotte's bound, which Wang's reconstruction
-    recovers modulo any M > 2 H^2.
+    lambda = u / den solves den lambda - phi q = u in Z[t][z] for lambda of
+    z-degree < deg phi and q of z-degree < N - deg phi, for
+    N = max(deg phi + deg_z den, deg_z u + 1): a square system of N
+    equations, one per power of z below N, and nonsingular, since a
+    solution of den lambda = phi q has phi | lambda, so lambda = 0.  Its
+    entries are coefficients of den and phi, of t-degree at most e, and
+    each column, with u in place of one of them, has an l1 norm of at most
+    S = |u|_1 + |den|_1 + |phi|_1.  By Cramer's rule each lambda_i is a
+    ratio of integer polynomials of t-degree at most D = N e and l1 norm at
+    most K = S^N.  Cauchy interpolation recovers a ratio of degrees <= D
+    from 2 D + 1 points, so the doubling from _START_POINTS meets that
+    count at some P and checks it at 2 P.  The coefficients of the monic
+    lcm of the denominators and of lambda times it are ratios of
+    coefficients of divisors of those polynomials, each at most H = 2^D K
+    by Mignotte's bound, which Wang's reconstruction recovers modulo any
+    M > 2 H^2.
     """
-    rows = [r for part in (a[0], b[0], phi) for r in part if r]
+    rows = [r for part in (u, den, phi) for r in part if r]
     e = max(len(r) for r in rows) - 1
-    n_eq = len(phi) - 1 + len(b[0]) - 1
-    shift = abs(b[2] - a[2])
-    degree = n_eq * e + shift * (len(ring.L) - 1)
+    n_eq = max(len(phi) - 1 + len(den) - 1, len(u))
+    degree = n_eq * e
     points = _START_POINTS
     while points < 2 * degree + 1:
         points *= 2
-    l1 = sum(abs(x) for r in rows for x in r)
-    height = a[1] * b[1] * sum(map(abs, ring.L)) ** shift * l1**n_eq << degree
+    height = sum(abs(x) for r in rows for x in r) ** n_eq << degree
     return 2 * points, 2 * height**2
 
 
-def _exact_check(ring, rows: list, den: list, a, b) -> bool:
-    """rows b == den a in the ring, both sides in normal form."""
-    rows = _trim(rows)
-    if not rows:
-        return False
-    return ring.mul((rows, 1, 0), b) == ring.normal(_mul_rows([den], a[0]), a[1], a[2])
+def _exact_check(ring, lam, u: list, den: list) -> bool:
+    """lambda den == u in the ring, both sides in normal form."""
+    return ring.mul(lam, ring.reduce(den, 1, 0)) == ring.reduce(u, 1, 0)
 
 
 def _lift_fractions(used):
@@ -737,37 +730,23 @@ def lambda_numerator(num: list, den: list) -> list:
 
 def _ratfunc_power_sums(fmap: RationalMap, n: int, phi: list, count: int) -> list:
     """Exact S_k = sum over the roots beta of Phi*_n of lambda(beta)^k,
-    k = 1..count, for a map over Q(t), in the integer ring _ZtQuotient.
+    k = 1..count, for a map over Q(t), in one integer ring _ZtQuotient.
 
     phi is Phi*_n as primitive rows, and f^n = num / den is read off the
-    rows of the iterated primitive lift (``lift_rows``).  lambda = u / (g D)
-    for the rows u of num' - z den' (``lambda_numerator``), with g = den
-    and D = 1 when den is constant in z, else with g the content of den in
-    Z[t] and D = den / g.  u / g is reduced mod phi in a ring whose L is the
-    radical of g times the leading row of Phi*_n, so that L covers the
-    poles of the monic Phi*_n and of u / g.  When D = 1 that is lambda.
-    Otherwise lambda = (u / g) / D is formed once on rows, over one
-    denominator in lowest terms (``multipliers._field_mod_div``,
-    ``_row_mod_div``), and the sums are taken in a ring whose L is the
-    radical of that denominator times the leading row of Phi*_n
-    (``_trace_ring`` builds both rings).  Each S_k becomes an element of
-    Q(t), with one normalization, only at the end.
+    rows of the iterated primitive lift (``lift_rows``): lambda = u / den for
+    the rows u of num' - z den' (``lambda_numerator``).  When den is constant
+    in z, lambda is u / den reduced in the ring whose L is the radical of den
+    times the leading row of Phi*_n (``_trace_ring``).  Otherwise lambda is
+    formed on rows, over one denominator in lowest terms, in the ring of the
+    division's exact check (``multipliers._field_mod_div``,
+    ``_row_mod_div``).  Each S_k becomes an element of Q(t), with one
+    normalization, only at the end.
     """
     num, den = lift_rows(fmap, n)
     u = lambda_numerator(num, den)
-    if len(den) == 1:  # den is constant in z: lambda = u / den
-        content, den = den[0], [[1]]
+    if len(den) == 1:
+        ring, lam = _trace_ring(phi, u, den[0], len(u))
     else:
-        content = _zt_content(den)
-        den = _divide_content(den, content)
-    ring, (cof, c, e) = _trace_ring(phi, content, max(len(u), len(den)))
-    lam = ring.reduce(u if cof == [1] else _mul_rows([cof], u), c, e)  # u / g
-    if den != [[1]]:
-        b = ring.reduce(den, 1, 0)
-        if not b[0]:
-            raise NonExactDivision("vanishing denominator in multiplier computation")
-        rows, lam_den = multipliers._field_mod_div(ring, phi, lam, b)
-        ring, (cof, c, e) = _trace_ring(phi, lam_den, 0)
-        lam = ring.normal([_int_mul(r, cof) for r in rows], c, e)
+        ring, lam = multipliers._field_mod_div(phi, u, den)
     return [_field(num, [c * x for x in ring.lpow(e)], fmap.base)
             for num, c, e in multipliers._trace_powers(ring, lam, count)]

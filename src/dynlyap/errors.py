@@ -18,7 +18,8 @@ class DegenerateMap(DynlyapError):
 
 
 class ResourceLimit(DynlyapError):
-    """A configured budget (period cap or coefficient bit size) was exceeded."""
+    """A configured budget (period cap or coefficient bit size) or a numerical
+    limit of the library (precision, float range, root finding) was exceeded."""
 
 
 class ArchimedeanPlace(DynlyapError):
@@ -37,8 +38,9 @@ class PoleOutsideCenter(DynlyapError):
     """Family coefficients have a pole away from the declared degeneration center."""
 
 
-class RootFindingFailure(DynlyapError):
-    """Numerical root finder failed to converge to the requested accuracy."""
+class RootFindingFailure(ResourceLimit):
+    """Numerical root finder failed to converge to the requested accuracy:
+    a limit of the root layer, not of the input."""
 
 
 class ParseError(DynlyapError):

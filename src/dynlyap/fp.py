@@ -6,8 +6,9 @@ residues, ascending.  The module holds
 * the engine primes p = k 2^64 + 1 < 2^127, each proven prime by a Proth
   witness (``engine_prime``);
 * the quotient ring F_p[z]/(phi) with Kronecker-packed products and
-  Barrett remainders (``Quotient``), where the engine over Q takes its
-  traces and both engines form lambda = a / b (``multipliers._mod_div``);
+  Barrett remainders (``Quotient``).  ``multipliers._mod_div``, the one
+  image of lambda = u / den of both engines, builds it, reduces u and den
+  and divides there; the engine over Q then takes its traces in it;
 * one extended Euclid (``euclid``).  Stopped at degree 0 it inverts
   modulo phi (``inverse``); stopped at a degree bound it is rational
   function reconstruction, which with interpolation makes Cauchy

@@ -34,7 +34,11 @@ BASE_QT = "Q(t)"
 
 
 def _coerce_field(values):
-    """Promote a mixed Fraction/RatFunc/int row to a single field."""
+    """Promote a mixed Fraction/RatFunc/int row to a single field; any
+    other coefficient, a float among them, is a ValueError."""
+    for v in values:
+        if not isinstance(v, (int, Fraction, RatFunc)):
+            raise ValueError(f"coefficient {v!r} is not an int, a Fraction or a RatFunc")
     vals = [Fraction(v) if isinstance(v, int) else v for v in values]
     if any(isinstance(v, RatFunc) for v in vals):
         vals = [v if isinstance(v, RatFunc) else RatFunc.const(v) for v in vals]
@@ -278,7 +282,14 @@ def critical_divisor(lift: HomLift) -> CriticalDivisor:
 
 
 def multiplier_rational_function(fmap: RationalMap, n: int) -> tuple[Poly, Poly]:
-    """(f^n)'(z) = A/B in lowest terms, denominator monic."""
+    """(f^n)'(z) = A/B in lowest terms, denominator monic.
+
+    For f^n = num/den, (f^n)' = w/den^2 with w = num' den - num den'.  num
+    and den are coprime, since Res F^(n) != 0, so at a root r of den of
+    multiplicity m, num(r) != 0 and v_r(num den') = m - 1 < m <= v_r(num' den):
+    v_r(w) = m - 1 in characteristic 0.  Hence gcd(w, den^2) = gcd(den, den'),
+    and A = w/g, B = den^2/g for g = gcd(den, den'), with no gcd of w.
+    """
     lift_n = fmap.iterate_lift_cached(n)
     num = lift_n.poly0()
     den = lift_n.poly1()
@@ -286,7 +297,7 @@ def multiplier_rational_function(fmap: RationalMap, n: int) -> tuple[Poly, Poly]
     v = den * den
     if w.is_zero():
         return Poly(), Poly.const(v.lc() / v.lc())
-    g = poly_gcd(w, v)
+    g = poly_gcd(den, den.derivative())
     if g.degree > 0:
         w = poly_exact_div(w, g)
         v = poly_exact_div(v, g)

@@ -18,18 +18,19 @@ the multiplier at a periodic infinity read off the coefficients of the
 iterated lift (``_infinity_cycle_data``).  The Fraction or RatFunc
 ``star_poly`` is formed only when a caller reads it.  Both engines take
 lambda = (f^n)' for f^n = A / B as (A' - z B') / B, since A = z B modulo
-Phi*_n, with the numerator from ``bivariate.lambda_numerator``.  Past the
-traces, Newton's identities and q_n = p_{d,n}^n run on integer rows for
-both fields, and rows come back to the base field through
-``bivariate._field``.
+Phi*_n, with the numerator from ``bivariate.lambda_numerator``, and both
+take its images mod p in one place, ``_mod_div``: it builds the Barrett
+ring F_p[z]/(Phi*_n) (``fp.Quotient``), reduces A' - z B' and B there and
+divides.  Past the traces, Newton's identities and q_n = p_{d,n}^n run on
+integer rows for both fields, and rows come back to the base field
+through ``bivariate._field``.
 
 Over Q the power sums S_k come from a multi-modular engine
-(``_modular_power_sums``).  For each engine prime p below 2^127 it reduces
-Phi*_n and the rows of f^n = A / B and of A' - z B' mod p, forms
-lambda = (A' - z B') / B in F_p[z]/(Phi*_n) (``_mod_div``), and takes the
-traces Tr(lambda^k) by baby and giant steps.  The per-place Lipschitz
-bound of the paper fixes how many primes are needed, with the reduced
-resultant rho in place of R = |Res G|: rho is the lcm of the denominators of the Bezout cofactors
+(``_modular_power_sums``).  For each engine prime p below 2^127 it takes
+lambda from ``_mod_div`` and the traces Tr(lambda^k) in its ring by baby
+and giant steps.  The per-place Lipschitz bound of the paper fixes how
+many primes are needed, with the reduced resultant rho in place of
+R = |Res G|: rho is the lcm of the denominators of the Bezout cofactors
 of X^(2d-1) and Y^(2d-1) for the primitive integer lift G
 (``_reduced_resultant``), and divides R.  Then |lambda|_p <= |rho|_p^(-n)
 at every prime and |lambda| <= Lip^n at infinity for a certified
@@ -44,13 +45,12 @@ remove a prime.
 Over Q(t) the sums come from exact integer arithmetic in Q(t)[z]/(Phi*_n)
 on elements U(t, z) / (c L(t)^e) (``bivariate._ratfunc_power_sums``,
 ``bivariate._ZtQuotient``), with the same baby and giant steps
-(``_trace_powers``); only the final S_k become elements of Q(t).  When B
-is not constant in z, lambda = a / b is formed on rows from its
-images mod (Phi*_n(t0), p), each divided by ``_mod_div``, at points t0
-and engine primes p: Cauchy interpolation over F_p, rational number
-reconstruction over the CRT of the primes, and an exact check lambda b = a
-in the ring that makes the result exact by construction
-(``_field_mod_div``, ``bivariate._row_mod_div``).
+(``_trace_powers``); only the final S_k become elements of Q(t).  Each
+spectrum builds one such ring.  When B is not constant in z, lambda is
+formed on rows from the ``_mod_div`` images of the rows at points t0 and
+engine primes p: Cauchy interpolation, rational number reconstruction
+over the CRT of the primes, and an exact check lambda B = A' - z B' in
+the ring of the traces (``_field_mod_div``, ``bivariate._row_mod_div``).
 
 The F_p arithmetic of both engines, from the engine primes to the
 Barrett ring, the extended Euclid and the CRT, is in ``fp``.  Both
@@ -226,29 +226,30 @@ def _count_non_unit(count: int) -> int:
     return count + 1
 
 
-def _mod_div(a: list, b: list, ring):
-    """lambda = a / b in F_p[z]/(phi) for ring an ``fp.Quotient``; None if
-    b is not a unit there."""
+def _mod_div(phi: list, u: list, den: list, p: int):
+    """(ring, lambda = u / den) in the ``fp.Quotient`` ring F_p[z]/(phi / lc(phi))
+    for integer lists phi, u and den (z ascending), lc(phi) a unit mod p;
+    None if den is not a unit there.  The one image of lambda of both
+    engines (``_power_sums_mod_p``, ``bivariate._Images``)."""
     from . import fp
 
-    inv = fp.inverse(b, ring.phi, ring.p)
+    inv_lc = pow(phi[-1], -1, p)
+    ring = fp.Quotient([c * inv_lc % p for c in phi], p, max(len(u), len(den)))
+    inv = fp.inverse(ring.reduce([c % p for c in den]), ring.phi, p)
     if inv is None:
         return None
-    return ring.mul(a, inv)
+    return ring, ring.mul(ring.reduce([c % p for c in u]), inv)
 
 
-def _power_sums_mod_p(phi_int: list, phi_lc: int, u: list, den: list, count: int, p: int):
-    """Tr(lambda^k) mod p for k = 1..count in F_p[z]/(phi_int / phi_lc), for
-    lambda = (f^n)' = u / den with u = num' - z den' for f^n = num / den
-    (``bivariate.lambda_numerator``); None if den is not a unit there."""
-    from . import fp
-
-    inv_lc = pow(phi_lc, -1, p)
-    ring = fp.Quotient([c * inv_lc % p for c in phi_int], p, max(len(u), len(den)))
-    lam = _mod_div(ring.reduce([c % p for c in u]), ring.reduce([c % p for c in den]), ring)
-    if lam is None:
+def _power_sums_mod_p(phi_int: list, u: list, den: list, count: int, p: int):
+    """Tr(lambda^k) mod p for k = 1..count in F_p[z]/(Phi*_n), phi_int the
+    integer coefficients of Phi*_n, for lambda = (f^n)' = u / den with
+    u = num' - z den' for f^n = num / den (``bivariate.lambda_numerator``);
+    None if den is not a unit there."""
+    out = _mod_div(phi_int, u, den, p)
+    if out is None:
         return None
-    return _trace_powers(ring, lam, count)
+    return _trace_powers(*out, count)
 
 
 def _trace_powers(ring, lam, count: int) -> list:
@@ -377,7 +378,7 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     for p in _crt_primes(phi_lc, res):
         if modulus > 2 * bound:
             break
-        sums = _power_sums_mod_p(phi_int, phi_lc, u, den, count, p)
+        sums = _power_sums_mod_p(phi_int, u, den, count, p)
         if sums is None:
             bad = _count_non_unit(bad)
             continue
@@ -394,16 +395,14 @@ def _modular_power_sums(fmap: RationalMap, n: int, phi_int: list, count: int) ->
     return out
 
 
-def _field_mod_div(ring, phi: list, a, b):
-    """lambda = a / b in Q(t)[z]/(Phi*_n) on integer rows, as (rows, den)
-    with den the lcm of the denominators of the coefficients in lowest
-    terms; a and b are elements (rows, c, e) of ``ring`` and phi the
-    primitive rows of Phi*_n.  From F_p images, rational reconstruction
-    and an exact check (``bivariate._row_mod_div``); the division keeps
-    this name because ``perfbench/tracing.py`` times it by name."""
+def _field_mod_div(phi: list, u: list, den: list):
+    """(ring, lambda = u / den) in the trace ring of Q(t)[z]/(Phi*_n) for
+    the primitive rows phi of Phi*_n and rows u, den of Z[t][z]
+    (``bivariate._row_mod_div``); the division keeps this name because
+    ``perfbench/tracing.py`` times it by name."""
     from . import bivariate
 
-    return bivariate._row_mod_div(ring, phi, a, b)
+    return bivariate._row_mod_div(phi, u, den)
 
 
 def _multiplier_power_sums(fmap: RationalMap, n: int, div: DynatomicDivisor, count: int, one):

@@ -245,6 +245,7 @@ class TestBudgetEnv:
 
 HALF = '{"d":2,"a":["1","0","1/2"],"b":["0","0","1"]}'  # z^2 + 1/2 over Q
 QUINTIC = '{"d":5,"a":["1","0","0","0","1","1/2"],"b":["0","0","0","0","0","1"]}'  # z^5+z+1/2
+QUINTIC_HALF = '{"d":5,"a":["1","0","0","0","0","1/2"],"b":["0","0","0","0","0","1"]}'  # z^5+1/2
 
 
 class TestDomainErrors:
@@ -278,14 +279,17 @@ class TestDomainErrors:
         ("crit-height Q --tol 1e-320", 3),
         ("lyapunov Q --place arch --tol 1e-320", 3),
         ("lyapunov Q5 --place arch --n-max 1 --tol 1e-320", 3),
+        # the root layer gives up on the degree-40 factors of p_{5,3}: a
+        # resource limit, not an input error
+        ("lyapunov Q5H --place arch --n-max 3", 3),
         # no bound is read off a last term here: an empty sequence is a report
         ("crit-height Q --n-max 0", 0),
         ("lyapunov Q --place arch --n-max 0", 0),
     ])
     def test_exit_code(self, cmd, code):
         sub, base, *rest = cmd.split()
-        rep = run_json([sub, "--map", {"Q": HALF, "Q5": QUINTIC, "QT": ZT}[base], *rest],
-                       expect=code)
+        maps = {"Q": HALF, "Q5": QUINTIC, "Q5H": QUINTIC_HALF, "QT": ZT}
+        rep = run_json([sub, "--map", maps[base], *rest], expect=code)
         if code:
             kind = {2: "input", 3: "resource_limit"}[code]
             assert rep["error"]["kind"] == kind and rep["error"]["message"]

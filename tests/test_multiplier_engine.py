@@ -233,7 +233,7 @@ def test_lambda_from_the_fixed_point_identity(label, fmap, periods):
         phi_int = [r[0] if r else 0 for r in div.rows]
         u_int, den_int = ([r[0] if r else 0 for r in part] for part in (u, rows[1]))
         p = engine_prime(1)
-        got = _power_sums_mod_p(phi_int, phi_int[-1], u_int, den_int, count, p)
+        got = _power_sums_mod_p(phi_int, u_int, den_int, count, p)
         assert got == [s.numerator * pow(s.denominator, -1, p) % p for s in want]
 
 

@@ -2,7 +2,7 @@
 against composition over the base field (``oracles.dynatomic_poly``), the
 multiplier at a periodic infinity against ``cycle_multiplier``, the power
 sums against the RatFunc trace loop (``oracles.field_power_sums``), and the
-row division lambda = a / b against the RatFunc Euclid
+row division lambda = u / den against the RatFunc Euclid
 (``oracles.field_mod_div``) and values pinned with it."""
 
 import io
@@ -44,34 +44,33 @@ def quotient(c):
 
 
 CASES = [
-    # (label, map, periods, the bases L of the rings used at the top period)
+    # (label, map, periods, [L] for the base L of the one ring used at the top period)
     ("z^2+t", z2_plus(T), (1, 2, 3, 4), [[1]]),
     ("z^2+1/t", z2_plus(1 / T), (1, 2, 3, 4), [[0, 1]]),
     # a Laurent polynomial in both directions
     ("z^2+(t^2+t+1)/t", z2_plus((T * T + T + 1) / T), (1, 2, 3, 4), [[0, 1]]),
-    # b = den^2 not constant: a and b are reduced in a ring with L = 1, and
-    # lambda = a / b brings in new poles, so the traces are taken with L = t
-    # and L = 3t + 2
-    ("(z^2+t)/z", quotient(T), (2, 3, 4), [[1], [0, 1]]),
-    ("(z^2+3t+2)/z", quotient(3 * T + 2), (2, 3, 4), [[1], [2, 3]]),
+    # den not constant in z: lambda = u / den brings in new poles, so the
+    # one ring of the spectrum, that of the division, has L = t and L = 3t + 2
+    ("(z^2+t)/z", quotient(T), (2, 3, 4), [[0, 1]]),
+    ("(z^2+3t+2)/z", quotient(3 * T + 2), (2, 3, 4), [[2, 3]]),
     # poles off the t-line's rational points: L = t^2 + 1
     ("z^2+1/(t^2+1)", z2_plus(1 / (T * T + 1)), (1, 2, 3), [[1, 0, 1]]),
     # rational coefficients: integer denominators next to the powers of L
     ("z^2+(t^2/2-5/3)/t", z2_plus(RatFunc(Poly([F(-5, 3), F(0), F(1, 2)])) / T), (1, 2, 3),
      [[0, 1]]),
     # infinity -> 0 -> infinity: a 2-cycle through infinity
-    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2, 3), [[0, 1], [0, 1]]),
+    ("(z+t)/z^2", new_map(2, (ZERO, ONE, T), (ONE, ZERO, ZERO)), (1, 2, 3), [[0, 1]]),
     # a general rational family: lambda has the poles t = 1 and t^2 + 2t + 5 = 0
-    ("(z^2+t)/(z^2+1)", new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE)), (1, 2), [[1], [-1, 1]]),
+    ("(z^2+t)/(z^2+1)", new_map(2, (ONE, ZERO, T), (ONE, ZERO, ONE)), (1, 2), [[-1, 1]]),
     ("z^3+t", new_map(3, (ONE, ZERO, ZERO, T), (ZERO, ZERO, ZERO, ONE)), (1, 2), [[1]]),
     # the leading coefficient of Phi*_n is a power of t + 1, or of t (t + 1)
     ("(t+1)z^2+t", new_map(2, (T + 1, ZERO, T), (ZERO, ZERO, ONE)), (1, 2, 3), [[1, 1]]),
     ("(t^2+t)z^2+1", new_map(2, (T * T + T, ZERO, ONE), (ZERO, ZERO, ONE)), (1, 2, 3),
      [[0, 1, 1]]),
-    # at n = 2: Phi*_2 = t z^2 + (t - 1) z + t, the denominator of f^2 has
-    # content t + 1, and lambda = a / b adds the pole t = 1
+    # at n = 2: Phi*_2 = t z^2 + (t - 1) z + t, and lambda = u / den adds
+    # the pole t = 1
     ("(t z^2+1)/(z^2+t)", new_map(2, (T, ZERO, ONE), (ONE, ZERO, T)), (1, 2),
-     [[0, 1, 1], [0, -1, 1]]),
+     [[0, -1, 1]]),
 ]
 
 
@@ -244,16 +243,25 @@ def test_cycle_polynomial_pinned(label, fmap, want):
 
 
 def row_divisions(fmap, n, monkeypatch):
-    """[(ring, phi, a, b, (rows, den))] for every lambda = a / b that the
-    power sums of period n form."""
-    seen = []
-    inner = multipliers._field_mod_div
+    """[(phi, u, den, ring, lam, rows, lam_den)] for every lambda = u / den
+    that the power sums of period n form: lam is the element of ring that
+    the division returns, and rows / lam_den the fraction it built that
+    ring from (the last ``_trace_ring`` of the division)."""
+    seen, rings = [], []
+    inner, trace_ring = multipliers._field_mod_div, bivariate._trace_ring
 
-    def spy(ring, phi, a, b):
-        out = inner(ring, phi, a, b)
-        seen.append((ring, phi, a, b, out))
+    def spy_ring(phi, rows, den, max_len):
+        out = trace_ring(phi, rows, den, max_len)
+        rings.append((out[0], rows, den))
         return out
 
+    def spy(phi, u, den):
+        ring, lam = inner(phi, u, den)
+        assert rings[-1][0] is ring
+        seen.append((phi, u, den, ring, lam) + rings[-1][1:])
+        return ring, lam
+
+    monkeypatch.setattr(bivariate, "_trace_ring", spy_ring)
     monkeypatch.setattr(multipliers, "_field_mod_div", spy)
     sums(fmap, n)
     return seen
@@ -262,6 +270,10 @@ def row_divisions(fmap, n, monkeypatch):
 def ring_poly(ring, x):
     rows, c, e = x
     return Poly(bivariate._from_rows(rows, [c * v for v in ring.lpow(e)], BASE_QT))
+
+
+def rows_poly(rows, den=(1,)):
+    return Poly(bivariate._from_rows(rows, list(den), BASE_QT))
 
 
 DIVISION_CASES = [
@@ -278,18 +290,35 @@ DIVISION_CASES = [
 def test_row_division_inverts(label, fmap, n, euclid, monkeypatch):
     divisions = row_divisions(fmap, n, monkeypatch)
     assert divisions
-    for ring, phi, a, b, (rows, den) in divisions:
-        phi_poly = Poly(bivariate._from_rows(phi, phi[-1], BASE_QT))
-        lam = Poly(bivariate._from_rows(rows, den, BASE_QT))
-        a_poly, b_poly = ring_poly(ring, a), ring_poly(ring, b)
-        assert ((lam * b_poly - a_poly) % phi_poly).is_zero()
-        # lowest terms: den is the lcm of the denominators, up to a constant
+    for phi, u, den, ring, lam, rows, lam_den in divisions:
+        phi_poly = rows_poly(phi, phi[-1])
+        lam_poly = rows_poly(rows, lam_den)
+        assert ring_poly(ring, lam) == lam_poly
+        u_poly, den_poly = rows_poly(u), rows_poly(den)
+        assert ((lam_poly * den_poly - u_poly) % phi_poly).is_zero()
+        # lowest terms: lam_den is the lcm of the denominators, up to a constant
         lcm = Poly([F(1)])
-        for c in lam.coeffs:
+        for c in lam_poly.coeffs:
             lcm = lcm * c.den // poly_gcd(lcm, c.den)
-        assert Poly.from_ints(den).monic() == lcm
+        assert Poly.from_ints(lam_den).monic() == lcm
         if euclid:
-            assert lam == field_mod_div(a_poly, b_poly, phi_poly)
+            assert lam_poly == field_mod_div(u_poly % phi_poly, den_poly % phi_poly, phi_poly)
+
+
+@pytest.mark.parametrize("label,fmap,n,euclid", DIVISION_CASES,
+                         ids=[c[0] for c in DIVISION_CASES])
+def test_one_trace_ring_per_spectrum(label, fmap, n, euclid, monkeypatch):
+    # the exact check of the division runs in the ring the traces are taken in
+    made = []
+
+    class Spy(bivariate._ZtQuotient):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bivariate, "_ZtQuotient", Spy)
+    sums(fmap, n)
+    assert len(made) == 1
 
 
 Z2_MINUS_1 = [[-1], [], [1]]
@@ -299,10 +328,10 @@ def z2_minus_1_ring(L):
     return bivariate._ZtQuotient((Z2_MINUS_1, 1, 0), list(L), 0)
 
 
-def divide_mod_z2_minus_1(b, a=([[1]], 1, 0), L=(1,)):
-    """a / b modulo z^2 - 1, for elements (rows, c, e) of the ring with base L."""
-    rows, den = bivariate._row_mod_div(z2_minus_1_ring(L), Z2_MINUS_1, a, b)
-    return Poly(bivariate._from_rows(rows, den, BASE_QT))
+def row_divide(den, u=([1],), phi=Z2_MINUS_1):
+    """u / den modulo phi, for rows of Z[t][z] and phi primitive."""
+    ring, lam = bivariate._row_mod_div(phi, list(u), den)
+    return ring_poly(ring, lam)
 
 
 def spy_images(monkeypatch):
@@ -320,31 +349,30 @@ def spy_images(monkeypatch):
 SINGULAR_CASES = [
     # z - t is a unit modulo z^2 - 1, but at t0 = 1 it shares the root z = 1;
     # 1 / (z - t) = (z + t) / (1 - t^2)
-    ("b(1) singular", ([[0, -1], [1]], 1, 0), ([[1]], 1, 0), (1,),
-     Poly([T / (1 - T * T), 1 / (1 - T * T)])),
-    # a = 1 / (t - 1) has a pole at t0 = 1, where b = z - 2t is a unit;
-    # a / b = (z + 2t) / ((t - 1) (1 - 4t^2))
-    ("a(1) a pole", ([[0, -2], [1]], 1, 0), ([[1]], 1, 1), (-1, 1),
-     Poly([2 * T / ((T - 1) * (1 - 4 * T * T)), 1 / ((T - 1) * (1 - 4 * T * T))])),
+    ("b(1) singular", Z2_MINUS_1, [[0, -1], [1]], Poly([T / (1 - T * T), 1 / (1 - T * T)])),
+    # the leading row of (t - 1) z^2 - 1 vanishes at t0 = 1, where z^2 = 1 / (t - 1)
+    # has no image; 1 / (z - t) = (t - 1) (z + t) / (1 + t^2 - t^3)
+    ("lc(1) zero", [[-1], [], [-1, 1]], [[0, -1], [1]],
+     Poly([T * (T - 1) / (1 + T * T - T * T * T), (T - 1) / (1 + T * T - T * T * T)])),
 ]
 
 
-@pytest.mark.parametrize("label,b,a,L,want", SINGULAR_CASES, ids=[c[0] for c in SINGULAR_CASES])
-def test_row_division_skips_a_singular_point(label, b, a, L, want):
-    images = bivariate._Images(z2_minus_1_ring(L), Z2_MINUS_1, a, b, fp.engine_prime(0))
+@pytest.mark.parametrize("label,phi,den,want", SINGULAR_CASES, ids=[c[0] for c in SINGULAR_CASES])
+def test_row_division_skips_a_singular_point(label, phi, den, want):
+    images = bivariate._Images(phi, [[1]], den, fp.engine_prime(0))
     xs, values = images.take(3)
     assert xs == [2, 3, 4] and images.skips == 1
     p = images.p
     for x, image in zip(xs, values):
         at_x = [c.evaluate(F(x)) for c in want.coeffs]
         assert image == [v.numerator * pow(v.denominator, -1, p) % p for v in at_x]
-    assert divide_mod_z2_minus_1(b, a, L) == want
+    assert row_divide(den, phi=phi) == want
 
 
 def test_row_division_gives_up_on_a_non_unit():
     # z - 1 divides z^2 - 1: singular at every t0
     with pytest.raises(NonExactDivision):
-        divide_mod_z2_minus_1(([[-1], [1]], 1, 0))
+        row_divide([[-1], [1]])
 
 
 def test_row_division_lifts_over_several_primes(monkeypatch):
@@ -353,7 +381,7 @@ def test_row_division_lifts_over_several_primes(monkeypatch):
     c = 10**20
     made = spy_images(monkeypatch)
     lam = 1 / (1 - c * c * T * T)
-    assert divide_mod_z2_minus_1(([[0, -c], [1]], 1, 0)) == Poly([c * T * lam, lam])
+    assert row_divide([[0, -c], [1]]) == Poly([c * T * lam, lam])
     assert len(made) > 1
 
 
@@ -386,10 +414,10 @@ def test_row_division_stops_at_its_cramer_caps(monkeypatch):
 
     monkeypatch.setattr(bivariate._Images, "reconstruct", spy)
     monkeypatch.setattr(bivariate, "_exact_check", lambda *args: False)
-    ring, a, b = z2_minus_1_ring((1,)), ([[1]], 1, 0), ([[0, -1], [1]], 1, 0)
-    max_points, max_modulus = bivariate._division_caps(ring, Z2_MINUS_1, a, b)
+    u, den = [[1]], [[0, -1], [1]]
+    max_points, max_modulus = bivariate._division_caps(Z2_MINUS_1, u, den)
     with pytest.raises(NonExactDivision, match="Cramer"):
-        bivariate._row_mod_div(ring, Z2_MINUS_1, a, b)
+        bivariate._row_mod_div(Z2_MINUS_1, u, den)
     assert max(taken) == max_points
     primes = [im.p for im in made]
     assert math.prod(primes[:-1]) <= max_modulus < math.prod(primes)
@@ -406,10 +434,10 @@ def test_row_division_within_its_caps(label, fmap, n, euclid, monkeypatch):
         taken.append(points)
         return reconstruct(self, points)
 
-    def spy_divide(ring, phi, a, b):
+    def spy_divide(phi, u, den):
         taken.clear()
-        out = divide(ring, phi, a, b)
-        divisions.append((bivariate._division_caps(ring, phi, a, b)[0], list(taken)))
+        out = divide(phi, u, den)
+        divisions.append((bivariate._division_caps(phi, u, den)[0], list(taken)))
         return out
 
     monkeypatch.setattr(bivariate._Images, "reconstruct", spy_reconstruct)
