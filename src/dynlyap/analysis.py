@@ -19,7 +19,7 @@ from .heights import HeightValue, critical_height_direct, map_height, naive_heig
 from .lyapunov import L_n_local
 from .maps import RationalMap
 from .multipliers import cycle_polynomial, lambda_point, lambda_tilde_point, sigma_star
-from .places import Place, LocalLogValue
+from .places import Place, LocalLogValue, gauss_log_norm
 
 CERTIFIED_NON_ISOTRIVIAL = "CertifiedNonIsotrivial"
 CONSISTENT_ISOTRIVIAL_OR_AFFINE = "ConsistentWithIsotrivialOrAffine"
@@ -200,8 +200,10 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
     pins the max at >= 0.  The sigma* are the coefficients of
     q_n = p_{d,n}^n, and by Gauss's lemma at the center
     max_j (-ord sigma*_{j,n}) = n max_j (-ord c_j(p_{d,n})), so
-    alpha_n = max_j (-ord c_j(p_{d,n})) / (n deg p_{d,n}) is read off
-    p_{d,n} without building q_n.  Exact rationals throughout.
+    alpha_n = max_j (-ord c_j(p_{d,n})) / (n deg p_{d,n}) is read off the
+    Gauss norm of p_{d,n} at radius 1 (``gauss_log_norm``), as
+    ``lyapunov.L_n_local`` reads L_n, without building q_n.  Exact
+    rationals throughout.
     """
     if fmap.base != "Q(t)":
         raise ValueError("degeneration slopes concern Q(t) families")
@@ -213,8 +215,8 @@ def degeneration_slope(fmap: RationalMap, center: Place, n_max: int) -> Degenera
     alphas = []
     for n in range(1, n_max + 1):
         p = cycle_polynomial(fmap, n)
-        best = max(-center.valuation(c) for c in p.coeffs if c)  # >= 0: p is monic
-        alphas.append((n, Fraction(best, n * p.degree)))
+        best = gauss_log_norm(p.coeffs, center, LocalLogValue.exact(0)).q  # >= 0: p is monic
+        alphas.append((n, best / (n * p.degree)))
     return DegenerationReport(center, tuple(alphas), alphas[-1][1])
 
 

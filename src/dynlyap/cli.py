@@ -235,7 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--place", required=True, help="arch | p:2 | t=0 | t=inf")
     p.add_argument("--n-max", type=int, dest="n_max", default=4)
-    p.add_argument("--r", default="eps", help='truncation radius: "eps" or a rational')
+    p.add_argument("--r", default="eps",
+                   help='truncation radius: "eps", or a rational 0 < r <= 1 at arch; at a '
+                   'finite place the rational log r <= 0 in units of log p (the bare '
+                   'unit at t=a and t=inf), so 0 means r = 1')
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("canonical-height", help="Call-Silverman canonical height")
@@ -278,13 +281,14 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _attach_point_value(argv) -> list:
-    """Rewrite ``--point <v>`` as ``--point=<v>``, so that a negative value
-    such as -3/2 is not read as an option."""
+    """Rewrite ``--point <v>`` and ``--r <v>`` as ``--point=<v>`` and
+    ``--r=<v>``, so that a negative value such as -3/2 is not read as an
+    option."""
     out = []
     tokens = iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if tok == "--point" else None
-        out.append(tok if value is None else f"--point={value}")
+        value = next(tokens, None) if tok in ("--point", "--r") else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 

@@ -3,8 +3,10 @@
 Non-archimedean approximants are exact: by the Gauss lemma the truncated
 average over the formal n-periodic multipliers is
 (1/(n d_n)) max_j [ log|sigma*_j|_v + (d_n - j) log r ], a rational
-multiple of log p.  Their distance to the limit is controlled by the
-explicit self-consistency bound
+multiple of log p, read off one integer Gauss norm of p_{d,n}
+(``places.gauss_log_norm``), the same norm that gives the degeneration
+slopes alpha_n (``analysis.degeneration_slope``).  Their distance to the
+limit is controlled by the explicit self-consistency bound
 8(d-1)^2 (|L| + (4d^2-2d-1)/(d(2d-2)) * (-log|Res f|_v) + |log r|) sigma_2(n)/d_n,
 evaluated here with the best available |L| surrogate and labeled as such.
 The archimedean exponent comes from the critical-point formula
@@ -25,11 +27,12 @@ from .errors import ArchimedeanPlace, ResourceLimit
 from .heights import _arch_green, _map_sup_t_bound, _to_complex
 from .maps import BASE_Q, HomLift, RationalMap, abs_resultant, critical_divisor
 from .multipliers import _arch_lipschitz, cycle_polynomial
-from .places import Place, LocalLogValue, local_abs, log_max
+from .places import Place, LocalLogValue, gauss_log_norm
 from .roots import aberth_roots
 
 
 ARCH_RADIUS = "archimedean truncation radius must satisfy 0 < r <= 1"
+NONARCH_RADIUS = "non-archimedean truncation radius must be exact with log r <= 0"
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,10 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
     p_{d,n}, whose n-th power is q_n = prod over Fix*(f^n) of (T - lambda).
     At a finite place the r-weighted Gauss norm max_j |c_j|_v r^j of a
     polynomial is multiplicative, so its log on q_n is n times that on
-    p_{d,n}, and q_n is never built."""
+    p_{d,n} (``gauss_log_norm``), and q_n is never built.  There log_r
+    must be exact and <= 0."""
+    if not v.is_archimedean() and not (log_r.is_exact() and log_r.q <= 0):
+        raise ValueError(NONARCH_RADIUS)
     p_dn = cycle_polynomial(fmap, n)
     d_n = n * p_dn.degree
     if v.is_archimedean():
@@ -91,8 +97,7 @@ def L_n_local(fmap: RationalMap, n: int, log_r: LocalLogValue, v: Place) -> Lyap
                 total += mult * math.log(max(r, abs(root)))
                 err += mult * (rerr / max(r, abs(root)) + 1e-15)
         return LyapunovEstimate(v, n, log_r, LocalLogValue.from_float(total / d_n, err / d_n + 1e-14))
-    terms = [local_abs(c, v) + log_r.scaled(j) for j, c in enumerate(p_dn.coeffs) if c]
-    value = log_max(terms).scaled(Fraction(1, d_n))
+    value = gauss_log_norm(p_dn.coeffs, v, log_r).scaled(Fraction(1, d_n))
     return LyapunovEstimate(v, n, log_r, value)
 
 

@@ -367,8 +367,10 @@ def minimal_resultant_valuation(lift: HomLift, resultant, v: Place) -> tuple[int
     return m, v.valuation(resultant) - 2 * lift.d * m
 
 
+@per_map("abs_resultant")
 def abs_resultant(fmap: RationalMap, v: Place) -> LocalLogValue:
-    """log|Res(f)|_v for a v-minimal lift; always <= 0."""
+    """log|Res(f)|_v for a v-minimal lift; always <= 0.  Computed once per
+    map and place."""
     if v.is_archimedean():
         raise ArchimedeanPlace("Res(f) is used here only at non-archimedean places")
     _, val = minimal_resultant_valuation(fmap.lift, fmap.resultant, v)

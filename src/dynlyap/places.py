@@ -261,6 +261,27 @@ def log_max(values) -> LocalLogValue:
     return best
 
 
+def gauss_log_norm(coeffs, v: Place, log_r: LocalLogValue) -> LocalLogValue:
+    """log max_j |c_j|_v r^j over the nonzero coefficients c_j of T^j, at a
+    non-archimedean place: max_j (j q_r - v(c_j)) from integer valuations,
+    for log r = q_r in the place's unit (log p at a prime, the bare unit at
+    a function-field place).  By Gauss's lemma it is additive over products
+    of polynomials."""
+    if v.kind == ARCH:
+        raise ValueError("the Gauss norm is taken at non-archimedean places")
+    if not log_r.is_exact():
+        raise ValueError("the Gauss norm needs an exact radius")
+    unit = v.p
+    if log_r.q and log_r.base != unit:
+        raise ValueError(f"mixed log bases {unit} and {log_r.base}")
+    num, den = log_r.q.numerator, log_r.q.denominator
+    best = max((j * num - den * v.valuation(c) for j, c in enumerate(coeffs) if c),
+               default=None)
+    if best is None:
+        raise ValueError("Gauss norm of the zero polynomial")
+    return LocalLogValue.exact(Fraction(best, den), unit if best else None)
+
+
 def local_abs(x, v: Place) -> LocalLogValue:
     """log|x|_v; exact at non-archimedean places, float at arch."""
     if isinstance(x, int):

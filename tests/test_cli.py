@@ -85,6 +85,14 @@ class TestSubcommands:
         assert qs == ["-5/3", "-1", "-1", "-1"]
         assert all(e["units"] == "log2" for e in rep["result"]["sequence"])
 
+    def test_lyapunov_negative_radius_forms(self):
+        # at a finite place --r is log r in units of log p: a negative value
+        # after --r is a value, not an option
+        argv = ["lyapunov", "--map", HALF, "--place", "p:2", "--n-max", "2"]
+        rep = run_json([*argv, "--r", "-1/2"])
+        assert run_json([*argv, "--r=-1/2"]) == rep
+        assert [e["units"] for e in rep["result"]["sequence"]] == ["log2", "log2"]
+
     def test_lyapunov_arch(self):
         rep = run_json(["lyapunov", "--map", SQUARE, "--place", "arch", "--n-max", "2"])
         assert abs(rep["result"]["lyapunov_exponent"]["value"] - math.log(2)) < 1e-6
@@ -265,6 +273,10 @@ class TestDomainErrors:
         ("lyapunov Q --place arch --r 2", 2),
         ("lyapunov Q --place arch --r 0", 2),
         ("lyapunov Q --place arch --r=-1/2", 2),
+        # at a finite place --r is log r, which must be <= 0
+        ("lyapunov Q --place p:2 --r 1/2", 2),
+        ("lyapunov Q --place p:2 --r 5", 2),
+        ("lyapunov QT --place t=0 --r 1", 2),
         # a Green tolerance must be > 0; one whose step count d^N passes the
         # float range is unreachable
         ("canonical-height Q --point 1/3 --tol 0", 2),

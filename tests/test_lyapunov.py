@@ -116,15 +116,32 @@ class TestLnLocal:
     def test_finite_place_matches_q_n_oracle(self):
         # the Gauss norm of q_n = p_{d,n}^n, against the norm of p_{d,n}
         rng = random.Random(91)
+        cases = []
         for d, n_max in ((2, 3), (2, 3), (3, 2), (2, 3)):
             fm = random_map(rng, d)
-            for p in (2, 3):
-                v = Place.prime(p)
-                for n in range(1, n_max + 1):
-                    for r in (epsilon_radius(v, d, n).log_eps, LocalLogValue.exact(0),
-                              LocalLogValue.exact(F(-3, 2), p)):
-                        want = L_n_local_finite(fm, n, r, v)
-                        assert L_n_local(fm, n, r, v).value == want, (d, p, n, r)
+            for p in (2, 3, 5, 7):
+                cases.append((fm, n_max, Place.prime(p), [F(-3, 2)]))
+        t = RatFunc.t()
+        for fm in (new_map(2, (1, 0, t), (0, 0, 1)),
+                   new_map(2, (1, 0, (t * t - 1) / t), (0, 0, 1))):
+            for v in (Place.ff_point(0), Place.ff_point(1), Place.ff_infinity()):
+                cases.append((fm, 3, v, [-1]))
+        for fm, n_max, v, qs in cases:
+            for n in range(1, n_max + 1):
+                radii = [epsilon_radius(v, fm.d, n).log_eps, LocalLogValue.exact(0)]
+                radii += [LocalLogValue.exact(q, v.p) for q in qs]
+                for r in radii:
+                    want = L_n_local_finite(fm, n, r, v)
+                    assert L_n_local(fm, n, r, v).value == want, (fm.d, v, n, r)
+
+    @pytest.mark.parametrize("log_r", [
+        LocalLogValue.from_float(-0.5, 1e-15),   # a float radius
+        LocalLogValue.exact(-1, 3),              # a radius in units of log 3
+        LocalLogValue.exact(F(1, 2), 2),         # r = sqrt(2) > 1
+    ], ids=["float", "other-prime", "above-one"])
+    def test_finite_place_radius_domain(self, log_r):
+        with pytest.raises(ValueError):
+            L_n_local(poly_map(1, 0, F(1, 2)), 2, log_r, Place.prime(2))
 
     def test_ff_vanishing_at_special_parameter(self):
         t = RatFunc.t()

@@ -6,7 +6,7 @@ import pytest
 
 from dynlyap.algebra import RatFunc
 from dynlyap.errors import FFPlaceOnRationalBase
-from dynlyap.places import LocalLogValue, Place, local_abs, log_max
+from dynlyap.places import LocalLogValue, Place, gauss_log_norm, local_abs, log_max
 
 
 class TestLocalAbs:
@@ -89,6 +89,22 @@ class TestLogValueAlgebra:
         vals = [LocalLogValue.exact(q, 2) for q in (F(-3), F(1, 2), F(0))]
         assert log_max(vals).q == F(1, 2)
         assert LocalLogValue.neg_infinity().leq(vals[0])
+
+    def test_gauss_log_norm_matches_local_abs_max(self):
+        # the integer max equals the max of the per-coefficient local logs
+        rng = random.Random(7)
+        t = RatFunc.t()
+        cases = [(Place.prime(p), lambda: F(rng.randint(-40, 40), rng.randint(1, 40)),
+                  [LocalLogValue.exact(0), LocalLogValue.exact(F(-2, 3), p)])
+                 for p in (2, 3, 5)]
+        cases.append((Place.ff_point(1), lambda: (t - 1) ** rng.randint(-2, 2) * rng.randint(0, 2),
+                      [LocalLogValue.exact(0), LocalLogValue.exact(-1)]))
+        for v, coeff, radii in cases:
+            for _ in range(20):
+                coeffs = [coeff() for _ in range(rng.randint(1, 6))] + [F(1)]
+                for r in radii:
+                    terms = [local_abs(c, v) + r.scaled(j) for j, c in enumerate(coeffs) if c]
+                    assert gauss_log_norm(coeffs, v, r) == log_max(terms).scaled(1), (v, coeffs, r)
 
     def test_float_conversion(self):
         v = LocalLogValue.exact(F(-5, 3), 2)
