@@ -14,19 +14,17 @@ from .errors import ResourceLimit
 ENV_BUDGET_BITS = "DYNLYAP_BUDGET_BITS"
 
 
+# the largest period n of a spectrum by degree d; N_CAP_OTHER for d >= 4
+N_CAPS = {2: 10, 3: 6}
+N_CAP_OTHER = 4
+
+
 @dataclass(frozen=True)
 class Budget:
-    n_cap_d2: int = 10
-    n_cap_d3: int = 6
-    n_cap_other: int = 4
     max_total_bits: int = 1 << 27  # total coefficient bit size per object
 
     def n_cap(self, d: int) -> int:
-        if d == 2:
-            return self.n_cap_d2
-        if d == 3:
-            return self.n_cap_d3
-        return self.n_cap_other
+        return N_CAPS.get(d, N_CAP_OTHER)
 
     def check_period(self, d: int, n: int) -> None:
         if n < 1:

@@ -189,8 +189,7 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
 @per_map("arch_sup_t")
 def _map_sup_t_bound(fmap: RationalMap) -> float:
     """_arch_sup_t_bound of the map's lift, computed once per map."""
-    res = fmap.resultant
-    return _arch_sup_t_bound(fmap.lift, res, _map_cofactors(fmap, res))
+    return _arch_sup_t_bound(fmap.lift, fmap.resultant)
 
 
 def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
@@ -252,14 +251,13 @@ def _to_complex(c) -> complex:
                             "at the archimedean place") from None
 
 
-def _arch_sup_t_bound(lift: HomLift, res, cofactors=None) -> float:
+def _arch_sup_t_bound(lift: HomLift, res) -> float:
     """Rigorous bound on sup over P^1 of |T_F| at the archimedean place;
-    ``res`` is Res(F), and ``cofactors`` its ``_bezout_cofactors`` when
-    the caller has them."""
+    ``res`` is Res(F)."""
     d = lift.d
     sup_coeff = max(abs(_to_complex(c)) for c in list(lift.a) + list(lift.b))
     upper = math.log(math.sqrt(2.0) * (d + 1) * sup_coeff)
-    g1, g2, h1, h2 = cofactors or _bezout_cofactors(lift, res)
+    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
     row1 = sum(abs(_to_complex(c)) for c in g1 + g2)
     row2 = sum(abs(_to_complex(c)) for c in h1 + h2)
     lower = math.log(abs(_to_complex(res))) - (2 * d - 1) / 2 * math.log(2.0) - math.log(max(row1, row2))
@@ -267,55 +265,41 @@ def _arch_sup_t_bound(lift: HomLift, res, cofactors=None) -> float:
 
 
 def _bezout_cofactors(lift: HomLift, res):
-    """G1, G2 and H1, H2 with F0 G1 + F1 G2 = Res(F) X^(2d-1), resp. Y^(2d-1).
+    """G1, G2 and H1, H2 with F0 G1 + F1 G2 = res X^(2d-1), resp. res Y^(2d-1),
+    for a lift F over Q; ``res`` is Res(F), or 1 for the unit solution.
 
-    Coefficient rows are returned descending in X, like the lift itself;
-    ``res`` is Res(F).
+    Coefficient rows are returned descending in X, like the lift itself.
+    With the forms cleared to integers a = da F0 and b = db F1, one
+    fraction-free Gauss-Jordan elimination (Bareiss-Montante) of their
+    Sylvester system, right-hand sides e_0 and e_(2d-1) alongside, leaves its
+    last pivot p (+-det) on the diagonal and p times the solutions for (a, b)
+    on the right; entry k of a solution for F is (da if k < d else db) times
+    that for (a, b).  A singular system and a lift over Q(t) are ValueErrors.
     """
-    d = lift.d
-    one = field_one(lift.one())
-    size = 2 * d
+    if any(isinstance(c, RatFunc) for c in lift.a + lift.b):
+        raise ValueError("Bezout cofactors are solved over Q only")
+    d, size = lift.d, 2 * lift.d
+    da, db = (math.lcm(*(c.denominator for c in f)) for f in (lift.a, lift.b))
+    a, b = ([c.numerator * (s // c.denominator) for c in f] for f, s in ((lift.a, da), (lift.b, db)))
     # unknowns: g1_0..g1_{d-1}, g2_0..g2_{d-1} (descending); equations:
     # coefficient of X^(2d-1-j) Y^j for j = 0..2d-1
-    rows = [[f[j - k] if 0 <= j - k <= d else one * 0 for f in (lift.a, lift.b) for k in range(d)]
-            for j in range(size)]
-    sol_g = _solve_field(rows, [res if j == 0 else res * 0 for j in range(size)])
-    sol_h = _solve_field(rows, [res if j == size - 1 else res * 0 for j in range(size)])
-    return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
-
-
-@per_map("bezout")
-def _unit_cofactors(fmap: RationalMap):
-    """``_bezout_cofactors`` of the lift F of a map over Q with right-hand
-    side 1, computed once per map."""
-    return _bezout_cofactors(fmap.lift, Fraction(1))
-
-
-def _map_cofactors(fmap: RationalMap, res, s=1):
-    """``_bezout_cofactors`` of s F, for F the lift of a map over Q and
-    res = Res(s F).  s F times (cofactors of F) / s is F times the
-    cofactors of F, so the cofactors of s F are the unit solution
-    (``_unit_cofactors``) times res / s.  The scaling is exact, so every
-    value read off them is the same as from a solve of its own."""
-    scale = Fraction(res) / s
-    return tuple([c * scale for c in part] for part in _unit_cofactors(fmap))
-
-
-def _solve_field(rows, rhs):
-    n = len(rows)
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
+    m = [[f[j - k] if 0 <= j - k <= d else 0 for f in (a, b) for k in range(d)]
+         + [int(j == 0), int(j == size - 1)] for j in range(size)]
+    prev = 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if m[i][k]), None)
         if piv is None:
             raise ValueError("singular cofactor system")
         m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k] * inv
-                for j in range(k, n + 1):
-                    m[i][j] = m[i][j] - f * m[k][j]
-    return [m[i][n] / m[i][i] for i in range(n)]
+        row = m[k]
+        for i, other in enumerate(m):
+            if i != k:  # c = 0 too: each step rescales every row, and // prev is exact
+                c = other[k]
+                other[k + 1:] = [(row[k] * x - c * y) // prev for x, y in zip(other[k + 1:], row[k + 1:])]
+        prev = row[k]
+    scale = Fraction(res) / prev
+    sol_g, sol_h = ([scale * (r[j] * (da if k < d else db)) for k, r in enumerate(m)] for j in (size, size + 1))
+    return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +522,7 @@ def _northcott_bound(fmap: RationalMap) -> float:
     bits = max(abs(c.numerator) for c in prim.lift.a + prim.lift.b).bit_length()
     if 2 * d * (bits + d) > 1000:
         return math.inf
-    cofactors = _map_cofactors(fmap, prim.res, prim.scale)
-    sup_t = _arch_sup_t_bound(prim.lift, prim.res, cofactors)
+    sup_t = _arch_sup_t_bound(prim.lift, prim.res)
     return (sup_t + math.log(prim.res)) / (d - 1) + 1e-6
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .algebra import period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
-from .heights import _arch_green, _map_sup_t_bound, _to_complex
+from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
 from .maps import BASE_Q, HomLift, RationalMap, abs_resultant, critical_divisor
 from .multipliers import _arch_lipschitz, cycle_polynomial
 from .places import Place, LocalLogValue, gauss_log_norm
@@ -182,8 +182,7 @@ class LipschitzSearch:
     """Certified upper bounds on sup over P^1(C) of the chordal derivative
     f^#(P) = |det DF(P)| ||P||^2 / (d ||F(P)||^2) (Euclidean norms), for
     ``lift`` the primitive integer lift F of a map over Q
-    (``maps.primitive_lift``); ``res`` is Res(F) and ``cofactors`` its
-    Bezout cofactors (``heights._bezout_cofactors``), refined on demand.
+    (``maps.primitive_lift``) and ``res`` = Res(F), refined on demand.
 
     ``upper`` starts at the exact ``_bezout_lipschitz_bound`` and is capped
     by it.  A branch and bound over boxes covering the two charts (z, 1) and
@@ -200,8 +199,8 @@ class LipschitzSearch:
     bound stands alone.
     """
 
-    def __init__(self, lift: HomLift, res, cofactors):
-        self.upper = self._cap = _bezout_lipschitz_bound(lift, res, cofactors)
+    def __init__(self, lift: HomLift, res):
+        self.upper = self._cap = _bezout_lipschitz_bound(lift, res)
         self.best = 0.0
         self.best_at = None
         self._steps = None
@@ -243,17 +242,17 @@ class LipschitzSearch:
         return max(jac[1], 0.0) * (1.0 + abs(c) ** 2) / at_c * (1 - _LIP_ROUND)
 
 
-def _bezout_lipschitz_bound(lift: HomLift, res, cofactors) -> Fraction:
+def _bezout_lipschitz_bound(lift: HomLift, res) -> Fraction:
     """2 ||det DF||_1 row^2 / (d Res^2) >= sup f^#, exactly.
 
     From F0 G1 + F1 G2 = Res X^(2d-1) and F0 H1 + F1 H2 = Res Y^(2d-1)
-    (``cofactors`` = G1, G2, H1, H2), |Res| ||P||_inf^(2d-1) <= row ||P||_inf^(d-1)
+    (``heights._bezout_cofactors``), |Res| ||P||_inf^(2d-1) <= row ||P||_inf^(d-1)
     ||F(P)||_inf, where row is the larger l1 norm of (G1, G2) and (H1, H2).
     With |det DF(P)| <= ||det DF||_1 ||P||_inf^(2d-2) and
     ||P||^2 <= 2 ||P||_inf^2 the bound follows.
     """
     jac = critical_divisor(lift).affine_poly  # det DF(z, 1)
-    g1, g2, h1, h2 = cofactors
+    g1, g2, h1, h2 = _bezout_cofactors(lift, res)
     row = max(sum(abs(c) for c in g1 + g2), sum(abs(c) for c in h1 + h2))
     return 2 * sum(abs(c) for c in jac.coeffs) * row**2 / (lift.d * Fraction(res) ** 2)
 

@@ -31,7 +31,10 @@ def parse_fraction(s: str) -> Fraction:
     s = s.strip()
     if not _FRAC_RE.match(s):
         raise ParseError(f"not a rational number: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {s!r}") from None
 
 
 def format_fraction(q: Fraction) -> str:
@@ -53,7 +56,10 @@ def parse_t_poly(s: str) -> Poly:
         if not first and m.group("sign") == "":
             raise ParseError(f"missing sign before {text[pos:]!r}", position=pos)
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator near {text[pos:]!r}", position=pos) from None
         if m.group("t"):
             power = int(m.group("pow")) if m.group("pow") else 1
         else:
@@ -93,6 +99,8 @@ def parse_coefficient(obj) -> Union[Fraction, RatFunc]:
         extra = set(obj) - {"num", "den"}
         if extra or "num" not in obj:
             raise ParseError(f"bad coefficient object keys: {sorted(obj)}")
+        if not all(isinstance(v, str) for v in obj.values()):
+            raise ParseError(f"'num' and 'den' must be strings, got {obj!r}")
         num = parse_t_poly(obj["num"])
         den = parse_t_poly(obj["den"]) if "den" in obj else Poly((Fraction(1),))
         if den.is_zero():

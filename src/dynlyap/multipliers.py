@@ -282,23 +282,22 @@ def _arch_lipschitz(fmap: RationalMap):
     """The search for a certified sup of f^# over P^1(C)
     (``lyapunov.LipschitzSearch``), kept once per map so that each spectrum
     resumes it where the last one stopped."""
-    from .heights import _map_cofactors  # heights and lyapunov import this module
-    from .lyapunov import LipschitzSearch
+    from .lyapunov import LipschitzSearch  # lyapunov imports this module
 
     prim = primitive_lift(fmap)
-    return LipschitzSearch(prim.lift, prim.res, _map_cofactors(fmap, prim.res, prim.scale))
+    return LipschitzSearch(prim.lift, prim.res)
 
 
 @per_map("reduced_resultant")
 def _reduced_resultant(fmap: RationalMap) -> int:
     """rho = lcm of the denominators of the cofactors A1, A2, B1, B2 in
     G0 A1 + G1 A2 = X^(2d-1) and G0 B1 + G1 B2 = Y^(2d-1), for G the
-    primitive integer lift of a map over Q; rho divides Res G, since
-    Res G times each cofactor is integral (``heights._bezout_cofactors``);
-    computed once per map."""
-    from .heights import _map_cofactors
+    primitive integer lift of a map over Q (``heights._bezout_cofactors``
+    with right-hand side 1); rho divides Res G, since Res G times each
+    cofactor is integral; computed once per map."""
+    from .heights import _bezout_cofactors  # heights imports this module
 
-    cofactors = _map_cofactors(fmap, 1, primitive_lift(fmap).scale)
+    cofactors = _bezout_cofactors(primitive_lift(fmap).lift, 1)
     return math.lcm(*(c.denominator for part in cofactors for c in part))
 
 

@@ -229,6 +229,42 @@ def L_n_local_finite(fmap, n: int, log_r, v):
     return log_max(terms).scaled(Fraction(1, n * d_n))
 
 
+def bezout_cofactors(lift: HomLift, res):
+    """G1, G2 and H1, H2 with F0 G1 + F1 G2 = Res(F) X^(2d-1), resp. Y^(2d-1),
+    by Fraction Gauss-Jordan: the reference for ``heights._bezout_cofactors``.
+
+    Coefficient rows are returned descending in X, like the lift itself;
+    ``res`` is Res(F).
+    """
+    d = lift.d
+    one = field_one(lift.one())
+    size = 2 * d
+    # unknowns: g1_0..g1_{d-1}, g2_0..g2_{d-1} (descending); equations:
+    # coefficient of X^(2d-1-j) Y^j for j = 0..2d-1
+    rows = [[f[j - k] if 0 <= j - k <= d else one * 0 for f in (lift.a, lift.b) for k in range(d)]
+            for j in range(size)]
+    sol_g = _solve_field(rows, [res if j == 0 else res * 0 for j in range(size)])
+    sol_h = _solve_field(rows, [res if j == size - 1 else res * 0 for j in range(size)])
+    return (sol_g[:d], sol_g[d:], sol_h[:d], sol_h[d:])
+
+
+def _solve_field(rows, rhs):
+    n = len(rows)
+    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("singular cofactor system")
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k] * inv
+                for j in range(k, n + 1):
+                    m[i][j] = m[i][j] - f * m[k][j]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
 def sup_chordal_grid(fmap, grid: int):
     """Numeric sup of f^# over P^1(C) on a chordal grid with refinement:
     a lower bound of the sup with a heuristic mesh allowance, the reference

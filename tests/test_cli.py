@@ -308,6 +308,20 @@ class TestDomainErrors:
         else:
             assert "error" not in rep
 
+    @pytest.mark.parametrize("argv", [
+        ["multipliers", "--map", '{"d":2,"a":["1","0","1/0"],"b":["0","0","1"]}', "--n", "1"],
+        ["multipliers", "--map", ZT.replace('"num":"t"', '"num":"1/0*t"'), "--n", "1"],
+        ["canonical-height", "--map", HALF, "--point", "1/0"],
+        ["lyapunov", "--map", ZT, "--place", "t=1/0"],
+        ["lyapunov", "--map", HALF, "--place", "arch", "--r", "1/0"],
+        ["multipliers", "--map", ZT.replace('"num":"t","den":"1"', '"num":5'), "--n", "1"],
+        ["multipliers", "--map", ZT.replace('"num":"t","den":"1"', '"num":"t","den":2'), "--n", "1"],
+    ], ids=["coefficient", "t-poly", "point", "place", "radius", "bare num", "bare den"])
+    def test_malformed_rational(self, argv):
+        # a zero denominator, or a num / den that is not a string
+        rep = run_json(argv, expect=2)
+        assert rep["error"]["kind"] == "input" and rep["error"]["message"]
+
     @pytest.mark.parametrize("r", ["0", "-1/2", "2"])
     def test_arch_radius_message(self, r):
         rep = run_json(["lyapunov", "--map", HALF, "--place", "arch", f"--r={r}"], expect=2)

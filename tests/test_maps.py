@@ -22,6 +22,7 @@ from dynlyap.maps import (
     resultant_of_lift,
 )
 from dynlyap.budget import Budget
+from dynlyap.heights import _bezout_cofactors
 from dynlyap.places import Place, local_abs
 import oracles
 from oracles import lift_resultant
@@ -121,6 +122,40 @@ class TestResultantOfLift:
         assert resultant_of_lift(HomLift(1, (F(0), F(1)), (F(1), F(0)))) == -1
         assert resultant_of_lift(HomLift(2, (F(0), F(0), F(1)), (F(1), F(0), F(0)))) == 1
         assert resultant_of_lift(HomLift(2, (F(1), F(0), F(0)), (F(0), F(0), F(1)))) == 1
+
+
+class TestBezoutCofactors:
+    """``heights._bezout_cofactors``, one integer elimination of the
+    Sylvester system, against the identities and the Fraction solve."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_identities_and_oracle(self, d):
+        rng = random.Random(f"bezout{d}")
+        # a dropped leading coefficient forces a row swap; forms with
+        # different denominators scale the two halves of a solution apart
+        for shape in ("full", "F0 drops", "F1 drops"):
+            for _ in range(8):
+                lift = shaped_lift(rng, d, "Q", shape)
+                res = resultant_of_lift(lift)
+                if not res:
+                    with pytest.raises(ValueError):
+                        _bezout_cofactors(lift, res)
+                    continue
+                cofactors = _bezout_cofactors(lift, res)
+                assert cofactors == oracles.bezout_cofactors(lift, res), (shape, lift)
+                # as forms in (X, Y): a coefficient row descending in X is a
+                # polynomial in Y / X
+                f0, f1, g1, g2, h1, h2 = (Poly(tuple(r)) for r in (lift.a, lift.b, *cofactors))
+                assert f0 * g1 + f1 * g2 == Poly((res,))
+                assert f0 * h1 + f1 * h2 == Poly((F(0),) * (2 * d - 1) + (res,))
+
+    def test_singular_and_qt_lifts_are_value_errors(self):
+        with pytest.raises(ValueError, match="singular"):
+            _bezout_cofactors(HomLift(2, (F(1), F(2), F(0)), (F(2), F(4), F(0))), F(0))
+        t = RatFunc.t()
+        qt = new_map(2, (1, 0, t), (0, 0, 1)).lift
+        with pytest.raises(ValueError, match="over Q only"):
+            _bezout_cofactors(qt, resultant_of_lift(qt))
 
 
 class TestIteration:
@@ -427,7 +462,7 @@ class TestPerMap:
         return calls + [
             (primitive_lift, ()), (multipliers._arch_lipschitz, ()),
             (multipliers._reduced_resultant, ()), (heights._map_sup_t_bound, ()),
-            (heights._unit_cofactors, ()), (heights._northcott_bound, ()),
+            (heights._northcott_bound, ()),
         ]
 
     @pytest.mark.parametrize("ff", [False, True], ids=["Q", "Q(t)"])

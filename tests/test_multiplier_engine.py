@@ -26,7 +26,7 @@ from dynlyap.multipliers import (
     dynatomic_divisor,
 )
 from dynlyap.places import Place
-from oracles import field_mod_div, field_power_sums, sup_chordal_grid
+from oracles import bezout_cofactors, field_mod_div, field_power_sums, sup_chordal_grid
 
 
 def poly_map(*coeffs_desc):
@@ -101,8 +101,7 @@ def test_cleared_power_sums_within_bound(label, fmap, periods):
     rho = _reduced_resultant(fmap)
     prim = primitive_lift(fmap)
     assert prim.res % rho == 0
-    growth = LipschitzSearch(prim.lift, prim.res,
-                             heights._bezout_cofactors(prim.lift, prim.res)).bound() * rho
+    growth = LipschitzSearch(prim.lift, prim.res).bound() * rho
     for n in periods:
         got = engine_sums(fmap, n)
         if got is None:
@@ -237,30 +236,29 @@ def test_lambda_from_the_fixed_point_identity(label, fmap, periods):
         assert got == [s.numerator * pow(s.denominator, -1, p) % p for s in want]
 
 
-def test_one_bezout_solve_per_map(monkeypatch):
+@pytest.mark.parametrize("d,coeffs", [
+    (3, ((0, -3, 0, -2), (-1, 1, -3, 3))),
+    (2, ((F(9, 2), 3, 6), (0, 9, 12))),  # not primitive: the lift and s F differ
+    (2, ((F(1, 2), F(-2, 3), 0), (F(3, 4), 0, F(5, 7)))),
+], ids=["cubic", "non-primitive", "fractions"])
+def test_bezout_consumers_match_the_oracle_solve(monkeypatch, d, coeffs):
+    # rho, Lip, sup |T_F| and the Northcott cutoff, each read off the integer
+    # solve, equal the values read off the Fraction solve, one solve apiece
+    def values(fmap):
+        return (_reduced_resultant(fmap), _arch_lipschitz(fmap).bound(),
+                heights._map_sup_t_bound(fmap), heights._northcott_bound(fmap))
+
     calls = []
-    inner = heights._bezout_cofactors
 
-    def spy(lift, res):
+    def oracle(lift, res):
         calls.append(res)
-        return inner(lift, res)
+        return bezout_cofactors(lift, res)
 
-    monkeypatch.setattr(heights, "_bezout_cofactors", spy)
-    fmap = new_map(3, (0, -3, 0, -2), (-1, 1, -3, 3))
-    rho = _reduced_resultant(fmap)
-    lip = _arch_lipschitz(fmap).bound()
-    sup_t = heights._map_sup_t_bound(fmap)
-    northcott = heights._northcott_bound(fmap)
-    assert len(calls) == 1
-    # each value is the one a solve of its own gives
-    prim = primitive_lift(fmap)
-    monkeypatch.setattr(heights, "_bezout_cofactors", inner)
-    assert sup_t == heights._arch_sup_t_bound(fmap.lift, fmap.resultant)
-    assert northcott == (heights._arch_sup_t_bound(prim.lift, prim.res)
-                         + math.log(prim.res)) / (fmap.d - 1) + 1e-6
-    cofactors = inner(prim.lift, prim.res)
-    assert lip == LipschitzSearch(prim.lift, prim.res, cofactors).bound()
-    assert all((c * rho / prim.res).denominator == 1 for part in cofactors for c in part)
+    got = values(new_map(d, *coeffs))
+    monkeypatch.setattr(heights, "_bezout_cofactors", oracle)
+    monkeypatch.setattr(lyapunov, "_bezout_cofactors", oracle)
+    assert got == values(new_map(d, *coeffs))
+    assert len(calls) == 4
 
 
 def test_engine_primes_carry_proth_certificates():
@@ -298,24 +296,20 @@ def test_non_unit_prime_is_skipped(monkeypatch):
 @pytest.mark.parametrize("label,fmap,periods", CASES[1:], ids=[c[0] for c in CASES[1:]])
 def test_lipschitz_between_grid_and_bezout(label, fmap, periods):
     prim = primitive_lift(fmap)
-    cofactors = heights._bezout_cofactors(prim.lift, prim.res)
-    lip = LipschitzSearch(prim.lift, prim.res, cofactors).bound()
+    lip = LipschitzSearch(prim.lift, prim.res).bound()
     grid, _ = sup_chordal_grid(fmap, 96)
     assert grid <= lip * (1 + 1e-12)
-    assert lip <= _bezout_lipschitz_bound(prim.lift, prim.res, cofactors)
+    assert lip <= _bezout_lipschitz_bound(prim.lift, prim.res)
 
 
 def test_lipschitz_closed_form_and_fallback():
     # sup of z^2's chordal derivative 2|z|(1+|z|^2)/(1+|z|^4) is 2, at |z| = 1
     square = primitive_lift(poly_map(1, 0, 0))
-    lip = LipschitzSearch(square.lift, square.res,
-                          heights._bezout_cofactors(square.lift, square.res)).bound()
+    lip = LipschitzSearch(square.lift, square.res).bound()
     assert 2 <= lip <= F(5, 2)
     # coefficients beyond the float range: the exact Bezout bound stands alone
     huge = primitive_lift(poly_map(1, 0, 10**400))
-    cofactors = heights._bezout_cofactors(huge.lift, huge.res)
-    assert LipschitzSearch(huge.lift, huge.res, cofactors).bound() == _bezout_lipschitz_bound(
-        huge.lift, huge.res, cofactors)
+    assert LipschitzSearch(huge.lift, huge.res).bound() == _bezout_lipschitz_bound(huge.lift, huge.res)
 
 
 def fsharp_squared(fmap, x):
@@ -388,11 +382,10 @@ def test_finished_search_keeps_no_boxes():
     # a caller satisfied by the search's last pair leaves no suspended heap
     # behind: the search is done, whatever the caller asks next
     prim = primitive_lift(poly_map(1, 0, F(1, 2)))
-    cofactors = heights._bezout_cofactors(prim.lift, prim.res)
-    search = LipschitzSearch(prim.lift, prim.res, cofactors)
+    search = LipschitzSearch(prim.lift, prim.res)
     lip = search.bound(lambda upper, best: upper <= best * (1 + lyapunov._LIP_RTOL))
     assert search._steps is None
-    assert lip == LipschitzSearch(prim.lift, prim.res, cofactors).bound()
+    assert lip == LipschitzSearch(prim.lift, prim.res).bound()
 
 
 def test_pack_round_trips():
