@@ -15,7 +15,7 @@ from typing import Optional
 
 from .algebra import RatFunc, _clear_fractions, factor_int, period_count, rational_roots, sigma2
 from .errors import IrrationalCriticalPoint, PoleOutsideCenter, ResourceLimit
-from .heights import HeightValue, critical_height_direct, map_height, naive_height
+from .heights import HeightValue, check_tol, critical_height_direct, map_height, naive_height
 from .lyapunov import L_n_local
 from .maps import RationalMap
 from .multipliers import cycle_polynomial, lambda_point, lambda_tilde_point, sigma_star
@@ -118,6 +118,7 @@ def crit_height_truncated_estimate(fmap: RationalMap, n: int) -> HeightValue:
 
 def crit_height_series(fmap: RationalMap, n_max: int, tol: float = 1e-9) -> CritHeightReport:
     """Per-n multiplier estimates with the direct critical height when available."""
+    check_tol(tol)
     entries = []
     failures = []
     for n in range(1, n_max + 1):

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .budget import default_budget
 from .errors import DynlyapError, ParseError, ResourceLimit
-from .heights import HeightValue, canonical_height, point_of
+from .heights import HeightValue, canonical_height, check_tol, point_of
 from .lyapunov import ARCH_RADIUS, L_n_local, lyapunov_arch, lyapunov_nonarch_sequence
 from .mapio import (
     format_fraction,
@@ -89,6 +89,7 @@ def _cmd_multipliers(fmap: RationalMap, args) -> dict:
 
 
 def _cmd_lyapunov(fmap: RationalMap, args) -> dict:
+    check_tol(args.tol)  # read only at arch, checked at every place
     v = parse_place(args.place)
     if v.is_archimedean():
         if args.r == "eps":

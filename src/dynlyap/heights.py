@@ -7,7 +7,9 @@ places).  Two exact short-circuits apply: good reduction gives 0
 immediately, and once an orbit provably escapes into a superattracting
 region at infinity the remaining tail is an exact geometric series.  When
 neither fires the value is a float with a rigorous error bound from the
-telescoping estimate sup|T_F| / (d^N (d-1)).
+telescoping estimate sup|T_F| / (d^N (d-1)).  At a prime, an orbit whose
+reduction mod p never meets a common zero of F_min mod p drops no digit,
+and its value is read off that F_p orbit without the residues mod p^M.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def local_green(lift: HomLift, point, v: Place, tol: float = 1e-9,
 
     ``resultant``, when given, is Res(F) and spares recomputing it.
     """
+    check_tol(tol)
     budget = budget or default_budget()
     pt = normalize_point(*point) if isinstance(point, tuple) else normalize_point(point, field_one(lift.one()))
     if resultant is None:
@@ -109,6 +112,14 @@ def local_green(lift: HomLift, point, v: Place, tol: float = 1e-9,
 
 def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
                    resultant) -> LocalLogValue:
+    """g_{F,v}(pt) at a non-archimedean place, from the ledger of the
+    valuations m_j of F_min along the orbit.
+
+    At a prime, the orbit mod p comes first (``_orbit_avoids_bad_locus``):
+    when none of its N points is a common zero of F_min mod p every m_j is
+    0, and the value is the one the precision ladder would return.  Other
+    orbits climb the ladder.
+    """
     d, one = lift.d, lift.one()
     mcoef, res_val = minimal_resultant_valuation(lift, resultant, v)
     fmin = minimal_lift(lift, v)
@@ -128,6 +139,10 @@ def _nonarch_green(lift: HomLift, pt, v: Place, tol: float, budget: Budget,
         scale = v.uniformizer_power(-shift, one)
         x, y = x * scale, y * scale
     tail_float = sup_t * unit_log / (d**n_steps * (d - 1))
+    # the ladder's exact escape test can fire only where y = 0 mod p
+    escape = not fmin.b[0] and va[0] is not None
+    if base is not None and _orbit_avoids_bad_locus(fmin, (x, y), base, n_steps, escape):
+        return _float_ledger(corr, base, tail_float)
     args = (fmin, (x, y), v, d, n_steps)
     full = (int(res_val) + 1) * (n_steps + 2) + 48
     # precision ladder: a rung below ``full`` returns only values that no
@@ -181,9 +196,36 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
         ring.consume(m)
         if ring.eff_prec < 24:
             return None
-    ledger = corr + Fraction(num, d**n_steps)
+    return _float_ledger(corr + Fraction(num, d**n_steps), base, tail_float)
+
+
+def _float_ledger(ledger: Fraction, base, tail_float: float) -> LocalLogValue:
+    """The ledger of a finished orbit as a float, the series tail in its error."""
     x, err = LocalLogValue.exact(ledger, base if ledger else None).to_float()
     return LocalLogValue.from_float(x, err + tail_float)
+
+
+def _orbit_avoids_bad_locus(fmin, pt, p, n_steps, escape) -> bool:
+    """True when none of the first ``n_steps`` points of the orbit of pt mod
+    p is a common zero of F_min mod p, nor, with ``escape``, has y = 0.
+
+    pt has p-integral coordinates, not both divisible by p.  At a point P
+    whose reduction is not a common zero of the reduced forms, one of the
+    two values of F_min(P) is a unit, so m_j = 0 and F_min(P) reduces to
+    F_min mod p at the reduced point: the F_p orbit follows the ladder's
+    residues step by step (Silverman, The Arithmetic of Dynamical Systems,
+    ch. 2).  ``escape`` is for a polynomial-like F_min, where the ladder's
+    exact escape test may return an exact value at a point with y = 0.
+    """
+    ring = _PadicRing(p, 1, fmin)
+    r0, r1 = ring.convert(pt[0]), ring.convert(pt[1])
+    for _ in range(n_steps):
+        if escape and not r1:
+            return False
+        r0, r1 = ring.eval_pair(r0, r1)
+        if not (r0 or r1):
+            return False
+    return True
 
 
 @per_map("arch_sup_t")
@@ -212,13 +254,28 @@ def _arch_green(lift: HomLift, pt, tol: float, sup_t: float) -> LocalLogValue:
     return LocalLogValue.from_float(total, err)
 
 
-def _green_steps(sup_t: float, d: int, tol: float, cap: int, what: str) -> int:
-    """The least N >= 1 with sup_t / (d^N (d - 1)) <= tol, the telescoping
-    bound on the tail of a Green function's series.  A tol that is not > 0
-    is a ValueError; past ``cap`` steps, or once d^N leaves the float range
-    (d = 2 near N = 1024), the tolerance is unreachable."""
+def check_tol(tol: float) -> None:
+    """A tolerance that is not > 0 (nan included) is a ValueError naming it.
+    Each public entry point that takes ``tol`` calls this first, before any
+    short-circuit, so that the answer does not depend on the point or map."""
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+
+
+def _tol_share(tol: float, parts: int) -> float:
+    """tol / parts, the tolerance of one term of a sum; a share that
+    underflows to 0 is unreachable, like one that needs too many steps."""
+    share = tol / parts
+    if not share > 0:
+        raise ResourceLimit(f"tolerance {tol} unreachable in {parts} parts")
+    return share
+
+
+def _green_steps(sup_t: float, d: int, tol: float, cap: int, what: str) -> int:
+    """The least N >= 1 with sup_t / (d^N (d - 1)) <= tol, the telescoping
+    bound on the tail of a Green function's series.  Past ``cap`` steps, or
+    once d^N leaves the float range (d = 2 near N = 1024), the tolerance is
+    unreachable."""
     for n_steps in range(1, cap + 1):
         try:
             if not sup_t / (d**n_steps * (d - 1)) > tol:
@@ -591,6 +648,7 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     Over Q(t) the value is exact whenever every local computation resolves
     exactly.
     """
+    check_tol(tol)
     one = field_one(fmap.resultant)
     pt = point if isinstance(point, tuple) else point_of(point, one)
     pt = normalize_point(*pt)
@@ -600,7 +658,7 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     if fmap.base == "Q":
         x0, x1 = xpt
         places = bad_places(fmap)
-        per_tol = tol / (len(places) + 2)
+        per_tol = _tol_share(tol, len(places) + 2)
         value = err = 0.0
         for v in places:
             g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
@@ -621,7 +679,7 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
         return HeightValue(value, err)
     # function field
     places = bad_places(fmap) + [Place.ff_infinity()]
-    per_tol = tol / (len(places) + 1)
+    per_tol = _tol_share(tol, len(places) + 1)
     exact_total = Fraction(max(c.num.degree for c in xpt if c))
     float_total = err = 0.0
     all_exact = True
@@ -646,6 +704,7 @@ def critical_height_direct(fmap: RationalMap, tol: float = 1e-9) -> HeightValue:
     IrrationalCriticalPoint otherwise (callers fall back to the multiplier
     estimator).
     """
+    check_tol(tol)
     cd = critical_divisor(fmap.lift)
     one = field_one(fmap.resultant)
     points: list[tuple] = []
@@ -669,7 +728,7 @@ def critical_height_direct(fmap: RationalMap, tol: float = 1e-9) -> HeightValue:
     if cd.mult_infinity:
         points.append(((one, one * 0), cd.mult_infinity))
     total_mult = sum(m for _, m in points)
-    per_tol = tol / max(1, total_mult)
+    per_tol = _tol_share(tol, max(1, total_mult))
     total = _ZERO_HEIGHT
     for pt, mult in points:
         h = canonical_height(fmap, pt, per_tol)

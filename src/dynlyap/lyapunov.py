@@ -24,7 +24,7 @@ from typing import Optional
 
 from .algebra import period_count, sigma2, squarefree_parts
 from .errors import ArchimedeanPlace, ResourceLimit
-from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex
+from .heights import _arch_green, _bezout_cofactors, _map_sup_t_bound, _to_complex, check_tol
 from .maps import BASE_Q, HomLift, RationalMap, abs_resultant, critical_divisor
 from .multipliers import _arch_lipschitz, cycle_polynomial
 from .places import Place, LocalLogValue, gauss_log_norm
@@ -340,6 +340,7 @@ def lyapunov_arch(fmap: RationalMap, tol: float = 1e-8) -> LyapunovEstimate:
     norm corrections appear as closed-form terms, so only the 2d-2 Green
     values are iterated numerically.
     """
+    check_tol(tol)
     if fmap.base != "Q":
         raise ValueError("archimedean Lyapunov exponents require a map over Q")
     d = fmap.d

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import Poly, RatFunc
-from .budget import Budget
+from .budget import Budget, default_budget
 from .errors import ParseError
 from .maps import RationalMap, new_map
 from .places import Place
@@ -42,7 +42,12 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_t_poly(s: str) -> Poly:
-    """Polynomial in t from a string like '3*t^2-1/2*t+4'."""
+    """Polynomial in t from a string like '3*t^2-1/2*t+4'.
+
+    The result is dense, deg + 1 coefficients, so the degree is checked
+    against ``default_budget()`` at a machine word per coefficient before
+    the list is built: t^1000000000 is a ResourceLimit, not 10^9 objects.
+    """
     text = s.strip().replace(" ", "")
     if not text:
         raise ParseError("empty polynomial string")
@@ -68,6 +73,7 @@ def parse_t_poly(s: str) -> Poly:
         pos = m.end()
         first = False
     deg = max(coeffs)
+    default_budget().check_bits(64 * (deg + 1), f"t-polynomial of degree {deg}")
     return Poly([coeffs.get(i, Fraction(0)) for i in range(deg + 1)])
 
 

@@ -14,7 +14,7 @@ from dynlyap.mapio import (
     parse_place,
     parse_t_poly,
 )
-from dynlyap.errors import DegenerateMap, ParseError
+from dynlyap.errors import DegenerateMap, ParseError, ResourceLimit
 
 BASILICA = '{"d":2,"a":["1","0","-1"],"b":["0","0","1"]}'
 SQUARE = '{"d":2,"a":["1","0","0"],"b":["0","0","1"]}'
@@ -52,6 +52,15 @@ class TestMapIO:
         for s in ("3*t^2-1/2*t+4", "t", "-t^3+1", "0", "7/5", "t^4-t"):
             p = parse_t_poly(s)
             assert parse_t_poly(format_t_poly(p)) == p
+
+    def test_t_poly_degree_budget(self, monkeypatch):
+        # a machine word per coefficient of the dense list, checked before it is built
+        with pytest.raises(ResourceLimit):
+            parse_t_poly("t^1000000000")
+        monkeypatch.setenv("DYNLYAP_BUDGET_BITS", "320")
+        assert parse_t_poly("3*t^4-1").degree == 4
+        with pytest.raises(ResourceLimit):
+            parse_t_poly("t^5")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -321,6 +330,37 @@ class TestDomainErrors:
         # a zero denominator, or a num / den that is not a string
         rep = run_json(argv, expect=2)
         assert rep["error"]["kind"] == "input" and rep["error"]["message"]
+
+    @pytest.mark.parametrize("cmd, given", [
+        # z^2 at 1: the preperiodic short-circuit used to answer 0 first
+        ("canonical-height SQ --point 1 --tol -1", "-1.0"),
+        ("canonical-height SQ --point 1 --tol 0", "0.0"),
+        ("canonical-height SQ --point 1 --tol nan", "nan"),
+        ("crit-height SQ --tol -1", "-1.0"),
+        # read only at arch
+        ("lyapunov Q --place p:2 --tol -1", "-1.0"),
+        # the message names the given value, not a per-term share of it
+        ("canonical-height Q --point 1/3 --tol -1", "-1.0"),
+        ("lyapunov Q --place arch --tol -1", "-1.0"),
+        ("crit-height Q --tol -1", "-1.0"),
+    ])
+    def test_tol_checked_first(self, cmd, given):
+        sub, base, *rest = cmd.split()
+        rep = run_json([sub, "--map", {"Q": HALF, "SQ": SQUARE}[base], *rest], expect=2)
+        assert rep["error"] == {"kind": "input", "message": f"tol must be > 0, got {given}"}
+
+    def test_tol_share_underflow_is_a_resource_limit(self):
+        # 5e-324 > 0, but its share of three terms rounds to 0
+        rep = run_json(["canonical-height", "--map", HALF, "--point", "1/3", "--tol", "5e-324"],
+                       expect=3)
+        assert rep["error"]["kind"] == "resource_limit"
+
+    def test_huge_t_degree(self):
+        # a dense t^1000000000 would be 10^9 coefficients: refused before it is built
+        huge = ZT.replace('"num":"t"', '"num":"t^1000000000"')
+        rep = run_json(["ff-analyze", "--map", huge], expect=3)
+        assert rep["error"]["kind"] == "resource_limit"
+        assert "degree 1000000000" in rep["error"]["message"]
 
     @pytest.mark.parametrize("r", ["0", "-1/2", "2"])
     def test_arch_radius_message(self, r):

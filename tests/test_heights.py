@@ -312,6 +312,118 @@ class TestPrecisionLadder:
         assert heights._nonarch_iterate(*args).to_float() == (0.0, 0.0)
 
 
+def _factors_quickly(n: int) -> bool:
+    """True when trial division to 10^4 leaves a cofactor below 10^8, so
+    that ``factor_int`` (trial division) ends at once."""
+    n = abs(n)
+    for p in range(2, 10**4):
+        while n % p == 0:
+            n //= p
+    return n < 10**8
+
+
+def residue_pass_draws(count):
+    """Seeded (map, point, tol) draws: d = 2 and 3, a third of the maps
+    polynomial-like, coefficients p/q with |p|, q <= 30; each map with its
+    bad primes and eight points (one in eight is infinity)."""
+    rng = random.Random(22)
+    draws = []
+    while len(draws) < count:
+        d = rng.choice((2, 3))
+        cs = [F(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(2 * d + 2)]
+        if rng.random() < 1 / 3:
+            cs[d + 1 :] = [0] * d + [F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))]
+        try:
+            fm = new_map(d, cs[: d + 1], cs[d + 1 :])
+        except (DegenerateMap, ValueError):
+            continue
+        if not all(_factors_quickly(n) for n in (fm.resultant.numerator, fm.resultant.denominator)):
+            continue
+        places = bad_places(fm)
+        for _ in range(8):
+            x = "inf" if rng.random() < 1 / 8 else F(rng.randint(-30, 30), rng.randint(1, 30))
+            draws.append((fm, places, point_of(x), rng.choice((1e-6, 1e-9, 1e-12))))
+    return draws
+
+
+def ladder_only(monkeypatch):
+    """Only the precision ladder: the F_p orbit pass never settles a value."""
+    monkeypatch.setattr(heights, "_orbit_avoids_bad_locus", lambda *args: False)
+
+
+def count_ladder_calls(monkeypatch):
+    calls = []
+    inner = heights._nonarch_iterate
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(heights, "_nonarch_iterate", spy)
+    return calls
+
+
+# Two maps whose reduction mod 31 is H.(phi0, phi1) with a linear factor H and
+# a Moebius map phi, so that an orbit walks through F_31 before it meets
+# the common zero H = 0.  Both have v_31(Res) = 1.
+# (z^2 + 30)/(z - 1) = (X - Y)(X + Y, Y) mod 31: z -> z + 1 off the common
+# zero z = 1, so the orbit of 25 first meets it at step 7; at step 5
+# (z = -1) the image has x = 0 but y != 0.
+SHIFT31 = new_map(2, (1, 0, 30), (0, 1, -1))
+# (z^2 - z)/(z^2 + 30) = (X - Y)(X, X + Y) mod 31: 1/z -> 1/z + 1, so the
+# orbit of -1 goes to infinity, where the image has y = 0 but x != 0, and
+# then to the common zero z = 1 at step 2.  Infinity is not fixed.
+RECIP31 = new_map(2, (1, -1, 0), (1, 0, 30))
+
+
+class TestResidueOrbitPass:
+    def test_same_value_as_the_ladder(self, monkeypatch):
+        draws = residue_pass_draws(2000)
+        cases = [(fm, pt, v, tol) for fm, places, pt, tol in draws for v in places]
+
+        def values():
+            return [repr(local_green(fm.lift, pt, v, tol, None, fm.resultant))
+                    for fm, pt, v, tol in cases]
+
+        inner, settled = heights._orbit_avoids_bad_locus, []
+        monkeypatch.setattr(heights, "_orbit_avoids_bad_locus",
+                            lambda *args: settled.append(inner(*args)) or settled[-1])
+        got = values()
+        ladder_only(monkeypatch)
+        assert got == values()
+        # both outcomes of the pass, exact values and primes above 100 occur
+        assert 0.2 < sum(settled) / len(settled) < 0.9
+        assert sum("+-" not in g for g in got) > 100  # exact values
+        assert any(v.p > 100 for _, _, v, _ in cases)
+
+    def test_escape_guard_keeps_exact_values(self, monkeypatch):
+        # (z^2+1)/2 at p = 2: 1/2 and 5/4 reduce to (1 : 0), a fixed point mod 2
+        # and no common zero of (X^2 + Y^2, 0); the ladder's escape test there
+        # makes their values exact
+        fm = new_map(2, (F(1, 2), 0, F(1, 2)), (0, 0, 1))
+        got = [local_green(fm.lift, (x, F(1)), Place.prime(2)) for x in (F(1, 2), F(5, 4))]
+        assert all(g.is_exact() for g in got)
+        ladder_only(monkeypatch)
+        assert got == [local_green(fm.lift, (x, F(1)), Place.prime(2)) for x in (F(1, 2), F(5, 4))]
+
+    @pytest.mark.parametrize("fm, x, tol, n_steps, ladder", [
+        (SHIFT31, 25, 0.02, 8, True), (SHIFT31, 25, 0.04, 7, False),
+        (RECIP31, -1, 0.5, 3, True), (RECIP31, -1, 1.0, 2, False),
+    ], ids=["shift-N8", "shift-N7", "recip-N3", "recip-N2"])
+    def test_late_first_hit(self, monkeypatch, fm, x, tol, n_steps, ladder):
+        # with the larger N the last checked point is the first common zero,
+        # and it has x != 0; with one step less the orbit misses it, and the
+        # pass settles the value across the step whose image has x = 0 or y = 0
+        v, pt = Place.prime(31), (F(x), F(1))
+        assert heights._green_steps(math.log(31), 2, tol, 4000, "green") == n_steps
+        calls = count_ladder_calls(monkeypatch)
+        got = local_green(fm.lift, pt, v, tol)
+        assert bool(calls) == ladder
+        assert (got.to_float()[0] < 0) == ladder  # the last m_j > 0 enters the ledger
+        ladder_only(monkeypatch)
+        assert repr(got) == repr(local_green(fm.lift, pt, v, tol))
+
+
 def ff_orbit_cases():
     """Seeded points of z^2 + c(t) and (z^2 + c(t))/z over Q(t); in half of
     the cases c = x0 - x0^2, so x0 is fixed by z^2 + c and -x0 maps to it."""
