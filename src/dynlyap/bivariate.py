@@ -62,6 +62,7 @@ from .algebra import (
     _int_content,
     _half_offset,
     _int_mul,
+    _is_monomial,
     _pack,
     _unpack,
     poly_exact_div,
@@ -291,17 +292,24 @@ def _clear_rows(coeffs):
     """(rows, den) with coeffs[i] = rows[i] / den for elements of Q or Q(t):
     integer t-rows over the lcm of the denominators, which is cleared of
     fractions with them, so den in Z[t] has a positive leading coefficient.
-    Elements of Q clear to rows of t-degree 0 ([] for zero) over one integer."""
+    Elements of Q clear to rows of t-degree 0 ([] for zero) over one integer.
+    When every denominator is a power of t their lcm is the largest one, and
+    each numerator is shifted up to it."""
     if not any(isinstance(c, RatFunc) for c in coeffs):
         ints, den = _clear_fractions(coeffs)
         return [[x] if x else [] for x in ints], [den]
     coeffs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
-    dens = dict.fromkeys(c.den for c in coeffs)
-    lcm = Poly((Fraction(1),))
-    for den in dens:
-        lcm = lcm * poly_exact_div(den, poly_gcd(lcm, den))
-    cof = {den: poly_exact_div(lcm, den) for den in dens}
-    parts = [(c.num * cof[c.den]).coeffs for c in coeffs] + [lcm.coeffs]
+    if all(_is_monomial(c.den) for c in coeffs):  # dens t^k: their lcm is a power of t
+        top = max(len(c.den.coeffs) for c in coeffs)
+        parts = [[0] * (top - len(c.den.coeffs)) + list(c.num.coeffs) if c else []
+                 for c in coeffs] + [[0] * (top - 1) + [1]]
+    else:
+        dens = dict.fromkeys(c.den for c in coeffs)
+        lcm = Poly((Fraction(1),))
+        for den in dens:
+            lcm = lcm * poly_exact_div(den, poly_gcd(lcm, den))
+        cof = {den: poly_exact_div(lcm, den) for den in dens}
+        parts = [(c.num * cof[c.den]).coeffs for c in coeffs] + [lcm.coeffs]
     flat = iter(_clear_fractions([x for part in parts for x in part])[0])
     rows = [list(islice(flat, len(part))) for part in parts]
     return rows[:-1], rows[-1]

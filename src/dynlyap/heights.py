@@ -10,22 +10,30 @@ neither fires the value is a float with a rigorous error bound from the
 telescoping estimate sup|T_F| / (d^N (d-1)).  At a prime, an orbit whose
 reduction mod p never meets a common zero of F_min mod p drops no digit,
 and its value is read off that F_p orbit without the residues mod p^M.
+At a function-field place a series coefficient past 2^14 bits is a
+ResourceLimit: the rational coefficients can double in bits every step.
+
+Naive heights and the search for preperiodic points run on coprime integer
+rows (integers over Q, Z[t] rows over Q(t)), as the multiplier spectrum
+does, without field arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly, RatFunc, factor_int, field_one, rational_roots
+from .algebra import Poly, RatFunc, _int_mul, factor_int, field_one, rational_roots
 from .budget import Budget, default_budget
 from .errors import IrrationalCriticalPoint, ResourceLimit
 from .maps import (
+    BASE_QT,
     HomLift,
     RationalMap,
-    apply_map,
+    _coerce_field,
     critical_divisor,
     minimal_lift,
     minimal_resultant_valuation,
@@ -34,10 +42,12 @@ from .maps import (
     primitive_lift,
     resultant_of_lift,
 )
-from .multipliers import _normalize_proj
 from .places import Place, LocalLogValue
 
 _PREPERIOD_CAP = 64
+# bits of a series coefficient's numerator or denominator: past it the
+# rational coefficients of a series Green function swell without bound
+_SERIES_BITS_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,23 +81,39 @@ _ZERO_HEIGHT = HeightValue(0.0, 0.0, Fraction(0))
 # ---------------------------------------------------------------------------
 
 def naive_height(coords) -> HeightValue:
-    """Weil height of a projective point over Q or Q(t)."""
+    """Weil height of a projective point over Q or Q(t), read off its
+    coordinates cleared to integer rows (``bivariate._clear_rows``) and
+    their content in Z[t]."""
+    from .bivariate import _clear_rows, _zt_content
+
     vals = list(coords)
     if not any(vals):
         raise ValueError("(0 : ... : 0) is not a projective point")
-    coprime = _normalize_proj(vals)  # coprime integers, or coprime polynomials in t
-    if any(isinstance(c, RatFunc) for c in vals):
-        return HeightValue.from_exact(max(c.num.degree for c in coprime if c))
-    m = max(abs(c.numerator) for c in coprime)
+    vals, base = _coerce_field(vals)
+    rows, _ = _clear_rows(vals)
+    return _rows_height(rows, _zt_content(rows), base)
+
+
+def map_height(fmap: RationalMap) -> HeightValue:
+    """Height of the coefficient point of the lift in P^(2d+1), read off the
+    primitive lift G that ``bivariate.primitive_rows`` keeps per map."""
+    from .bivariate import primitive_rows
+
+    g0, g1, _ = primitive_rows(fmap)
+    return _rows_height(g0 + g1, [1], fmap.base)
+
+
+def _rows_height(rows: list, content: list, base: str) -> HeightValue:
+    """Height of the point whose coordinates are the integer rows divided
+    by their content in Z[t]: the t-degree of those primitive rows over
+    Q(t), the log of their largest absolute value over Q."""
+    if base == BASE_QT:
+        return HeightValue.from_exact(max(map(len, rows)) - len(content))
+    m = max(abs(r[0]) for r in rows if r) // content[0]
     if m == 1:
         return _ZERO_HEIGHT
     val = math.log(m)
     return HeightValue(val, abs(val) * 4e-16)
-
-
-def map_height(fmap: RationalMap) -> HeightValue:
-    """Height of the coefficient point of the lift in P^(2d+1)."""
-    return naive_height(list(fmap.lift.a) + list(fmap.lift.b))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +213,9 @@ def _nonarch_iterate(fmin, pt, v, d, n_steps, prec, va, vb, corr, base, tail_flo
                 if v1 is None and not final:
                     return None
         s0, s1 = ring.eval_pair(r0, r1)
+        if base is None and _series_bits(s0, s1) > _SERIES_BITS_CAP:
+            raise ResourceLimit(f"series Green function at {v}: a coefficient passed "
+                                f"{_SERIES_BITS_CAP} bits at step {j + 1}")
         m0, m1 = ring.val(s0), ring.val(s1)
         if m0 is None and m1 is None:
             return None  # precision exhausted
@@ -476,6 +505,12 @@ class _SeriesRing(_LocalRing):
         return r[m:] if m else r
 
 
+def _series_bits(*series) -> int:
+    """The most bits of a numerator or denominator among the coefficients."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for s in series for c in s), default=0)
+
+
 def _series_mul(a: list, b: list, prec: int) -> list:
     if not a or not b:
         return []
@@ -500,10 +535,13 @@ def _series_add(a: list, b: list) -> list:
 
 
 def _series_div(num: list, den: list, prec: int) -> list:
-    """num/den as a truncated series; den[0] must be a unit."""
+    """num/den as a truncated series; den[0] must be a unit.  A constant
+    den gives the finite series of num / den[0], whose later terms are 0."""
     if not den or not den[0]:
         raise ZeroDivisionError("series division by non-unit")
     inv0 = 1 / den[0]
+    if len(den) == 1:
+        return [c * inv0 for c in num[:prec]]
     out = []
     num = list(num) + [Fraction(0)] * max(0, prec - len(num))
     for k in range(prec):
@@ -608,31 +646,126 @@ def _ff_northcott_bound(fmap: RationalMap) -> Fraction:
 def _preperiodic(fmap: RationalMap, pt, cap: int = _PREPERIOD_CAP) -> bool:
     """True when the orbit of pt repeats within ``cap`` steps.
 
-    An orbit point whose height passes a Northcott bound has h^ > 0, which
-    proves pt wandering.  Over Q the Weil height h exceeds
+    The orbit runs on coprime integer rows (``_orbit_rows``), one pair per
+    point of P^1, so a repeated pair is a repeated point.  An orbit point
+    whose height passes a Northcott bound has h^ > 0, which proves pt
+    wandering.  Over Q the Weil height h = log max(|X|, |Y|) exceeds
     ``_northcott_bound`` C and h^ >= h - C > 0 (h <= h_2); over Q(t) the
-    t-degree of a point (x : 1), max(deg num x, deg den x), exceeds
-    ``_ff_northcott_bound``.  Past 2^14 bits an orbit is taken as escaping:
-    the stop for orbits that never pass the bound, such as the constant
-    orbits of an isotrivial map, or with C = inf.
+    t-degree max(deg X, deg Y) of a finite point exceeds
+    ``_ff_northcott_bound``.  Past 2^14 bits of the field point
+    (``_point_bits``, read only once ``_rows_bits`` bounds it above 2^14)
+    an orbit is taken as escaping: the stop for orbits that never pass the
+    bound, such as the constant orbits of an isotrivial map, or with
+    C = inf.
     """
     q_base = fmap.base == "Q"
     cutoff = _northcott_bound(fmap) if q_base else _ff_northcott_bound(fmap)
-    seen = {pt}
-    cur = pt
-    for _ in range(cap):
-        cur = apply_map(fmap, cur)
+    orbit = _orbit_rows(fmap, pt)
+    seen = {next(orbit)}
+    for _, cur in zip(range(cap), orbit):
         if cur in seen:
             return True
         seen.add(cur)
+        x, y = cur
         if q_base:
-            if cutoff < math.inf and math.log(max(abs(cur[0].numerator), cur[0].denominator)) > cutoff:
+            if cutoff < math.inf and math.log(max(abs(x), y)) > cutoff:
                 return False
-        elif cur[1] and cur[0].degree_as_map() > cutoff:
+        elif y and max(len(x), len(y)) - 1 > cutoff:
             return False
-        if _point_bits(cur) > 1 << 14:
+        if _rows_bits(x, y) > 1 << 14 and _point_bits(_rows_point(cur, fmap.base)) > 1 << 14:
             return False
     return False
+
+
+def _orbit_rows(fmap: RationalMap, pt):
+    """The orbit pt, f(pt), f^2(pt), ... as coprime integer pairs (X, Y):
+    integers over Q, tuples of ascending t-coefficients over Q(t).
+
+    Each step evaluates the primitive lift G (``bivariate.primitive_rows``)
+    at (X, Y) by Horner in X with the powers of Y shared by both forms, and
+    divides out the content of the pair (it divides Res G).  The last
+    nonzero coordinate gets a positive leading coefficient, so each point
+    of P^1 has one pair.
+    """
+    from .bivariate import _clear_rows, _divide_content, _zt_content, primitive_rows
+
+    g0, g1, _ = primitive_rows(fmap)
+    rows, _ = _clear_rows(list(pt))
+    if fmap.base == "Q":  # rows of t-degree 0: their integers
+        lift = [[r[0] if r else 0 for r in g] for g in (g0, g1)]
+        x, y = (r[0] if r else 0 for r in rows)
+        one, mul, add = 1, operator.mul, operator.add
+
+        def primitive(x, y):
+            c = math.gcd(x, y)
+            if y < 0 or not y and x < 0:
+                c = -c
+            return x // c, y // c
+    else:
+        lift, (x, y) = (g0, g1), rows
+        one, mul, add = (1,), _int_mul, _add_rows
+
+        def primitive(x, y):
+            x, y = _divide_content([list(x), list(y)], _zt_content([x, y]))
+            if (y or x)[-1] < 0:
+                x, y = [-c for c in x], [-c for c in y]
+            return tuple(x), tuple(y)
+
+    d = fmap.d
+    x, y = primitive(x, y)
+    while True:
+        yield x, y
+        ypow = [one, y]
+        for _ in range(d - 1):
+            ypow.append(mul(ypow[-1], y))
+        x, y = primitive(*(_form_at(g, x, ypow, d, mul, add) for g in lift))
+
+
+def _form_at(g: list, x, ypow: list, d: int, mul, add):
+    """sum_i g[i] x^i y^(d-i) for the coefficients g of a form of degree d
+    (z ascending, trailing zeros trimmed), by Horner in x; ypow[j] = y^j."""
+    top = len(g) - 1
+    acc = g[top]
+    for i in range(top - 1, -1, -1):
+        acc = mul(acc, x)
+        if g[i]:
+            acc = add(acc, mul(g[i], ypow[top - i]))
+    return mul(acc, ypow[d - top]) if top < d else acc
+
+
+def _add_rows(a, b) -> list:
+    """a + b in Z[t], without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rows_bits(x, y) -> int:
+    """An upper bound on ``_point_bits`` of the point (x : y) of coprime
+    rows from ``_orbit_rows``, normalized to (x / y : 1) or (1 : 0).
+
+    Over Q it is exact: x / y in lowest terms, and the 2 bits of 1.  Over
+    Q(t) each coefficient of x / y, as num / den with den monic, is a row
+    entry over lc(y), and the coordinate 1 takes 4 bits.
+    """
+    if isinstance(x, int):
+        return x.bit_length() + y.bit_length() + 2
+    lead = (y[-1] if y else 1).bit_length()
+    return sum(c.bit_length() for c in x + y) + (len(x) + len(y)) * lead + 4
+
+
+def _rows_point(rows, base: str):
+    """The normalized field point of a pair from ``_orbit_rows``."""
+    from .bivariate import _from_rows
+
+    if base == "Q":
+        rows = [[c] for c in rows]
+    return normalize_point(*_from_rows(rows, [1], base))
 
 
 def _point_bits(pt) -> int:
@@ -654,8 +787,9 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     pt = normalize_point(*pt)
     if _preperiodic(fmap, pt):
         return _ZERO_HEIGHT
-    xpt = _normalize_proj(pt)
     if fmap.base == "Q":
+        # the coprime integer point: (num x : den x), or (1 : 0)
+        xpt = (Fraction(pt[0].numerator), Fraction(pt[0].denominator)) if pt[1] else pt
         x0, x1 = xpt
         places = bad_places(fmap)
         per_tol = _tol_share(tol, len(places) + 2)
@@ -680,11 +814,11 @@ def canonical_height(fmap: RationalMap, point, tol: float = 1e-9) -> HeightValue
     # function field
     places = bad_places(fmap) + [Place.ff_infinity()]
     per_tol = _tol_share(tol, len(places) + 1)
-    exact_total = Fraction(max(c.num.degree for c in xpt if c))
+    exact_total = naive_height(pt).exact
     float_total = err = 0.0
     all_exact = True
     for v in places:
-        g = local_green(fmap.lift, xpt, v, per_tol, fmap.budget, fmap.resultant)
+        g = local_green(fmap.lift, pt, v, per_tol, fmap.budget, fmap.resultant)
         if g.is_exact():
             exact_total += g.q
         else:

@@ -529,13 +529,6 @@ def charpoly_multipliers_full(fmap: RationalMap, n: int) -> Poly:
     return chi
 
 
-def sigma_display_poly(spectrum: MultiplierSpectrum) -> Poly:
-    """sum_j sigma*_j (-T)^(d_n - j): the sign-flipped product over Fix*."""
-    d_n = spectrum.d_n
-    coeffs = [spectrum.sigma_star[d_n - k] * (-1 if k % 2 else 1) for k in range(d_n + 1)]
-    return Poly(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # multiplier-map points
 # ---------------------------------------------------------------------------

@@ -250,17 +250,6 @@ class LocalLogValue:
         return self.to_float()[0] <= other.to_float()[0]
 
 
-def log_max(values) -> LocalLogValue:
-    """Pointwise maximum of same-base local log values."""
-    best = None
-    for v in values:
-        if best is None or best.leq(v):
-            best = v
-    if best is None:
-        raise ValueError("max of empty sequence")
-    return best
-
-
 def gauss_log_norm(coeffs, v: Place, log_r: LocalLogValue) -> LocalLogValue:
     """log max_j |c_j|_v r^j over the nonzero coefficients c_j of T^j, at a
     non-archimedean place: max_j (j q_r - v(c_j)) from integer valuations,

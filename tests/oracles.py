@@ -21,15 +21,27 @@ from dynlyap.analysis import (
     _classify,
 )
 from dynlyap.errors import IrrationalCriticalPoint, NonExactDivision
-from dynlyap.heights import _to_complex, critical_height_direct, map_height, naive_height
-from dynlyap.maps import HomLift
+from dynlyap.heights import (
+    _PREPERIOD_CAP,
+    _ZERO_HEIGHT,
+    HeightValue,
+    _ff_northcott_bound,
+    _northcott_bound,
+    _point_bits,
+    _to_complex,
+    critical_height_direct,
+    map_height,
+    naive_height,
+)
+from dynlyap.maps import HomLift, apply_map
 from dynlyap.multipliers import (
+    _normalize_proj,
     fixstar_multiplier_charpoly,
     lambda_tilde_point,
     power_sums_from_monic,
     sigma_star,
 )
-from dynlyap.places import local_abs, log_max
+from dynlyap.places import LocalLogValue, local_abs
 
 
 def compose_lifts(outer, inner):
@@ -319,3 +331,75 @@ def sup_chordal_grid(fmap, grid: int):
                 break
     err = best * (2.0 * math.pi / grid) * (d + 1)  # heuristic mesh allowance
     return best, err
+
+
+def log_max(values) -> LocalLogValue:
+    """Pointwise maximum of same-base local log values."""
+    best = None
+    for v in values:
+        if best is None or best.leq(v):
+            best = v
+    if best is None:
+        raise ValueError("max of empty sequence")
+    return best
+
+
+def sigma_display_poly(spectrum) -> Poly:
+    """sum_j sigma*_j (-T)^(d_n - j): the sign-flipped product over Fix*."""
+    d_n = spectrum.d_n
+    coeffs = [spectrum.sigma_star[d_n - k] * (-1 if k % 2 else 1) for k in range(d_n + 1)]
+    return Poly(coeffs)
+
+
+def preperiodic(fmap, pt, cap: int = _PREPERIOD_CAP) -> bool:
+    """``heights._preperiodic`` on field points: the orbit by ``apply_map``
+    in Fraction or RatFunc arithmetic, with the same repetition, Northcott
+    and 2^14-bit tests."""
+    q_base = fmap.base == "Q"
+    cutoff = _northcott_bound(fmap) if q_base else _ff_northcott_bound(fmap)
+    seen = {pt}
+    cur = pt
+    for _ in range(cap):
+        cur = apply_map(fmap, cur)
+        if cur in seen:
+            return True
+        seen.add(cur)
+        if q_base:
+            if cutoff < math.inf and math.log(max(abs(cur[0].numerator), cur[0].denominator)) > cutoff:
+                return False
+        elif cur[1] and cur[0].degree_as_map() > cutoff:
+            return False
+        if _point_bits(cur) > 1 << 14:
+            return False
+    return False
+
+
+def normalized_naive_height(coords) -> HeightValue:
+    """``heights.naive_height`` read off the coprime field coordinates of
+    ``multipliers._normalize_proj``."""
+    vals = list(coords)
+    if not any(vals):
+        raise ValueError("(0 : ... : 0) is not a projective point")
+    coprime = _normalize_proj(vals)  # coprime integers, or coprime polynomials in t
+    if any(isinstance(c, RatFunc) for c in vals):
+        return HeightValue.from_exact(max(c.num.degree for c in coprime if c))
+    m = max(abs(c.numerator) for c in coprime)
+    if m == 1:
+        return _ZERO_HEIGHT
+    val = math.log(m)
+    return HeightValue(val, abs(val) * 4e-16)
+
+
+def series_div(num: list, den: list, prec: int) -> list:
+    """``heights._series_div`` with every quotient padded to ``prec`` terms."""
+    if not den or not den[0]:
+        raise ZeroDivisionError("series division by non-unit")
+    inv0 = 1 / den[0]
+    out = []
+    num = list(num) + [Fraction(0)] * max(0, prec - len(num))
+    for k in range(prec):
+        acc = num[k]
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * inv0)
+    return out

@@ -26,9 +26,9 @@ from dynlyap.multipliers import (
     dynatomic_divisor,
     lambda_tilde_point,
     multiplier_polynomial,
-    sigma_display_poly,
 )
 from dynlyap.places import LocalLogValue, Place
+from oracles import sigma_display_poly
 
 
 def _passed(line: str) -> None:

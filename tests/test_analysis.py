@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from dynlyap import bivariate
+from dynlyap import analysis, bivariate, heights
 from dynlyap.algebra import RatFunc
 from dynlyap.analysis import (
     CERTIFIED_NON_ISOTRIVIAL,
@@ -23,7 +23,7 @@ from dynlyap.analysis import (
 from dynlyap.cli import run
 from dynlyap.errors import DegenerateMap, PoleOutsideCenter
 from dynlyap.mapio import format_coefficient
-from dynlyap.heights import canonical_height
+from dynlyap.heights import canonical_height, critical_height_direct
 from dynlyap.maps import new_map
 from dynlyap.places import Place
 
@@ -192,6 +192,52 @@ class TestGaussLemmaReaders:
                 buf = io.StringIO()
                 with redirect_stdout(buf):
                     assert run(argv) == 0, buf.getvalue()
+
+
+def height_families():
+    """Seeded makers of z^2 + c(t), z^2 + c(t)/t and (z^2 + c(t))/z."""
+    rng = random.Random(26)
+    t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+    small = lambda: F(rng.randint(-5, 5), rng.randint(1, 3))
+    makers = []
+    for i in range(18):
+        kind = i % 3
+        if kind == 0:
+            a, b = (one, zero, t * t * small() + t * (small() or 1) + small()), (zero, zero, one)
+        elif kind == 1:
+            c = (t * t * small() + t * small() + (small() or 1)) / t
+            a, b = (one, zero, c), (zero, zero, one)
+        else:  # critical points +-sqrt(c): no direct critical height
+            a, b = (one, zero, t * (small() or 1) + small()), (zero, one, zero)
+        makers.append(lambda a=a, b=b: new_map(2, a, b))
+    return makers
+
+
+class TestHeightsOnRows:
+    """The heights of ff-analyze on integer rows give the reprs of the field
+    path: the orbit by ``apply_map``, naive heights through
+    ``multipliers._normalize_proj`` and series padded to their precision."""
+
+    def test_same_reprs_as_the_field_path(self, monkeypatch):
+        def outcomes():
+            out = []
+            for make in height_families():
+                try:
+                    out.append(repr(critical_height_direct(make())))
+                except Exception as exc:  # the same exception on both paths
+                    out.append(repr(exc))
+                out.append(repr(ff_degree_sequence(make(), 3)))
+            return out
+
+        got = outcomes()
+        monkeypatch.setattr(heights, "_preperiodic", oracles.preperiodic)
+        monkeypatch.setattr(heights, "naive_height", oracles.normalized_naive_height)
+        monkeypatch.setattr(analysis, "naive_height", oracles.normalized_naive_height)
+        monkeypatch.setattr(analysis, "map_height", lambda fm: oracles.normalized_naive_height(
+            list(fm.lift.a) + list(fm.lift.b)))
+        monkeypatch.setattr(heights, "_series_div", oracles.series_div)
+        assert got == outcomes()
+        assert sum("HeightValue" in g for g in got[::2]) == 12  # direct critical heights
 
 
 class TestGlobalConsistency:

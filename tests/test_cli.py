@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -185,6 +187,33 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert run(["multipliers", "--map", "/nonexistent/map.json", "--n", "1"]) == 2
+
+    def test_series_cap(self, monkeypatch):
+        from dynlyap import heights
+
+        assert run_json(["ff-analyze", "--map", POLE, "--n-max", "1"])["result"]["h_crit"]
+        monkeypatch.setattr(heights, "_SERIES_BITS_CAP", 0)
+        rep = run_json(["ff-analyze", "--map", POLE, "--n-max", "1"], expect=3)
+        assert rep["error"]["kind"] == "resource_limit"
+        assert rep["error"]["message"].startswith("series Green function at t=0")
+
+    # four general rational families whose series Green functions swell
+    # until the cap stops them
+    @pytest.mark.parametrize("a,b", [("1 0 t", "1 0 1"), ("t 0 1", "1 0 1"),
+                                     ("t 0 1", "1 0 t"), ("t 0 t", "-6 0 0")],
+                             ids=["(z2+t)|(z2+1)", "(tz2+1)|(z2+1)", "(tz2+1)|(z2+t)",
+                                  "(tz2+t)|(-6z2)"])
+    def test_swelling_series_end(self, a, b):
+        text = json.dumps({"d": 2, "a": [{"num": c} for c in a.split()],
+                           "b": [{"num": c} for c in b.split()]})
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = run(["ff-analyze", "--map", text, "--n-max", "3"])
+        rep = json.loads(buf.getvalue())
+        assert code in (0, 3), rep
+        if code == 3:
+            assert rep["error"]["kind"] == "resource_limit"
+            assert rep["error"]["message"].startswith("series Green function at t=")
 
     def test_large_prime_place(self):
         # 2^61 - 1: proven prime by Miller-Rabin, far out of reach of trial division

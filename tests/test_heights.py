@@ -4,17 +4,24 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from dynlyap import heights
 from dynlyap.algebra import Poly, RatFunc
 from dynlyap.budget import default_budget
 from dynlyap.errors import DegenerateMap, IrrationalCriticalPoint, ResourceLimit
 from dynlyap.heights import (
+    _SERIES_BITS_CAP,
     _arch_sup_t_bound,
     _ff_northcott_bound,
     _map_sup_t_bound,
     _nonarch_green,
     _northcott_bound,
+    _orbit_rows,
+    _point_bits,
     _preperiodic,
+    _rows_bits,
+    _rows_point,
+    _series_div,
     bad_places,
     canonical_height,
     critical_height_direct,
@@ -458,6 +465,23 @@ FF_ORBIT_PINS = [
 ]
 
 
+def count_orbit_steps(monkeypatch) -> list:
+    """The images f(pt), f^2(pt), ... that ``_preperiodic`` draws from
+    ``_orbit_rows``, collected as it runs."""
+    steps = []
+    inner = heights._orbit_rows
+
+    def counting(fmap, pt):
+        orbit = inner(fmap, pt)
+        yield next(orbit)
+        for cur in orbit:
+            steps.append(cur)
+            yield cur
+
+    monkeypatch.setattr(heights, "_orbit_rows", counting)
+    return steps
+
+
 class TestNorthcott:
     def test_preperiodic_points_found(self):
         cases = [
@@ -476,11 +500,9 @@ class TestNorthcott:
 
     def test_cutoff_stops_early(self, monkeypatch):
         fm = poly_map(1, 0, F(-3, 4))
-        steps = []
-        inner = heights.apply_map
-        monkeypatch.setattr(heights, "apply_map", lambda f, p: steps.append(1) or inner(f, p))
+        steps = count_orbit_steps(monkeypatch)
         assert not _preperiodic(fm, point_of(F(7, 2)))
-        assert len(steps) <= 3  # 7/2 -> 23/2 -> 526/4: log 131 > C
+        assert steps and len(steps) <= 3  # 7/2 -> 23/2 -> 526/4: log 131 > C
 
     def test_bound_covers_height_gap(self):
         rng = random.Random(99)
@@ -498,11 +520,9 @@ class TestNorthcott:
         t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
         fm = new_map(2, (one, zero, t), (zero, zero, one))
         assert _ff_northcott_bound(fm) == 3
-        steps = []
-        inner = heights.apply_map
-        monkeypatch.setattr(heights, "apply_map", lambda f, p: steps.append(1) or inner(f, p))
+        steps = count_orbit_steps(monkeypatch)
         assert not _preperiodic(fm, point_of(zero, one))
-        assert len(steps) <= 4
+        assert steps and len(steps) <= 4
 
     def test_ff_fixed_point_below_the_bound(self):
         # z = t is fixed by z^2 + t - t^2
@@ -541,3 +561,183 @@ class TestNorthcott:
         with pytest.raises(ResourceLimit):
             canonical_height(fm, F(2))
         assert _northcott_bound(fm) < 2 * math.log(q) + 50
+
+
+def orbit_pairs():
+    """Seeded (map, point) pairs over Q and Q(t) for the orbit test, with
+    preperiodic points among them: z^2 - 2 and z^2 - 1 at 0, the poles of
+    (a z^2 + b z + c)/(z - r), which map to the fixed point infinity, the
+    constant orbits of z^2 + c over Q(t), fixed points x0 of z^2 + c(t)."""
+    rng = random.Random(26)
+    small = lambda: F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+    pairs = []
+    # over Q: a grid of small points on maps with short cycles
+    grid = [F(k, q) for k in range(-4, 5) for q in (1, 2)] + ["inf"]
+    for c in (0, -1, -2, -3, F(-3, 4), F(1, 4), F(-21, 16)):
+        pairs += [(poly_map(1, 0, c), point_of(x)) for x in grid]
+    pairs += [(new_map(2, (0, 0, 1), (1, 0, 0)), point_of(x)) for x in grid]  # 1/z^2
+    pairs += [(new_map(2, (1, 0, -2), (0, 2, 0)), point_of(x)) for x in grid]  # Newton for z^2 - 2
+    while len(pairs) < 560:
+        fm = rational_map(rng, rng.choice((2, 3)))
+        pairs += [(fm, point_of(x)) for x in (F(0), F(1), F(-1), "inf", small(), small())]
+    while len(pairs) < 700:
+        r = small()
+        a, b, c = (F(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(3))
+        try:
+            fm = new_map(2, (a or 1, b, c), (0, 1, -r))
+        except (DegenerateMap, ValueError):
+            continue
+        pairs += [(fm, point_of(r)), (fm, point_of(small()))]
+    # over Q(t)
+    t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+    pairs += [(fm, pt) for fm, pts in ff_orbit_cases() for pt in pts]
+    for c in (0, 1, -1, -2, F(-3, 4)):  # isotrivial: constant orbits
+        fm = new_map(2, (one, zero, one * c), (zero, zero, one))
+        pairs += [(fm, point_of(one * x, one)) for x in (0, 1, -1, 2, F(1, 2), F(3, 2))]
+        pairs += [(fm, point_of(x, one)) for x in (t, one / t, "inf")]
+    while len(pairs) < 1100:
+        x0 = t * rng.choice((-2, -1, 1, 2)) + small()
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = x0 - x0 * x0 if rng.random() < 0.5 else t * small() + small() + t * t * small()
+            fm = new_map(2, (one, zero, c), (zero, zero, one))
+        elif kind == 1:  # z^2 + c(t)/t
+            fm = new_map(2, (one, zero, (t * t * small() + t * small() + (small() or one)) / t),
+                         (zero, zero, one))
+        else:  # (z^2 + c(t))/z
+            fm = new_map(2, (one, zero, t * (small() or one) + small()), (zero, one, zero))
+        xs = [zero, "inf", x0, -x0, one * small(), t * small() + small(), one / (t + small())]
+        pairs += [(fm, point_of(x, one)) for x in xs]
+    return pairs
+
+
+class TestOrbitRows:
+    def test_same_answers_and_steps_as_the_field_loop(self, monkeypatch):
+        pairs = orbit_pairs()
+        assert len(pairs) >= 1000
+        field = []
+        inner = oracles.apply_map
+        monkeypatch.setattr(oracles, "apply_map", lambda f, p: field.append(1) or inner(f, p))
+        rows = count_orbit_steps(monkeypatch)
+        bits_stops = []
+        inner_bits = heights._point_bits
+        monkeypatch.setattr(heights, "_point_bits",
+                            lambda p: bits_stops.append(inner_bits(p) > 1 << 14) or inner_bits(p))
+        got, want = [], []
+        for fm, pt in pairs:
+            got.append((fm.base, _preperiodic(fm, pt), len(rows)))
+            want.append((fm.base, oracles.preperiodic(fm, pt), len(field)))
+            rows.clear()
+            field.clear()
+        assert got == want
+        for base in ("Q", "Q(t)"):
+            answers = [pre for b, pre, _ in got if b == base]
+            assert sum(answers) >= 40 and len(answers) - sum(answers) >= 100, base
+        assert sum(bits_stops) >= 10  # the 2^14-bit stop answers some pairs
+
+    def test_one_pair_per_point(self):
+        # the coprime rows of (x : 1) and of (x : 1) scaled agree
+        t, one = RatFunc.t(), RatFunc.const(1)
+        fm = new_map(2, (one, 0, t), (0, 0, one))
+        for pt in ((t * 2 + 1, one * 3), ((t * 2 + 1) / 3, one), (-(t * 2 + 1) * t, -t * 3)):
+            assert next(_orbit_rows(fm, pt)) == ((1, 2), (3,))
+        fm = poly_map(1, 0, -2)
+        assert next(_orbit_rows(fm, (F(-4, 6), F(-1)))) == (2, 3)
+        assert next(_orbit_rows(fm, (F(-7), F(0)))) == (1, 0)
+        # G = (2X^2 + Y^2, 2Y^2) and (X^2 + tY^2, XY) share a content with the
+        # images of these points, which each step divides out
+        orbit = _orbit_rows(poly_map(1, 0, F(1, 2)), point_of(F(1, 2)))
+        assert [next(orbit) for _ in range(3)] == [(1, 2), (3, 4), (17, 16)]
+        orbit = _orbit_rows(new_map(2, (one, 0, t), (0, one, 0)), point_of(t, one))
+        assert [next(orbit) for _ in range(3)] == [((0, 1), (1,)), ((1, 1), (1,)),
+                                                   ((1, 3, 1), (1, 1))]
+
+    def test_rows_bits_bound_the_point_bits(self):
+        for fm, pt in orbit_pairs()[::7]:
+            for _, cur in zip(range(6), _orbit_rows(fm, pt)):
+                exact = _point_bits(_rows_point(cur, fm.base))
+                assert _rows_bits(*cur) >= exact, (fm.base, cur)
+                if fm.base == "Q":
+                    assert _rows_bits(*cur) == exact
+        # over Q(t) the bound is reached by constant points and monic rows
+        t, one = RatFunc.t(), RatFunc.const(1)
+        for x in (one * 5, t + 3, t * t - 2, one * 0, "inf"):
+            cur = next(_orbit_rows(poly_map(one, 0, t), point_of(x, one)))
+            assert _rows_bits(*cur) == _point_bits(_rows_point(cur, "Q(t)")), x
+
+
+class TestNaiveHeightRows:
+    def test_equals_the_normalized_coordinates(self):
+        rng = random.Random(31)
+        t = RatFunc.t()
+        small = lambda: F(rng.randint(-9, 9), rng.randint(1, 12))
+        points = [[F(2), F(3)], [F(4), F(6)], [F(0), F(5, 7)], [3, F(1, 2)], [t * t, 1]]
+        for _ in range(300):
+            k = rng.randint(2, 5)
+            coords = [small() for _ in range(k)]
+            if rng.random() < 0.5:  # over Q(t): polynomials over a shared factor
+                shared = t * small() + (small() or 1)
+                coords = [(c * t * t + small() * t + c) * shared / (t + small()) if c else c
+                          for c in coords]
+            if any(coords):
+                points.append(coords)
+        for coords in points:
+            assert repr(naive_height(coords)) == repr(oracles.normalized_naive_height(coords)), coords
+
+    def test_map_height_of_the_primitive_lift(self):
+        rng = random.Random(32)
+        t = RatFunc.t()
+        maps = [rational_map(rng, 2 + i % 2) for i in range(20)]
+        maps += [fm for fm, _ in ff_orbit_cases()]
+        maps.append(new_map(2, (t * t / 3, 0, t - 1), (0, t / (t + 1), 0)))
+        for fm in maps:
+            want = oracles.normalized_naive_height(list(fm.lift.a) + list(fm.lift.b))
+            assert repr(map_height(fm)) == repr(want)
+
+
+class TestFiniteSeries:
+    def test_same_terms_as_the_padded_quotient(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            num = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 6))]
+            den = [F(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))]
+            den += [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+            prec = rng.randint(1, 12)
+            got, want = _series_div(num, den, prec), oracles.series_div(num, den, prec)
+            if len(den) == 1:
+                assert len(got) == min(len(num), prec)
+                got = got + [F(0)] * (prec - len(got))
+            assert got == want
+
+    def test_same_greens_as_padded_series(self, monkeypatch):
+        rng = random.Random(27)
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        small = lambda: F(rng.randint(-5, 5), rng.randint(1, 3))
+        cases = [(fm, pt, v) for fm, pt, v, _ in ladder_cases() if fm.base == "Q(t)"]
+        for i in range(20):  # z^2 + c(t) and z^2 + c(t)/t
+            c = t * t * small() + t * (small() or 1) + (small() or 1)
+            fm = new_map(2, (one, zero, c / t if i % 2 else c), (zero, zero, one))
+            pts = [point_of(x, one) for x in (zero, "inf", one, -one, t, one / t)]
+            cases += [(fm, pt, v) for v in bad_places(fm) + [Place.ff_infinity()] for pt in pts]
+
+        def values():
+            return [repr(local_green(fm.lift, pt, v, 1e-9)) for fm, pt, v in cases]
+
+        calls = count_ladder_calls(monkeypatch)
+        got = values()
+        assert len(calls) > 50
+        monkeypatch.setattr(heights, "_series_div", oracles.series_div)
+        assert got == values()
+        assert sum("unit" in g for g in got) > 50  # exact nonzero values
+
+
+class TestSeriesCap:
+    def test_cap_is_a_resource_limit(self, monkeypatch):
+        t, one, zero = RatFunc.t(), RatFunc.const(1), RatFunc.const(0)
+        fm = new_map(2, (one, zero, one / t), (zero, zero, one))  # z^2 + 1/t, bad at t = 0
+        want = critical_height_direct(fm)
+        monkeypatch.setattr(heights, "_SERIES_BITS_CAP", 0)
+        with pytest.raises(ResourceLimit, match="series Green function at t=0"):
+            critical_height_direct(new_map(2, (one, zero, one / t), (zero, zero, one)))
+        monkeypatch.setattr(heights, "_SERIES_BITS_CAP", _SERIES_BITS_CAP)
+        assert critical_height_direct(new_map(2, (one, zero, one / t), (zero, zero, one))) == want

@@ -24,9 +24,9 @@ from dynlyap.multipliers import (
     multiplier_polynomial,
     power_roots_poly,
     power_sums_from_monic,
-    sigma_display_poly,
     _infinity_cycle_data,
 )
+from oracles import sigma_display_poly
 
 
 def poly_map(*coeffs_desc):

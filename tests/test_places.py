@@ -6,7 +6,8 @@ import pytest
 
 from dynlyap.algebra import RatFunc
 from dynlyap.errors import FFPlaceOnRationalBase
-from dynlyap.places import LocalLogValue, Place, gauss_log_norm, local_abs, log_max
+from dynlyap.places import LocalLogValue, Place, gauss_log_norm, local_abs
+from oracles import log_max
 
 
 class TestLocalAbs:

@@ -527,6 +527,20 @@ def test_clear_rows_random():
         assert [RatFunc(Poly.from_ints(r), Poly.from_ints(den)) for r in rows] == coeffs
 
 
+def test_clear_rows_powers_of_t(monkeypatch):
+    # denominators t^k take their lcm by shifts; the rows are the lcm path's
+    rng = random.Random(71)
+    cases = [[ZERO, ONE], [F(3, 4), 1 / T], [ZERO, F(0)]]
+    for _ in range(60):
+        cases.append([RatFunc(Poly([F(rng.randint(-9, 9), rng.randint(1, 4))
+                                    for _ in range(rng.randint(0, 4))]),
+                              Poly([F(0)] * rng.randint(0, 3) + [F(1)]))
+                      for _ in range(rng.randint(1, 6))])
+    got = [_clear_rows(coeffs) for coeffs in cases]
+    monkeypatch.setattr(bivariate, "_is_monomial", lambda p: False)
+    assert got == [_clear_rows(coeffs) for coeffs in cases]
+
+
 def test_poly_power_matches_field_power():
     for p in (Poly([T, ZERO, ONE]), Poly([1 / T, F(2, 3) * T, (T + 1) / (T * T - 2), ONE]),
               Poly([ZERO, (T - 2) / (T + 1), F(3, 2) * T, 1 / ((T + 1) * (T + 1))])):
