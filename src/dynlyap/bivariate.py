@@ -34,10 +34,11 @@ runs on such rows from start to end:
 Elements of Q and Q(t) become rows in one way: ``_clear_rows`` writes them
 as integer rows over one den in Z[t], the lcm of their denominators (rows
 of t-degree 0 over one integer for Q).  The lift, q_n, the power sums of
-Newton's identities, ``multipliers._normalize_proj`` and
-``heights.bad_places`` all clear through it.  Rows become elements of the
-base field in one way, ``_field``: a Fraction over Q, a RatFunc over Q(t);
-``_scaled_values`` takes rows times a scale there.
+Newton's identities, the points of ``multipliers._normalize_proj`` and
+``heights`` and ``heights.bad_places`` all clear through it; a point's rows
+are made primitive in one way, ``_primitive_point``.  Rows become elements
+of the base field in one way, ``_field``: a Fraction over Q, a RatFunc over
+Q(t); ``_scaled_values`` takes rows times a scale there.
 
 In the ring an element is held as U(t, z) / (c L(t)^e): U in Z[t][z], c a
 positive integer, and L a primitive polynomial of Z[t] whose powers, times
@@ -62,7 +63,6 @@ from .algebra import (
     _int_content,
     _half_offset,
     _int_mul,
-    _is_monomial,
     _pack,
     _unpack,
     poly_exact_div,
@@ -292,24 +292,17 @@ def _clear_rows(coeffs):
     """(rows, den) with coeffs[i] = rows[i] / den for elements of Q or Q(t):
     integer t-rows over the lcm of the denominators, which is cleared of
     fractions with them, so den in Z[t] has a positive leading coefficient.
-    Elements of Q clear to rows of t-degree 0 ([] for zero) over one integer.
-    When every denominator is a power of t their lcm is the largest one, and
-    each numerator is shifted up to it."""
+    Elements of Q clear to rows of t-degree 0 ([] for zero) over one integer."""
     if not any(isinstance(c, RatFunc) for c in coeffs):
         ints, den = _clear_fractions(coeffs)
         return [[x] if x else [] for x in ints], [den]
     coeffs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
-    if all(_is_monomial(c.den) for c in coeffs):  # dens t^k: their lcm is a power of t
-        top = max(len(c.den.coeffs) for c in coeffs)
-        parts = [[0] * (top - len(c.den.coeffs)) + list(c.num.coeffs) if c else []
-                 for c in coeffs] + [[0] * (top - 1) + [1]]
-    else:
-        dens = dict.fromkeys(c.den for c in coeffs)
-        lcm = Poly((Fraction(1),))
-        for den in dens:
-            lcm = lcm * poly_exact_div(den, poly_gcd(lcm, den))
-        cof = {den: poly_exact_div(lcm, den) for den in dens}
-        parts = [(c.num * cof[c.den]).coeffs for c in coeffs] + [lcm.coeffs]
+    dens = dict.fromkeys(c.den for c in coeffs)
+    lcm = Poly((Fraction(1),))
+    for den in dens:
+        lcm = lcm * poly_exact_div(den, poly_gcd(lcm, den))
+    cof = {den: poly_exact_div(lcm, den) for den in dens}
+    parts = [(c.num * cof[c.den]).coeffs for c in coeffs] + [lcm.coeffs]
     flat = iter(_clear_fractions([x for part in parts for x in part])[0])
     rows = [list(islice(flat, len(part))) for part in parts]
     return rows[:-1], rows[-1]
@@ -409,6 +402,16 @@ def _divide_content(rows: list, content: list) -> list:
         c = content[0]
         return rows if c == 1 else [[x // c for x in r] for r in rows]
     return [_exact_div_int(r, content) if r else r for r in rows]
+
+
+def _primitive_point(rows: list) -> list:
+    """The rows of a projective point (not all zero) divided by their
+    content in Z[t], the last nonzero row with a positive leading
+    coefficient: one list of rows per point of P^n over Q or Q(t)."""
+    rows = _divide_content(rows, _zt_content(rows))
+    if next(r for r in reversed(rows) if r)[-1] < 0:
+        rows = [[-x for x in r] for r in rows]
+    return rows
 
 
 def _primitive(lift: HomLift, base: str):

@@ -82,16 +82,15 @@ _ZERO_HEIGHT = HeightValue(0.0, 0.0, Fraction(0))
 
 def naive_height(coords) -> HeightValue:
     """Weil height of a projective point over Q or Q(t), read off its
-    coordinates cleared to integer rows (``bivariate._clear_rows``) and
-    their content in Z[t]."""
-    from .bivariate import _clear_rows, _zt_content
+    primitive integer rows (``bivariate._clear_rows``, then
+    ``bivariate._primitive_point``)."""
+    from .bivariate import _clear_rows, _primitive_point
 
     vals = list(coords)
     if not any(vals):
         raise ValueError("(0 : ... : 0) is not a projective point")
     vals, base = _coerce_field(vals)
-    rows, _ = _clear_rows(vals)
-    return _rows_height(rows, _zt_content(rows), base)
+    return _rows_height(_primitive_point(_clear_rows(vals)[0]), base)
 
 
 def map_height(fmap: RationalMap) -> HeightValue:
@@ -100,16 +99,16 @@ def map_height(fmap: RationalMap) -> HeightValue:
     from .bivariate import primitive_rows
 
     g0, g1, _ = primitive_rows(fmap)
-    return _rows_height(g0 + g1, [1], fmap.base)
+    return _rows_height(g0 + g1, fmap.base)
 
 
-def _rows_height(rows: list, content: list, base: str) -> HeightValue:
-    """Height of the point whose coordinates are the integer rows divided
-    by their content in Z[t]: the t-degree of those primitive rows over
-    Q(t), the log of their largest absolute value over Q."""
+def _rows_height(rows: list, base: str) -> HeightValue:
+    """Height of the point whose coordinates are primitive integer rows:
+    their t-degree over Q(t), the log of their largest absolute value over
+    Q."""
     if base == BASE_QT:
-        return HeightValue.from_exact(max(map(len, rows)) - len(content))
-    m = max(abs(r[0]) for r in rows if r) // content[0]
+        return HeightValue.from_exact(max(map(len, rows)) - 1)
+    m = max(abs(r[0]) for r in rows if r)
     if m == 1:
         return _ZERO_HEIGHT
     val = math.log(m)
@@ -687,7 +686,7 @@ def _orbit_rows(fmap: RationalMap, pt):
     nonzero coordinate gets a positive leading coefficient, so each point
     of P^1 has one pair.
     """
-    from .bivariate import _clear_rows, _divide_content, _zt_content, primitive_rows
+    from .bivariate import _clear_rows, _primitive_point, primitive_rows
 
     g0, g1, _ = primitive_rows(fmap)
     rows, _ = _clear_rows(list(pt))
@@ -706,9 +705,7 @@ def _orbit_rows(fmap: RationalMap, pt):
         one, mul, add = (1,), _int_mul, _add_rows
 
         def primitive(x, y):
-            x, y = _divide_content([list(x), list(y)], _zt_content([x, y]))
-            if (y or x)[-1] < 0:
-                x, y = [-c for c in x], [-c for c in y]
+            x, y = _primitive_point([x, y])
             return tuple(x), tuple(y)
 
     d = fmap.d

@@ -540,10 +540,7 @@ def _normalize_proj(coords) -> tuple:
     from . import bivariate
 
     vals, base = _coerce_field(coords)
-    rows, _ = bivariate._clear_rows(vals)
-    rows = bivariate._divide_content(rows, bivariate._zt_content(rows))
-    if next(r for r in reversed(rows) if r)[-1] < 0:
-        rows = [[-x for x in r] for r in rows]
+    rows = bivariate._primitive_point(bivariate._clear_rows(vals)[0])
     return tuple(bivariate._from_rows(rows, [1], base))
 
 

@@ -527,18 +527,24 @@ def test_clear_rows_random():
         assert [RatFunc(Poly.from_ints(r), Poly.from_ints(den)) for r in rows] == coeffs
 
 
-def test_clear_rows_powers_of_t(monkeypatch):
-    # denominators t^k take their lcm by shifts; the rows are the lcm path's
+def test_primitive_point_one_rows_per_point():
+    # rows times a nonzero element of Z[t] (content and sign included) give
+    # the same primitive rows, coprime, the last nonzero row leading positive
     rng = random.Random(71)
-    cases = [[ZERO, ONE], [F(3, 4), 1 / T], [ZERO, F(0)]]
-    for _ in range(60):
-        cases.append([RatFunc(Poly([F(rng.randint(-9, 9), rng.randint(1, 4))
-                                    for _ in range(rng.randint(0, 4))]),
-                              Poly([F(0)] * rng.randint(0, 3) + [F(1)]))
-                      for _ in range(rng.randint(1, 6))])
-    got = [_clear_rows(coeffs) for coeffs in cases]
-    monkeypatch.setattr(bivariate, "_is_monomial", lambda p: False)
-    assert got == [_clear_rows(coeffs) for coeffs in cases]
+    for _ in range(300):
+        rows = [[rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(2, 4))]
+        rows = [r[: max((i + 1 for i, x in enumerate(r) if x), default=0)] for r in rows]
+        if not any(rows):
+            continue
+        base = bivariate._primitive_point(rows)
+        assert bivariate._zt_content(base) == [1]
+        assert next(r for r in reversed(base) if r)[-1] > 0
+        for _ in range(3):
+            k = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+            if not k[-1]:
+                k[-1] = -3
+            scaled = [bivariate._int_mul(r, k) for r in rows]
+            assert bivariate._primitive_point(scaled) == base, (rows, k)
 
 
 def test_poly_power_matches_field_power():
